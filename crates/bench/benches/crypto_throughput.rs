@@ -73,6 +73,30 @@ fn bench_lane_widths(c: &mut Criterion) {
     group.finish();
 }
 
+/// ESSIV batch encrypt at depths 1, 2, 4, 8, 9 and 64 sectors of 4 KiB:
+/// one sector is the serial CBC chain, 2/4/8 interleave that many chains
+/// through the single-block, 4-wide and 8-wide lanes, 9 is a full group
+/// plus a lone serial sector, and 64 is eight full groups.
+fn bench_essiv_batch_depths(c: &mut Criterion) {
+    let mut group = c.benchmark_group("essiv_encrypt_sectors");
+    let essiv = CbcEssiv::with_essiv_key(Aes256::new(&[1u8; 32]), &sha256(&[1u8; 32]));
+    for depth in [1usize, 2, 4, 8, 9, 64] {
+        let mut bufs = vec![vec![0xABu8; SECTOR]; depth];
+        group.throughput(Throughput::Bytes((depth * SECTOR) as u64));
+        group.bench_function(format!("{depth}x4k").as_str(), |b| {
+            b.iter(|| {
+                let mut jobs: Vec<(u64, &mut [u8])> = bufs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, d)| (i as u64, d.as_mut_slice()))
+                    .collect();
+                essiv.encrypt_sectors_in_place(&mut jobs)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// A 64×4 KiB batch through `DmCrypt` over a MemDisk: the batched-parallel
 /// crypto path vs. the same batch pinned to one thread.
 fn bench_batched_parallel(c: &mut Criterion) {
@@ -112,6 +136,6 @@ fn bench_batched_parallel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sector_modes, bench_lane_widths, bench_batched_parallel
+    targets = bench_sector_modes, bench_lane_widths, bench_essiv_batch_depths, bench_batched_parallel
 }
 criterion_main!(benches);

@@ -159,9 +159,9 @@ pub trait BlockCipher: Send + Sync {
     /// The default is a loop over [`BlockCipher::encrypt_block`];
     /// implementations with hardware pipelines override it to keep several
     /// blocks in flight (the AES ciphers run 8x/4x interleaved AES-NI
-    /// ladders). The blocks must genuinely be independent — chaining modes
-    /// (CBC encrypt) cannot use this entry point for their chained ECB
-    /// calls.
+    /// ladders). The blocks must genuinely be independent — CBC encrypt
+    /// can only pass one block from each of several chains, never
+    /// consecutive blocks of one chain.
     ///
     /// # Panics
     ///

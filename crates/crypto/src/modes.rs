@@ -18,9 +18,12 @@
 //! * **CBC decrypt** is also embarrassingly parallel — every block is
 //!   `D(C_i) ^ C_{i-1}` over *ciphertexts that already exist* — so each chunk
 //!   saves its ciphertext, decrypts wide, then applies the lagged XOR.
-//! * **CBC encrypt** cannot pipeline: block `i`'s input includes block
-//!   `i - 1`'s *output*, a data dependency no amount of lane interleaving
-//!   removes. It stays on the serial single-block path by nature.
+//! * **CBC encrypt** is serial within a sector, interleaved across sectors:
+//!   block `i`'s input includes block `i - 1`'s *output*, so one sector's
+//!   chain cannot pipeline, but every sector has its own ESSIV IV and its
+//!   own chain. The batch entry point runs up to [`CBC_LANES`] equal-length
+//!   sectors side by side, block `k` of each chain in one wide call; a lone
+//!   sector stays on the serial single-block path.
 //!
 //! [`SectorCipher::encrypt_sectors_in_place`] /
 //! [`SectorCipher::decrypt_sectors_in_place`] are the batch entry points the
@@ -34,6 +37,10 @@ use crate::sha256::sha256;
 /// saved-ciphertext scratch on the stack (no per-sector allocation) while
 /// giving the 8-wide AES ladders long runs; a 4 KiB sector is 4 chunks.
 const LANE_CHUNK: usize = 64;
+
+/// Sectors whose CBC chains one interleaved encrypt pass advances together:
+/// one chain per lane of the 8-wide AES ladder.
+const CBC_LANES: usize = 8;
 
 /// A length-preserving cipher over whole device sectors, keyed by sector
 /// number. This is the interface `mobiceal-dm`'s crypt target consumes.
@@ -158,6 +165,36 @@ impl<C: BlockCipher> CbcEssiv<C> {
         self.iv_cipher.encrypt_block(&mut iv);
         iv
     }
+
+    /// CBC-encrypts 2..=[`CBC_LANES`] equal-length sectors side by side.
+    ///
+    /// A stack lane buffer holds one chain value per sector, starting at
+    /// the sector's IV (all IVs come out of one wide call). For each block offset `k`,
+    /// block `k` of every sector is XORed into its lane, the lanes go
+    /// through one wide encrypt, and each result is both that sector's
+    /// ciphertext block and its chain value for block `k + 1` — the same
+    /// `E(P_k ^ C_{k-1})` the serial path computes, `n` chains at a time.
+    fn encrypt_interleaved(&self, group: &mut [(u64, &mut [u8])]) {
+        let mut lanes = [0u8; CBC_LANES * AES_BLOCK_SIZE];
+        let lanes = &mut lanes[..group.len() * AES_BLOCK_SIZE];
+        for (lane, (index, _)) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(group.iter()) {
+            lane[..8].copy_from_slice(&index.to_le_bytes());
+        }
+        self.iv_cipher.encrypt_blocks(lanes);
+        let len = group[0].1.len();
+        for off in (0..len).step_by(AES_BLOCK_SIZE) {
+            for (lane, (_, buf)) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(group.iter()) {
+                let lane: &mut [u8; AES_BLOCK_SIZE] = lane.try_into().expect("exact chunk");
+                let block: &[u8; AES_BLOCK_SIZE] =
+                    buf[off..off + AES_BLOCK_SIZE].try_into().expect("exact block");
+                *lane = (u128::from_ne_bytes(*lane) ^ u128::from_ne_bytes(*block)).to_ne_bytes();
+            }
+            self.data_cipher.encrypt_blocks(lanes);
+            for (lane, (_, buf)) in lanes.chunks_exact(AES_BLOCK_SIZE).zip(group.iter_mut()) {
+                buf[off..off + AES_BLOCK_SIZE].copy_from_slice(lane);
+            }
+        }
+    }
 }
 
 impl<C: BlockCipher> SectorCipher for CbcEssiv<C> {
@@ -173,13 +210,12 @@ impl<C: BlockCipher> SectorCipher for CbcEssiv<C> {
         out
     }
 
-    // CBC encrypt cannot pipeline: block i's cipher input is
-    // `P_i ^ C_{i-1}`, and `C_{i-1}` is the *output* of the previous
-    // block's AES call — a true data dependency, so the blocks of one
-    // sector are inherently serial and the wide lanes cannot apply. (The
-    // parallelism CBC-ESSIV writes do get is per-sector: sectors chain
-    // independently, which is what the dm layer's thread sharding and the
-    // batch entry point exploit.)
+    // CBC encrypt is serial within a sector, interleaved across sectors:
+    // block i's cipher input is `P_i ^ C_{i-1}`, and `C_{i-1}` is the
+    // *output* of the previous block's AES call — a true data dependency,
+    // so one sector's blocks run one at a time here. Sectors chain
+    // independently, so `encrypt_sectors_in_place` interleaves up to
+    // `CBC_LANES` of them through the wide lanes instead.
     fn encrypt_sector_in_place(&self, sector_index: u64, sector_data: &mut [u8]) {
         check_len(sector_data.len());
         let mut prev = u128::from_ne_bytes(self.iv_for(sector_index));
@@ -188,6 +224,26 @@ impl<C: BlockCipher> SectorCipher for CbcEssiv<C> {
             *block = (u128::from_ne_bytes(*block) ^ prev).to_ne_bytes();
             self.data_cipher.encrypt_block(block);
             prev = u128::from_ne_bytes(*block);
+        }
+    }
+
+    // Runs of up to `CBC_LANES` consecutive equal-length sectors share one
+    // interleaved pass; a run of one, or a length the mode rejects, takes
+    // the per-sector path (which panics on the bad length).
+    fn encrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
+        let mut rest = jobs;
+        while let Some((_, head)) = rest.first() {
+            let len = head.len();
+            let run = rest.iter().take(CBC_LANES).take_while(|(_, buf)| buf.len() == len).count();
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(run);
+            if run > 1 && len > 0 && len.is_multiple_of(AES_BLOCK_SIZE) {
+                self.encrypt_interleaved(group);
+            } else {
+                for (index, buf) in group.iter_mut() {
+                    self.encrypt_sector_in_place(*index, buf);
+                }
+            }
+            rest = tail;
         }
     }
 
@@ -437,7 +493,8 @@ impl<C: BlockCipher> std::fmt::Debug for Xts<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aes::{Aes128, Aes256};
+    use crate::aes::reference::ReferenceAes;
+    use crate::aes::{Aes128, Aes192, Aes256};
     use crate::util::{from_hex, to_hex};
 
     #[test]
@@ -583,6 +640,104 @@ mod tests {
                 assert_eq!(got, &want, "batch decrypt must invert");
             }
         }
+    }
+
+    /// Runs `jobs` through `encrypt_sectors_in_place`, asserts every sector
+    /// equals the per-sector `encrypt_sector`, and returns the ciphertexts.
+    fn batch_encrypt_matches_per_sector(
+        cipher: &dyn SectorCipher,
+        jobs: &[(u64, Vec<u8>)],
+    ) -> Vec<Vec<u8>> {
+        let expect: Vec<Vec<u8>> = jobs.iter().map(|(s, d)| cipher.encrypt_sector(*s, d)).collect();
+        let mut got: Vec<Vec<u8>> = jobs.iter().map(|(_, d)| d.clone()).collect();
+        let mut batch: Vec<(u64, &mut [u8])> =
+            jobs.iter().zip(got.iter_mut()).map(|((s, _), d)| (*s, d.as_mut_slice())).collect();
+        cipher.encrypt_sectors_in_place(&mut batch);
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(g, e, "job {i} of {} diverges from per-sector encrypt", jobs.len());
+        }
+        got
+    }
+
+    /// `depth` sectors of `len` bytes at scattered indices.
+    fn essiv_jobs(depth: usize, len: usize) -> Vec<(u64, Vec<u8>)> {
+        (0..depth as u64)
+            .map(|s| (s * 37 + 5, (0..len).map(|i| (i as u64 * 13 + s * 7) as u8).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn essiv_interleaved_batch_matches_per_sector_at_every_depth() {
+        // Depths 0..=24 and 64 cover every mix of full 8-sector groups and
+        // ragged 2..7-sector and singleton tails, for every key size, on
+        // the AES-NI lanes, the forced-software lanes and the byte-wise
+        // reference core (the default per-block `encrypt_blocks`) — all of
+        // which must agree byte for byte.
+        let key = [0x5Au8; 32];
+        for key_len in [16usize, 24, 32] {
+            let essiv_key = crate::sha256::sha256(&key[..key_len]);
+            macro_rules! lanes_and_software {
+                ($aes:ty) => {{
+                    let mut soft = <$aes>::from_slice(&key[..key_len]);
+                    soft.force_software();
+                    let lanes = <$aes>::from_slice(&key[..key_len]);
+                    [
+                        Box::new(CbcEssiv::with_essiv_key(lanes, &essiv_key))
+                            as Box<dyn SectorCipher>,
+                        Box::new(CbcEssiv::with_essiv_key(soft, &essiv_key)),
+                    ]
+                }};
+            }
+            let [hw, soft] = match key_len {
+                16 => lanes_and_software!(Aes128),
+                24 => lanes_and_software!(Aes192),
+                _ => lanes_and_software!(Aes256),
+            };
+            let reference =
+                CbcEssiv::with_essiv_key(ReferenceAes::new(&key[..key_len]), &essiv_key);
+            for depth in (0..=24).chain([64]) {
+                let jobs = essiv_jobs(depth, 512);
+                let ct = batch_encrypt_matches_per_sector(&*hw, &jobs);
+                assert_eq!(batch_encrypt_matches_per_sector(&*soft, &jobs), ct);
+                assert_eq!(batch_encrypt_matches_per_sector(&reference, &jobs), ct);
+            }
+        }
+    }
+
+    #[test]
+    fn essiv_interleaved_batch_handles_mixed_lengths_and_duplicates() {
+        let essiv = CbcEssiv::new(Aes256::new(&[5u8; 32]));
+        // 16 B, 512 B and 4 KiB sectors interleaved: groups break at every
+        // length change, mid-group and at the 8-sector cap.
+        let lens = [512, 512, 16, 4096, 4096, 4096, 512, 16, 16, 16]
+            .into_iter()
+            .chain([4096; 11])
+            .chain([512, 4096, 16, 512, 512]);
+        let jobs: Vec<(u64, Vec<u8>)> = lens
+            .enumerate()
+            .map(|(s, len)| (s as u64 * 3, (0..len).map(|i| (i * 5 + s) as u8).collect()))
+            .collect();
+        batch_encrypt_matches_per_sector(&essiv, &jobs);
+        // Duplicate sector indices share an IV, so identical plaintext
+        // must give identical ciphertext inside one interleaved group.
+        let mut jobs = essiv_jobs(12, 4096);
+        for (i, (s, d)) in jobs.iter_mut().enumerate() {
+            *s = if i % 2 == 0 { 9 } else { 4 };
+            if i < 4 {
+                *d = vec![0xEE; 4096];
+            }
+        }
+        let ct = batch_encrypt_matches_per_sector(&essiv, &jobs);
+        assert_eq!(ct[0], ct[2], "same sector + same plaintext, same ciphertext");
+        assert_ne!(ct[0], ct[1], "different sectors never share a chain");
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 16")]
+    fn essiv_batch_rejects_unaligned_group() {
+        let essiv = CbcEssiv::new(Aes128::new(&[1u8; 16]));
+        let (mut a, mut b) = ([0u8; 24], [0u8; 24]);
+        essiv.encrypt_sectors_in_place(&mut [(0, &mut a[..]), (1, &mut b[..])]);
     }
 
     #[test]

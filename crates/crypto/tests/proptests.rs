@@ -18,6 +18,81 @@ fn pad_sector(mut data: Vec<u8>) -> Vec<u8> {
     data
 }
 
+/// Deterministic filler bytes for generated sectors.
+fn filler(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+/// Sector batches for the batch entry points: random lengths (interleaved
+/// ESSIV groups almost never form); one shared length, so runs of up to
+/// eight equal-length sectors form at every depth and tail mix; or runs of
+/// 16 B, 512 B and 4 KiB sectors, so groups break mid-batch.
+fn sector_batches() -> BoxedStrategy<Vec<(u64, Vec<u8>)>> {
+    prop_oneof![
+        prop::collection::vec(
+            (any::<u64>(), prop::collection::vec(any::<u8>(), 1..200))
+                .prop_map(|(s, d)| (s, pad_sector(d))),
+            1..10,
+        ),
+        (1usize..=32, prop::collection::vec(any::<u64>(), 1..25)).prop_map(|(blocks, sectors)| {
+            sectors.into_iter().map(|s| (s, filler(s, blocks * 16))).collect()
+        }),
+        (
+            any::<u64>(),
+            prop::collection::vec(
+                (prop_oneof![Just(16usize), Just(512), Just(4096)], 1usize..11),
+                1..6
+            ),
+        )
+            .prop_map(|(seed, runs)| {
+                runs.into_iter()
+                    .flat_map(|(len, run)| std::iter::repeat_n(len, run))
+                    .enumerate()
+                    .map(|(i, len)| (seed.wrapping_add(i as u64), filler(seed ^ i as u64, len)))
+                    .collect()
+            }),
+    ]
+    .boxed()
+}
+
+/// CBC-ESSIV under `key` (16, 24 or 32 bytes) on the AES-NI lanes, the
+/// forced-software lanes and the byte-wise reference core, in that order.
+fn essiv_backends(key: &[u8]) -> [Box<dyn SectorCipher>; 3] {
+    let essiv_key = sha256(key);
+    macro_rules! lanes_and_software {
+        ($aes:ty) => {{
+            let mut soft = <$aes>::from_slice(key);
+            soft.force_software();
+            [
+                Box::new(CbcEssiv::with_essiv_key(<$aes>::from_slice(key), &essiv_key))
+                    as Box<dyn SectorCipher>,
+                Box::new(CbcEssiv::with_essiv_key(soft, &essiv_key)),
+            ]
+        }};
+    }
+    let [lanes, soft] = match key.len() {
+        16 => lanes_and_software!(Aes128),
+        24 => lanes_and_software!(Aes192),
+        _ => lanes_and_software!(Aes256),
+    };
+    [lanes, soft, Box::new(CbcEssiv::with_essiv_key(ReferenceAes::new(key), &essiv_key))]
+}
+
+/// Runs `batch` through `encrypt_sectors_in_place` and returns the buffers.
+fn batch_encrypt(cipher: &dyn SectorCipher, batch: &[(u64, Vec<u8>)]) -> Vec<Vec<u8>> {
+    let mut bufs: Vec<Vec<u8>> = batch.iter().map(|(_, d)| d.clone()).collect();
+    let mut jobs: Vec<(u64, &mut [u8])> =
+        batch.iter().zip(bufs.iter_mut()).map(|((s, _), d)| (*s, d.as_mut_slice())).collect();
+    cipher.encrypt_sectors_in_place(&mut jobs);
+    bufs
+}
+
 proptest! {
     #[test]
     fn t_table_core_is_pinned_to_reference(
@@ -228,12 +303,7 @@ proptest! {
         // tail and every ragged mix (e.g. 13 = 8 + 4 + 1) — must equal the
         // byte-wise FIPS 197 reference applied block by block, for every
         // key size, on the hardware path and on the forced-software path.
-        let mut data = vec![0u8; blocks * 16];
-        let mut x = seed;
-        for b in data.iter_mut() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *b = (x >> 24) as u8;
-        }
+        let data = filler(seed, blocks * 16);
         for key_len in [16usize, 24, 32] {
             let reference = ReferenceAes::new(&key[..key_len]);
             let mut expect = data.clone();
@@ -312,7 +382,7 @@ proptest! {
         sector in any::<u64>(),
         data in prop::collection::vec(any::<u8>(), 1..700),
     ) {
-        // CBC-ESSIV: encrypt is serial by nature, decrypt pipelines; both
+        // CBC-ESSIV: per-sector encrypt is serial, decrypt pipelines; both
         // must agree with the mode over the byte-wise reference core.
         let plain = pad_sector(data);
         let essiv_key = sha256(&key);
@@ -333,32 +403,58 @@ proptest! {
     #[test]
     fn sector_batch_entry_points_match_per_sector(
         key in prop::array::uniform32(any::<u8>()),
-        jobs in prop::collection::vec(
-            (any::<u64>(), prop::collection::vec(any::<u8>(), 1..200)),
-            1..10,
-        ),
+        jobs in sector_batches(),
     ) {
-        // The batch entry points must be a pure iteration of the
-        // per-sector calls, for both modes, at every batch depth.
+        // The batch entry points must equal the per-sector calls, for both
+        // modes, at every batch depth — including the interleaved ESSIV
+        // encrypt groups the equal-length batches form.
         let xts = Xts::new(Aes256::new(&key), Aes256::new(&sha256(&key)));
         let essiv = CbcEssiv::with_essiv_key(Aes256::new(&key), &sha256(&key));
         for cipher in [&xts as &dyn SectorCipher, &essiv] {
             let mut sectors: Vec<(u64, Vec<u8>)> =
-                jobs.iter().map(|(s, d)| (*s, pad_sector(d.clone()))).collect();
-            let expect: Vec<Vec<u8>> =
-                sectors.iter().map(|(s, d)| cipher.encrypt_sector(*s, d)).collect();
-            let mut batch: Vec<(u64, &mut [u8])> =
-                sectors.iter_mut().map(|(s, d)| (*s, d.as_mut_slice())).collect();
-            cipher.encrypt_sectors_in_place(&mut batch);
-            for ((_, got), want) in sectors.iter().zip(&expect) {
+                jobs.iter().map(|(s, d)| (*s, cipher.encrypt_sector(*s, d))).collect();
+            let got = batch_encrypt(cipher, &jobs);
+            for ((_, want), got) in sectors.iter().zip(&got) {
                 prop_assert_eq!(got, want, "batch encrypt must equal per-sector");
             }
             let mut batch: Vec<(u64, &mut [u8])> =
                 sectors.iter_mut().map(|(s, d)| (*s, d.as_mut_slice())).collect();
             cipher.decrypt_sectors_in_place(&mut batch);
             for ((s, got), (_, orig)) in sectors.iter().zip(jobs.iter()) {
-                let want = pad_sector(orig.clone());
-                prop_assert_eq!(got, &want, "batch decrypt must invert (sector {})", s);
+                prop_assert_eq!(got, orig, "batch decrypt must invert (sector {})", s);
+            }
+        }
+    }
+
+    #[test]
+    fn essiv_interleaved_encrypt_is_pinned_to_per_sector(
+        key in prop::array::uniform32(any::<u8>()),
+        depth in prop_oneof![4 => 0usize..=24, 1 => Just(64usize)],
+        len in prop_oneof![Just(16usize), Just(512), Just(4096)],
+        index_range in prop_oneof![Just(u64::MAX), 1u64..4],
+        seed in any::<u64>(),
+    ) {
+        // Equal-length batches at every depth 0..=24 and 64 (8-sector
+        // groups, 2..7 ragged tails, singletons), possibly with duplicate
+        // sector indices in one group, for every key size and on every
+        // backend: AES-NI lanes, forced-software lanes and the byte-wise
+        // reference core must all equal the per-sector serial encrypt.
+        let batch: Vec<(u64, Vec<u8>)> = (0..depth as u64)
+            .map(|i| {
+                let s = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9)) % index_range;
+                (s, filler(seed ^ i, len))
+            })
+            .collect();
+        for key_len in [16usize, 24, 32] {
+            let backends = essiv_backends(&key[..key_len]);
+            let expect: Vec<Vec<u8>> =
+                batch.iter().map(|(s, d)| backends[2].encrypt_sector(*s, d)).collect();
+            for (b, cipher) in backends.iter().enumerate() {
+                prop_assert_eq!(
+                    &batch_encrypt(&**cipher, &batch), &expect,
+                    "interleaved encrypt diverges: key_len {}, backend {}, depth {}, len {}",
+                    key_len, b, depth, len
+                );
             }
         }
     }

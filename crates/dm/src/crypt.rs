@@ -32,11 +32,12 @@ pub const MIN_PARALLEL_SECTORS: usize = 2;
 /// Under the default policy each worker must carry at least this much
 /// payload before threads are spawned: spawning a scoped thread costs tens
 /// of microseconds, so a shard has to hold enough AES work to amortize it.
-/// Retuned for the pipelined wide-lane core: at ~3 GiB/s XTS per core,
-/// 64 KiB is only ~20 µs of AES — thread-spawn noise — so the floor is
-/// 256 KiB (~100 µs), the same amortization ratio the pre-pipelined
-/// threshold bought at ~627 MiB/s. Batches too shallow to feed every
-/// worker simply use fewer threads, or none.
+/// Both modes now run wide lanes on batches: ~3 GiB/s XTS per core, and
+/// ESSIV encrypt, interleaved across sectors, at 4–7 GiB/s (serial, it
+/// took ~440 µs per 256 KiB; interleaved, ~35–65 µs). 64 KiB would be
+/// only ~10–20 µs of AES — thread-spawn noise — so the floor is 256 KiB,
+/// ~35–80 µs of AES per worker. Batches too shallow to feed every worker
+/// simply use fewer threads, or none.
 pub const DEFAULT_MIN_SHARD_BYTES: usize = 256 * 1024;
 
 /// Upper bound on the default worker count; batches are rarely deep enough
@@ -179,7 +180,8 @@ impl DmCrypt {
     /// disjoint buffers and sector ciphers are pure per job, so sharding
     /// cannot change the bytes produced. Each shard crosses the cipher's
     /// virtual dispatch once via the sector-batch entry points; inside,
-    /// the mode feeds the wide AES lanes sector by sector.
+    /// the mode feeds the wide AES lanes (ESSIV encrypt interleaves up to
+    /// eight sectors' chains, so shard boundaries only change grouping).
     fn crypt_sectors(&self, mut jobs: Vec<(BlockIndex, &mut [u8])>, encrypt: bool) {
         let cipher: &dyn SectorCipher = &*self.cipher;
         let run = |chunk: &mut [(BlockIndex, &mut [u8])]| {
@@ -429,9 +431,9 @@ mod tests {
         assert_eq!(enc.shard_count(7, 7 * 512), 1, "below depth threshold");
         assert_eq!(enc.shard_count(64, 64 * 512), 8, "explicit config ignores bytes");
         // The default policy refuses to spawn threads that would each get
-        // less than DEFAULT_MIN_SHARD_BYTES of work — retuned to 256 KiB
-        // for the wide-lane core, so the 64x4 KiB batch the stack write
-        // path emits now stays inline (it is ~80 µs of AES, not worth a
+        // less than DEFAULT_MIN_SHARD_BYTES of work (256 KiB), so the
+        // 64x4 KiB batch the stack write path emits stays inline (under
+        // ~65 µs of interleaved ESSIV encrypt, ~80 µs of XTS: not worth a
         // spawn) while genuinely deep batches still fan out.
         let (_, dflt) = setup(CipherMode::CbcEssiv);
         let dflt = DmCrypt { workers: 8, ..dflt };

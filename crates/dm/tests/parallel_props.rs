@@ -35,6 +35,59 @@ fn stacks(parallel: bool) -> Vec<(Arc<MemDisk>, SimClock, DmCrypt)> {
         .collect()
 }
 
+/// ESSIV batches interleave up to eight sectors' CBC chains per wide AES
+/// pass. At every depth 1..=24 and 64 — full groups, ragged tails,
+/// singletons — the batch path, sequential or sharded two ways (shard
+/// boundaries that are not multiples of eight), must land the same media
+/// bytes as per-block `write_block`, and charge exactly `aes_cost(total)`.
+#[test]
+fn essiv_batch_depth_sweep_matches_per_block_writes() {
+    const DISK: u64 = 160;
+    let model = CpuCostModel::nexus4();
+    let essiv = |clock: &SimClock| {
+        let disk = Arc::new(MemDisk::new(DISK, BS, clock.clone()));
+        let crypt =
+            DmCrypt::new_essiv(disk.clone(), &[0x42; 32]).with_timing(clock.clone(), model.clone());
+        (disk, crypt)
+    };
+    for depth in (1..=24u64).chain([64]) {
+        let data: Vec<(u64, Vec<u8>)> = (0..depth)
+            .map(|i| {
+                ((i * 37 + depth) % DISK, (0..BS).map(|j| (j as u64 ^ (i * 29)) as u8).collect())
+            })
+            .collect();
+        let writes: Vec<(u64, &[u8])> = data.iter().map(|(b, d)| (*b, d.as_slice())).collect();
+
+        let clock_1 = SimClock::new();
+        let (disk_1, single) = essiv(&clock_1);
+        for (b, d) in &data {
+            single.write_block(*b, d).unwrap();
+        }
+        let raw_clock = SimClock::new();
+        MemDisk::new(DISK, BS, raw_clock.clone()).write_blocks(&writes).unwrap();
+
+        for workers in [1, 2] {
+            let clock = SimClock::new();
+            let (disk, crypt) = essiv(&clock);
+            let crypt = crypt.with_parallelism(workers, 2);
+            crypt.write_blocks(&writes).unwrap();
+            assert_eq!(
+                disk.snapshot().as_bytes(),
+                disk_1.snapshot().as_bytes(),
+                "depth {depth}, {workers} worker(s): batch media must equal per-block writes"
+            );
+            assert_eq!(
+                clock.now() - raw_clock.now(),
+                model.aes_cost(depth as usize * BS),
+                "depth {depth}, {workers} worker(s): batch charges aes_cost(total bytes)"
+            );
+            let indices: Vec<u64> = data.iter().map(|(b, _)| *b).collect();
+            let plain = crypt.read_blocks(&indices).unwrap();
+            assert!(plain.iter().zip(&data).all(|(p, (_, d))| p == d), "depth {depth} read-back");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 

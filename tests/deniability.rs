@@ -283,7 +283,8 @@ fn pipelined_crypto_charges_are_world_independent() {
     // sequence and ESSIV IV the ladder precomputes is a different value —
     // must charge identical simulated time and leave identical device op
     // mixes, for both cipher modes, across batch depths that fill the
-    // 8-wide, 4-wide and single-block lanes differently.
+    // 8-wide, 4-wide and single-block lanes and the interleaved ESSIV
+    // encrypt groups differently.
     use mobiceal_blockdev::{BlockDevice, DeviceStats, MemDisk};
     use mobiceal_dm::DmCrypt;
     use mobiceal_sim::{CpuCostModel, SimClock};
@@ -301,7 +302,10 @@ fn pipelined_crypto_charges_are_world_independent() {
         let data = vec![0xC3u8; 4096];
         let t0 = clock.now();
         let mut cursor = base;
-        for &shape in &TRACE_SHAPES {
+        // 7, 8, 9 and 64 straddle the interleaved ESSIV encrypt's
+        // 8-sector groups: a ragged group, one full group, a full group
+        // plus a lone serial sector, and eight full groups.
+        for &shape in TRACE_SHAPES.iter().chain(&[7, 8, 9, 64]) {
             let batch: Vec<(u64, &[u8])> =
                 (0..shape as u64).map(|i| (cursor + i, data.as_slice())).collect();
             crypt.write_blocks(&batch).unwrap();
