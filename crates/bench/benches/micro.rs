@@ -34,6 +34,23 @@ fn bench_crypto(c: &mut Criterion) {
     });
     group.finish();
 
+    // Dummy bursts draw their noise as one buffer of `blocks` 4 KiB blocks,
+    // right after the trigger's small draws left the generator's 64-byte
+    // buffer partly used.
+    let mut group = c.benchmark_group("chacha20_noise");
+    for blocks in [1usize, 4, 16] {
+        group.throughput(Throughput::Bytes(4096 * blocks as u64));
+        group.bench_function(&format!("burst_{blocks}x4k"), |b| {
+            let mut rng = ChaCha20Rng::from_u64_seed(1);
+            let mut buf = vec![0u8; 4096 * blocks];
+            b.iter(|| {
+                rng.next_u64();
+                rng.fill_bytes(&mut buf)
+            })
+        });
+    }
+    group.finish();
+
     c.bench_function("pbkdf2_sha256_2000iters", |b| {
         let mut out = [0u8; 32];
         b.iter(|| pbkdf2_hmac_sha256(b"password", b"salt", 2000, &mut out))

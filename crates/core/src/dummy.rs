@@ -139,19 +139,15 @@ impl DummyWriter {
         m.round() as u64
     }
 
-    /// Generates one block of dummy noise.
-    pub fn noise_block(&mut self, block_size: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; block_size];
+    /// Generates a whole burst of noise in one call: `count` blocks of
+    /// `block_size` bytes, back to back in one buffer (slice it with
+    /// `chunks_exact(block_size)`). The caller takes the writer lock once
+    /// per burst instead of once per block, and the CSPRNG fills the burst
+    /// in one draw, so its wide keystream path covers all of it.
+    pub fn noise_blocks(&mut self, block_size: usize, count: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; block_size * count as usize];
         self.rng.fill_bytes(&mut buf);
         buf
-    }
-
-    /// Generates a whole burst of noise blocks in one call — the CSPRNG
-    /// stream is identical to `count` successive [`DummyWriter::noise_block`]
-    /// calls, but the caller takes the writer lock once per burst instead
-    /// of once per block.
-    pub fn noise_blocks(&mut self, block_size: usize, count: u64) -> Vec<Vec<u8>> {
-        (0..count).map(|_| self.noise_block(block_size)).collect()
     }
 
     /// Records that `written` noise blocks landed and `dropped` could not.
@@ -299,11 +295,12 @@ mod tests {
     #[test]
     fn noise_blocks_are_high_entropy_and_distinct() {
         let (mut w, _clock) = writer(8, 50, 1.0, 6);
-        let a = w.noise_block(4096);
-        let b = w.noise_block(4096);
+        let noise = w.noise_blocks(4096, 2);
+        assert_eq!(noise.len(), 2 * 4096);
+        let (a, b) = noise.split_at(4096);
         assert_ne!(a, b);
         let mut hist = [0u32; 256];
-        for &byte in &a {
+        for &byte in a {
             hist[byte as usize] += 1;
         }
         assert!(hist.iter().filter(|&&c| c > 0).count() > 200, "noise uses most byte values");

@@ -68,7 +68,7 @@ impl PdeVolume {
             let noise = self.dummy.lock().noise_blocks(block_size, generate);
             // Generating cryptographic noise costs CPU time on the phone.
             self.clock.advance(self.cpu.rng_cost(block_size) * generate);
-            let refs: Vec<&[u8]> = noise.iter().map(Vec::as_slice).collect();
+            let refs: Vec<&[u8]> = noise.chunks_exact(block_size).collect();
             let (written, dropped) = match self.pool.append_blocks(burst.target_volume, &refs) {
                 // Pool or volume exhausted: surplus dummy blocks are simply
                 // not written. GC will eventually free space (§IV-D).
@@ -118,41 +118,36 @@ impl BlockDevice for PdeVolume {
     /// path.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
         let indices: Vec<BlockIndex> = writes.iter().map(|&(index, _)| index).collect();
-        // One locked pass classifies freshness for the whole batch.
-        let fresh: std::collections::HashSet<BlockIndex> = self
-            .inner
-            .mappings_many(&indices)
-            .iter()
-            .zip(&indices)
-            .filter(|(mapping, _)| mapping.is_none())
-            .map(|(_, &index)| index)
-            .collect();
+        // One locked pass classifies freshness for the whole batch; `check`
+        // stays aligned with the batch.
+        let mut check: Vec<bool> =
+            self.inner.mappings_many(&indices).iter().map(Option::is_none).collect();
         let result = self.inner.write_blocks(writes);
         // On a mid-batch failure the thin volume persists the allocated
         // prefix; consult the trigger for exactly the fresh blocks that
         // landed (now mapped), as the sequential loop would have.
-        let landed: std::collections::HashSet<BlockIndex> = if result.is_ok() {
-            fresh.clone()
-        } else {
-            self.inner
-                .mappings_many(&indices)
-                .iter()
-                .zip(&indices)
-                .filter(|(mapping, _)| mapping.is_some())
-                .map(|(_, &index)| index)
-                .collect()
-        };
+        if result.is_err() {
+            for (c, mapping) in check.iter_mut().zip(self.inner.mappings_many(&indices)) {
+                *c &= mapping.is_some();
+            }
+        }
+        // Duplicates within one batch allocate once and check once: keep
+        // only the first occurrence of each index.
+        let mut order: Vec<usize> = (0..indices.len()).filter(|&i| check[i]).collect();
+        order.sort_unstable_by_key(|&i| (indices[i], i));
+        for pair in order.windows(2) {
+            if indices[pair[0]] == indices[pair[1]] {
+                check[pair[1]] = false;
+            }
+        }
         // One trigger consultation per landed fresh allocation, in batch
-        // order (duplicates within the batch allocate once and check once).
-        let mut seen = std::collections::HashSet::new();
+        // order.
         let mut bursts = Vec::new();
         {
             let mut dummy = self.dummy.lock();
-            for &index in &indices {
-                if fresh.contains(&index) && landed.contains(&index) && seen.insert(index) {
-                    if let Some(burst) = dummy.on_public_allocation() {
-                        bursts.push(burst);
-                    }
+            for _ in check.iter().filter(|&&c| c) {
+                if let Some(burst) = dummy.on_public_allocation() {
+                    bursts.push(burst);
                 }
             }
         }

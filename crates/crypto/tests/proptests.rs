@@ -2,8 +2,9 @@
 
 use mobiceal_crypto::reference::ReferenceAes;
 use mobiceal_crypto::{
-    chacha20_xor, from_hex, hmac_sha256, pbkdf2_hmac_sha256, sha256, to_hex, Aes128, Aes192,
-    Aes256, BlockCipher, CbcEssiv, ChaCha20Rng, HmacSha256, SectorCipher, Sha256, Xts,
+    chacha20_block, chacha20_xor, from_hex, hmac_sha256, pbkdf2_hmac_sha256, sha256, to_hex,
+    Aes128, Aes192, Aes256, BlockCipher, CbcEssiv, ChaCha20Rng, HmacSha256, SectorCipher, Sha256,
+    Xts,
 };
 use proptest::prelude::*;
 
@@ -257,10 +258,14 @@ proptest! {
         prop_assert_eq!(buf, data);
     }
 
+    /// Small draws and multi-KiB fills mix freely: splits reach whole
+    /// 512-byte keystream groups and tails after a partly drained buffer,
+    /// and every split equals one whole fill and the block-by-block
+    /// `chacha20_block` stream.
     #[test]
     fn chacha_rng_streams_are_split_invariant(
         seed in any::<u64>(),
-        splits in prop::collection::vec(1usize..50, 1..6),
+        splits in prop::collection::vec(prop_oneof![1usize..70, 1usize..5200], 1..6),
     ) {
         let total: usize = splits.iter().sum();
         let mut whole = vec![0u8; total];
@@ -272,7 +277,13 @@ proptest! {
             rng.fill_bytes(&mut buf);
             pieces.extend_from_slice(&buf);
         }
-        prop_assert_eq!(pieces, whole);
+        let key = sha256(&seed.to_le_bytes());
+        let scalar: Vec<u8> = (0..total.div_ceil(64) as u32)
+            .flat_map(|counter| chacha20_block(&key, counter, &[0u8; 12]))
+            .take(total)
+            .collect();
+        prop_assert_eq!(&pieces, &whole);
+        prop_assert_eq!(pieces, scalar);
     }
 
     #[test]

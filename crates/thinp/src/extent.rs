@@ -91,6 +91,20 @@ impl ExtentMap {
         self.get(vblock).is_some()
     }
 
+    /// The lowest unmapped virtual block at or above `vblock`. Skips the run
+    /// covering `vblock`, then every run that starts exactly where the last
+    /// one ended, in one ascending range walk.
+    pub fn first_unmapped_from(&self, vblock: u64) -> u64 {
+        let mut v = self.run_over(vblock).map_or(vblock, |e| e.virt_begin + e.len);
+        for (&virt_begin, &(_, len)) in self.runs.range(v..) {
+            if virt_begin != v {
+                break;
+            }
+            v = virt_begin + len;
+        }
+        v
+    }
+
     /// Maps `vblock` to `physical`, returning the previous backing block if
     /// one existed. Merges into the left/right neighbouring runs when both
     /// the virtual and physical sides are contiguous.
@@ -290,6 +304,23 @@ mod tests {
         assert_eq!(m.iter().collect::<Vec<_>>(), reference.into_iter().collect::<Vec<_>>());
         assert_eq!(m.keys().collect::<Vec<_>>(), vec![0, 1, 2, 7, 50]);
         assert_eq!(m.values().collect::<Vec<_>>(), vec![9, 10, 11, 3, 4]);
+    }
+
+    #[test]
+    fn first_unmapped_from_skips_touching_runs() {
+        let mut m = ExtentMap::new();
+        assert_eq!(m.first_unmapped_from(0), 0);
+        m.insert_run(Extent { virt_begin: 0, data_begin: 10, len: 3 });
+        // Virtually adjacent but physically discontiguous: a separate run.
+        m.insert_run(Extent { virt_begin: 3, data_begin: 50, len: 2 });
+        m.insert(7, 1);
+        assert_eq!(m.extent_count(), 3);
+        assert_eq!(m.first_unmapped_from(0), 5);
+        assert_eq!(m.first_unmapped_from(4), 5);
+        assert_eq!(m.first_unmapped_from(5), 5);
+        assert_eq!(m.first_unmapped_from(6), 6);
+        assert_eq!(m.first_unmapped_from(7), 8);
+        assert_eq!(m.first_unmapped_from(100), 100);
     }
 
     #[test]

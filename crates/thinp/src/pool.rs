@@ -911,15 +911,7 @@ impl ThinPool {
         let (vblock, p) = {
             let mut vol = handle.lock();
             vol.check_live_pool(id)?;
-            // Lowest unmapped virtual index.
-            let mut vblock = 0u64;
-            for (v, _) in vol.mappings.iter() {
-                if v == vblock {
-                    vblock += 1;
-                } else {
-                    break;
-                }
-            }
+            let vblock = vol.mappings.first_unmapped_from(0);
             if vblock >= vol.virtual_blocks {
                 return Err(BlockDeviceError::NoSpace);
             }
@@ -981,12 +973,11 @@ impl ThinPool {
             let mut vol = handle.lock();
             vol.check_live_pool(id)?;
             let virtual_blocks = vol.virtual_blocks;
-            // Walk the lowest unmapped virtual indices, allocating as we go.
+            // Walk the lowest unmapped virtual indices, allocating as we go;
+            // each step resumes at the block just mapped.
             let mut vblock = 0u64;
             for &data in blocks {
-                while vol.mappings.contains_key(&vblock) {
-                    vblock += 1;
-                }
+                vblock = vol.mappings.first_unmapped_from(vblock);
                 if vblock >= virtual_blocks {
                     break; // volume virtual space exhausted: drop the rest
                 }
@@ -1748,6 +1739,39 @@ mod tests {
             p.append_block(3, &vec![0u8; 512]).unwrap();
         }
         assert!(matches!(p.append_block(3, &vec![0u8; 512]), Err(BlockDeviceError::NoSpace)));
+    }
+
+    #[test]
+    fn append_blocks_fill_the_lowest_holes_first() {
+        // A dummy volume with holes: vblocks 0..12 written, then 2, 5 and 6
+        // discarded. A 5-block burst fills 2, 5 and 6, then 12 and 13, and
+        // takes the same physical blocks as per-block writes to those
+        // vblocks, in that order, on a twin pool.
+        let twin = || {
+            let (data, meta) = devices(256, 128);
+            let p =
+                ThinPool::create_seeded(data, meta, PoolConfig::new(8), AllocStrategy::Random, 11)
+                    .unwrap();
+            let v = p.create_volume(4, 64).unwrap();
+            for i in 0..12 {
+                v.write_block(i, &vec![0xEE; 512]).unwrap();
+            }
+            for hole in [2, 5, 6] {
+                p.discard(4, hole).unwrap();
+            }
+            (p, v)
+        };
+        let (burst_pool, burst_vol) = twin();
+        let (ref_pool, ref_vol) = twin();
+        let noise: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 512]).collect();
+        let refs: Vec<&[u8]> = noise.iter().map(Vec::as_slice).collect();
+        assert_eq!(burst_pool.append_blocks(4, &refs).unwrap(), 5);
+        for (vblock, data) in [2u64, 5, 6, 12, 13].into_iter().zip(&noise) {
+            ref_vol.write_block(vblock, data).unwrap();
+            assert_eq!(&burst_vol.read_block(vblock).unwrap(), data, "vblock {vblock}");
+        }
+        assert_eq!(burst_vol.mapped_blocks(), 14);
+        assert_eq!(burst_pool.metadata_view(), ref_pool.metadata_view());
     }
 
     #[test]

@@ -122,6 +122,41 @@ proptest! {
         prop_assert_eq!(&expanded, &map, "extents round-trip the map");
     }
 
+    /// `first_unmapped_from` agrees with a per-block `contains_key` walk
+    /// after every operation — probed around the operation's own range,
+    /// where runs were just merged, split or made to touch — and from every
+    /// start at the end. The run-heavy prefix builds long chains of
+    /// touching runs, physically contiguous or not.
+    #[test]
+    fn first_unmapped_from_matches_per_block_walk(
+        runs in prop::collection::vec((0..256u64, 0..512u64, 1..32u64), 0..24),
+        ops in prop::collection::vec(op_strategy(), 1..120),
+    ) {
+        let reference_walk = |reference: &BTreeMap<u64, u64>, v: u64| {
+            (v..).find(|u| !reference.contains_key(u)).unwrap()
+        };
+        let mut map = ExtentMap::new();
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        let prefix = runs.into_iter().map(|(v, p, len)| MapOp::InsertRun { v, p, len });
+        for op in prefix.chain(ops) {
+            apply(&mut map, &mut reference, &op);
+            let (v, len) = match op {
+                MapOp::Insert { v, .. } | MapOp::Remove { v } => (v, 1),
+                MapOp::InsertRun { v, len, .. } | MapOp::RemoveRun { v, len } => (v, len),
+            };
+            for probe in [0, v.saturating_sub(1), v, v + len - 1, v + len] {
+                prop_assert_eq!(
+                    map.first_unmapped_from(probe),
+                    reference_walk(&reference, probe),
+                    "probe {} after {:?}", probe, op
+                );
+            }
+        }
+        for v in 0..300u64 {
+            prop_assert_eq!(map.first_unmapped_from(v), reference_walk(&reference, v), "from {}", v);
+        }
+    }
+
     /// Building from an arbitrary pair list equals the reference map (the
     /// last insert of a duplicate virtual block wins in both).
     #[test]

@@ -238,3 +238,35 @@ fn pool_exhaustion_surfaces_cleanly_through_the_whole_stack() {
     // Previously written data is still intact.
     assert_eq!(fs.read("filler", 0, 16).unwrap(), vec![1u8; 16]);
 }
+
+#[test]
+fn dd_public_write_trace_pins_the_medium_image() {
+    // Golden pin for the dummy-write path: a fixed-seed dd-shaped trace
+    // (sequential 64×4 KiB batches on the public volume, then a commit)
+    // must leave exactly these bytes on the raw medium and charge exactly
+    // this much simulated time. The image covers the footer, the dummy
+    // volumes' noise headers, the dm-crypt ciphertext, the thin-pool
+    // metadata and every dummy burst's CSPRNG noise at its placement, so
+    // any change to the noise stream, its placement or the allocation
+    // order moves the digest.
+    let (disk, clock, mc) = fresh(5);
+    let public = mc.unlock_public("decoy").unwrap();
+    let chunk: Vec<Vec<u8>> = (0..64u64).map(|i| vec![i as u8 ^ 0xA5; 4096]).collect();
+    for batch in 0..8u64 {
+        let writes: Vec<(u64, &[u8])> = chunk
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (1 + batch * 64 + i as u64, d.as_slice()))
+            .collect();
+        public.write_blocks(&writes).unwrap();
+    }
+    mc.commit().unwrap();
+    let stats = mc.dummy_stats();
+    assert!(stats.blocks_written > 0, "this seed's regime should fire: {stats:?}");
+    let digest = mobiceal_crypto::to_hex(&mobiceal_crypto::sha256(disk.snapshot().as_bytes()));
+    assert_eq!(
+        digest, "293ef0bb748b33e87523b65ff2e28f029fc001d2da1ee0ffccbc66b5e45d33d3",
+        "dummy stats {stats:?}"
+    );
+    assert_eq!(clock.now().as_nanos(), 303_283_888);
+}
