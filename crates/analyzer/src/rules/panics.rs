@@ -18,10 +18,9 @@ use crate::lexer::TokKind;
 use crate::workspace::Workspace;
 
 /// The designated hot-path modules: (crate name, file name).
-pub const HOT_FILES: [(&str, &str); 8] = [
+pub const HOT_FILES: [(&str, &str); 7] = [
     ("mobiceal-blockdev", "memdisk.rs"),
     ("mobiceal-blockdev", "engine.rs"),
-    ("mobiceal-blockdev", "cache.rs"),
     ("mobiceal-blockdev", "device.rs"),
     ("mobiceal-dm", "crypt.rs"),
     ("mobiceal-thinp", "pool.rs"),

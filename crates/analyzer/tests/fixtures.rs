@@ -338,7 +338,7 @@ fn workspace_is_clean() {
 #[test]
 fn workspace_audits_all_blockdevice_impls() {
     // Pinned so the impl matcher can never silently stop seeing wrappers.
-    assert_eq!(forwarding::audited_sites(&real_workspace()), 13);
+    assert_eq!(forwarding::audited_sites(&real_workspace()), 12);
 }
 
 #[test]

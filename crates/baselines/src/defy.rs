@@ -110,30 +110,6 @@ impl DefyLite {
         self.state.lock().cleanings
     }
 
-    /// Fraction of the log consumed so far (`head / log capacity`).
-    pub fn log_occupancy(&self) -> f64 {
-        self.state.lock().head as f64 / self.log_blocks as f64
-    }
-
-    /// Whether the log has filled past `watermark` (a fraction in `[0, 1]`)
-    /// — the trigger for scheduling a proactive clean on a background
-    /// [`Copier`](mobiceal_blockdev::Copier) before the foreground write
-    /// path hits the inline stop-the-world clean in `write_blocks`.
-    pub fn needs_cleaning(&self, watermark: f64) -> bool {
-        self.log_occupancy() >= watermark
-    }
-
-    /// Runs one cleaning pass immediately, returning the number of live
-    /// blocks relocated. This is the entry point for background cleaning:
-    /// a copier job calls it between foreground bursts so writes never
-    /// stall on a full log.
-    pub fn clean_now(&self) -> Result<u64, BlockDeviceError> {
-        let mut state = self.state.lock();
-        let live = state.map.iter().filter(|m| m.is_some()).count() as u64;
-        self.clean(&mut state)?;
-        Ok(live)
-    }
-
     fn cipher_for(key: &[u8; 32]) -> CbcEssiv<Aes256> {
         CbcEssiv::with_essiv_key(Aes256::new(key), &sha256(key))
     }

@@ -1,16 +1,15 @@
-//! Foreground write tail latency under GC pressure — the PR 8 headline.
+//! Foreground write tail latency under GC pressure.
 //!
 //! The `gc_tail` workload drives an open-loop write stream (fixed
 //! simulated-time arrival schedule) against the public volume while GC
 //! passes fire mid-stream, two ways:
 //!
-//! - **inline** (the seed path): no cache, each pass re-verifies hidden
-//!   mode (a full PBKDF2 unlock) and runs its discards + commit between
-//!   two arrivals. The unlucky writes queue behind the whole pass.
-//! - **background** (PR 8): a write-back cache absorbs the stream, hidden
-//!   mode is proven once per session, and each pass submits chunked
-//!   discard jobs plus one flush+commit job to the copier, stepped at
-//!   most once between arrivals.
+//! - **inline** (the seed path): each pass re-verifies hidden mode (a
+//!   full PBKDF2 unlock) and runs its discards + commit between two
+//!   arrivals. The unlucky writes queue behind the whole pass.
+//! - **session**: hidden mode is proven once per session before the
+//!   measured phase, and each pass runs inline with only its in-memory
+//!   victim sampling, discards and commit.
 //!
 //! The simulated-time distributions are deterministic; criterion times
 //! the host-side cost of the runs themselves.
@@ -24,10 +23,10 @@ fn bench_gc_tail(c: &mut Criterion) {
     let workload = GcTailWorkload::default();
 
     // The deterministic simulated-time report — this is what
-    // BENCH_fig4.json records and the workload's regression test pins.
+    // EXPERIMENTS.md records and the workload's regression test pins.
     let inline = workload.run_inline().expect("inline run");
-    let background = workload.run_background(256, 8, 16).expect("background run");
-    for (name, r) in [("inline", &inline), ("background", &background)] {
+    let session = workload.run_session().expect("session run");
+    for (name, r) in [("inline", &inline), ("session", &session)] {
         println!(
             "gc_tail/{name}: p50 {} ns, p99 {} ns, max {} ns, mean {:.0} ns \
              ({} writes, {} GC passes, {} blocks reclaimed)",
@@ -35,17 +34,15 @@ fn bench_gc_tail(c: &mut Criterion) {
         );
     }
     println!(
-        "gc_tail/p99_drop: {:.1}x (inline {} ns -> background {} ns)",
-        inline.p99_ns as f64 / background.p99_ns.max(1) as f64,
+        "gc_tail/p99_drop: {:.1}x (inline {} ns -> session {} ns)",
+        inline.p99_ns as f64 / session.p99_ns.max(1) as f64,
         inline.p99_ns,
-        background.p99_ns
+        session.p99_ns
     );
 
     let mut group = c.benchmark_group("gc_tail");
     group.bench_function("inline", |b| b.iter(|| workload.run_inline().expect("inline run")));
-    group.bench_function("background", |b| {
-        b.iter(|| workload.run_background(256, 8, 16).expect("background run"))
-    });
+    group.bench_function("session", |b| b.iter(|| workload.run_session().expect("session run")));
     group.finish();
 }
 

@@ -1,8 +1,9 @@
 //! Shared plumbing for the experiment benches.
 //!
 //! Each `benches/*.rs` target regenerates one table or figure from the
-//! paper (see `DESIGN.md` §4 for the index). This library holds the pieces
-//! they share: repeated-run statistics and result formatting helpers.
+//! paper (see the experiment index at the top of `EXPERIMENTS.md`). This
+//! library holds the pieces they share: repeated-run statistics and
+//! result formatting helpers.
 
 #![forbid(unsafe_code)]
 

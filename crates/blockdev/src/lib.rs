@@ -33,18 +33,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
-pub mod copier;
 mod crash;
 mod device;
 pub mod engine;
-mod lru;
 mod memdisk;
 mod snapshot;
 mod stats;
 
-pub use cache::{CacheConfig, CacheStats, WriteBackCache};
-pub use copier::{copy_job, Copier, CopierJob, CopierStats, CopierWorker};
 pub use crash::CrashDisk;
 pub use device::{
     read_blocks_remapped, write_blocks_remapped, BlockDevice, BlockDeviceError, BlockIndex,

@@ -34,8 +34,9 @@ impl OpCounter {
 
 /// Aggregated I/O statistics for a device.
 ///
-/// Every layer in a stack owns its own `DeviceStats`, so experiments can
-/// attribute time and write amplification to the layer that caused it.
+/// Only [`MemDisk`](crate::MemDisk) keeps one: it counts what reaches the
+/// medium. Layers above it (dm-crypt, thin volumes, MobiCeal) keep no
+/// `DeviceStats` of their own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceStats {
     /// Sequential reads.

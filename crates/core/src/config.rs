@@ -37,19 +37,6 @@ pub struct MobiCealConfig {
     /// speed; ciphertext and simulated-clock charges are identical either
     /// way.
     pub crypt_parallelism: Option<(usize, usize)>,
-    /// Write-back cache capacity in blocks for each unlocked volume
-    /// (plaintext side, above dm-crypt). 0 disables the cache: every
-    /// unlocked volume is then bit-identical to the direct path. Workload
-    /// configs turn this on; the calibrated nexus4 paths keep the default
-    /// off so Fig. 4 / Table 1 rows are untouched.
-    pub cache_blocks: usize,
-    /// Shard count for each volume's write-back cache (striped like the
-    /// MemDisk shard locks). Ignored while `cache_blocks` is 0.
-    pub cache_shards: usize,
-    /// Depth of the background copier that drains GC/cleaning work: the
-    /// queue holds `copier_depth - 1` pending jobs. Depth 1 runs every job
-    /// inline at submit — exactly today's foreground behavior.
-    pub copier_depth: usize,
 }
 
 impl Default for MobiCealConfig {
@@ -62,9 +49,6 @@ impl Default for MobiCealConfig {
             stored_rand_refresh: SimDuration::from_secs(3600),
             metadata_blocks: 256,
             crypt_parallelism: None,
-            cache_blocks: 0,
-            cache_shards: 8,
-            copier_depth: 1,
         }
     }
 }
@@ -107,22 +91,7 @@ impl MobiCealConfig {
                 ));
             }
         }
-        if self.cache_blocks > 0 && self.cache_shards == 0 {
-            return Err("an enabled write-back cache needs at least one shard".into());
-        }
-        if self.copier_depth == 0 {
-            return Err("copier depth must be at least 1 (1 = inline)".into());
-        }
         Ok(())
-    }
-
-    /// The cache shape this configuration asks for (capacity 0 when the
-    /// cache is disabled).
-    pub fn cache_config(&self) -> mobiceal_blockdev::CacheConfig {
-        mobiceal_blockdev::CacheConfig {
-            capacity_blocks: self.cache_blocks,
-            shards: self.cache_shards.max(1),
-        }
     }
 }
 
@@ -151,8 +120,6 @@ mod tests {
             MobiCealConfig { metadata_blocks: 2, ..base.clone() },
             MobiCealConfig { crypt_parallelism: Some((0, 8)), ..base.clone() },
             MobiCealConfig { crypt_parallelism: Some((4, 1)), ..base.clone() },
-            MobiCealConfig { cache_blocks: 64, cache_shards: 0, ..base.clone() },
-            MobiCealConfig { copier_depth: 0, ..base.clone() },
         ];
         for c in cases {
             assert!(c.validate().is_err(), "{c:?} should be invalid");
@@ -173,27 +140,5 @@ mod tests {
         MobiCealConfig { crypt_parallelism: Some((1, 2)), ..Default::default() }
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn cache_defaults_off_and_inline() {
-        // The default configuration must reassemble today's direct path:
-        // no cache, depth-1 (inline) copier.
-        let c = MobiCealConfig::default();
-        assert_eq!(c.cache_blocks, 0);
-        assert_eq!(c.copier_depth, 1);
-        assert_eq!(c.cache_config().capacity_blocks, 0);
-        // A workload-shaped config validates and carries its shape through.
-        let on = MobiCealConfig {
-            cache_blocks: 128,
-            cache_shards: 4,
-            copier_depth: 8,
-            ..Default::default()
-        };
-        on.validate().unwrap();
-        assert_eq!(
-            on.cache_config(),
-            mobiceal_blockdev::CacheConfig { capacity_blocks: 128, shards: 4 }
-        );
     }
 }

@@ -5,9 +5,7 @@ use crate::dummy::{DummyStats, DummyWriter};
 use crate::error::MobiCealError;
 use crate::footer::{EncryptionFooter, FOOTER_BYTES};
 use crate::pde_volume::PdeVolume;
-use mobiceal_blockdev::{
-    BlockDevice, BlockDeviceError, BlockIndex, CacheStats, SharedDevice, WriteBackCache,
-};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
 use mobiceal_crypto::{Aes256, CbcEssiv, ChaCha20Rng, SectorCipher};
 use mobiceal_dm::DmLinear;
 use mobiceal_sim::{CpuCostModel, SimClock};
@@ -79,34 +77,7 @@ pub struct MobiCeal {
     footer: EncryptionFooter,
     dummy: Arc<Mutex<DummyWriter>>,
     cpu: CpuCostModel,
-    /// Write-back caches handed out with unlocked volumes, tracked weakly
-    /// so [`MobiCeal::commit`] can flush dirty data ahead of the metadata
-    /// commit (the flush-ordering contract; empty while the cache knob is
-    /// off). Shared (`Arc`) so background copier jobs can flush it too.
-    caches: CacheList,
 }
-
-/// Weak handles to the live unlocked-volume caches.
-type CacheList = Arc<Mutex<Vec<std::sync::Weak<VolumeCache>>>>;
-
-/// Flushes every live cache in `caches`, dropping dead entries. Free
-/// function so copier jobs (which cannot borrow the device) can share the
-/// flush-before-commit ordering with [`MobiCeal::commit`].
-pub(crate) fn flush_cache_list(caches: &CacheList) -> Result<(), BlockDeviceError> {
-    let mut caches = caches.lock();
-    caches.retain(|w| w.strong_count() > 0);
-    for weak in caches.iter() {
-        if let Some(cache) = weak.upgrade() {
-            cache.flush()?;
-        }
-    }
-    Ok(())
-}
-
-/// The concrete cache type wrapped around an unlocked volume's dm-crypt
-/// layer: it caches *plaintext* above the cipher, so hits skip both the
-/// crypto charge and the thin lookup.
-type VolumeCache = WriteBackCache<mobiceal_dm::DmCrypt>;
 
 impl std::fmt::Debug for MobiCeal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -239,17 +210,7 @@ impl MobiCeal {
             config.num_volumes,
             config.stored_rand_refresh,
         )));
-        Ok(MobiCeal {
-            disk,
-            clock,
-            config,
-            layout,
-            pool,
-            footer,
-            dummy,
-            cpu,
-            caches: Arc::new(Mutex::new(Vec::new())),
-        })
+        Ok(MobiCeal { disk, clock, config, layout, pool, footer, dummy, cpu })
     }
 
     /// Opens an initialized device (the boot path, §V-B).
@@ -306,17 +267,7 @@ impl MobiCeal {
             config.num_volumes,
             config.stored_rand_refresh,
         )));
-        Ok(MobiCeal {
-            disk,
-            clock,
-            config,
-            layout,
-            pool,
-            footer,
-            dummy,
-            cpu,
-            caches: Arc::new(Mutex::new(Vec::new())),
-        })
+        Ok(MobiCeal { disk, clock, config, layout, pool, footer, dummy, cpu })
     }
 
     /// Unlocks the public volume with the decoy password (pre-boot
@@ -366,10 +317,7 @@ impl MobiCeal {
         Ok(self.assemble_unlocked(crypt, VolumeRole::Hidden, k))
     }
 
-    /// Tops the decrypted stack off with the configured write-back cache
-    /// (when `cache_blocks > 0`) and packages it as an [`UnlockedVolume`].
-    /// Enabled caches are tracked weakly so [`MobiCeal::commit`] can flush
-    /// them ahead of the metadata commit.
+    /// Packages the decrypted stack as an [`UnlockedVolume`].
     fn assemble_unlocked(
         &self,
         crypt: mobiceal_dm::DmCrypt,
@@ -377,19 +325,7 @@ impl MobiCeal {
         volume_id: u32,
     ) -> UnlockedVolume {
         let data_blocks = self.layout.data_blocks - 1;
-        if self.config.cache_blocks > 0 {
-            let cache = Arc::new(WriteBackCache::new(crypt, self.config.cache_config()));
-            self.caches.lock().push(Arc::downgrade(&cache));
-            UnlockedVolume {
-                inner: cache.clone(),
-                cache: Some(cache),
-                role,
-                volume_id,
-                data_blocks,
-            }
-        } else {
-            UnlockedVolume { inner: Arc::new(crypt), cache: None, role, volume_id, data_blocks }
-        }
+        UnlockedVolume { inner: Arc::new(crypt), role, volume_id, data_blocks }
     }
 
     /// Applies the configured dm-crypt batch-parallelism knob (ROADMAP:
@@ -404,24 +340,11 @@ impl MobiCeal {
 
     /// Commits pool metadata (called by Vold on clean unmount/shutdown).
     ///
-    /// Ordering contract: every live write-back cache is flushed *before*
-    /// the pool commit, so dirty data blocks — and the thin mappings their
-    /// write-back allocates — are on the device before the superblock that
-    /// references them (the same data-before-metadata ordering the crash
-    /// sweep pins on the uncached stack).
-    ///
     /// # Errors
     ///
     /// Metadata-device I/O errors.
     pub fn commit(&self) -> Result<(), MobiCealError> {
-        self.flush_caches()?;
         Ok(self.pool.commit()?)
-    }
-
-    /// Flushes every live unlocked-volume cache (dropped volumes fall out
-    /// of the list). A no-op while the cache knob is off.
-    pub fn flush_caches(&self) -> Result<(), MobiCealError> {
-        Ok(flush_cache_list(&self.caches)?)
     }
 
     /// The device layout in use.
@@ -486,9 +409,6 @@ impl MobiCeal {
 #[derive(Clone)]
 pub struct UnlockedVolume {
     inner: Arc<dyn BlockDevice>,
-    /// The typed cache handle when the volume is cached (`inner` then
-    /// points at the same object), for stats and explicit flushes.
-    cache: Option<Arc<VolumeCache>>,
     role: VolumeRole,
     volume_id: u32,
     data_blocks: u64,
@@ -512,21 +432,6 @@ impl UnlockedVolume {
     /// The thin-volume id backing this session.
     pub fn volume_id(&self) -> u32 {
         self.volume_id
-    }
-
-    /// Whether a write-back cache sits on top of this volume.
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Cache counters, when the volume is cached.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Dirty blocks waiting in this volume's cache (0 when uncached).
-    pub fn cache_dirty_blocks(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.dirty_blocks())
     }
 }
 
@@ -889,35 +794,6 @@ mod tests {
         assert_eq!(t_par, t_dflt);
         assert_eq!(plain_par, plain_seq);
         assert_eq!(plain_par, plain_dflt);
-    }
-
-    #[test]
-    fn cached_unlocked_volume_matches_uncached_and_flushes_on_commit() {
-        // The cache must change *when* data lands, never *what* lands: the
-        // plaintext view after a commit is identical with the cache on or
-        // off, and commit leaves no dirty blocks behind.
-        let run = |cache_blocks: usize| {
-            let clock = SimClock::new();
-            let disk = Arc::new(MemDisk::new(4096, 4096, clock.clone()));
-            let config =
-                MobiCealConfig { cache_blocks, cache_shards: 4, copier_depth: 4, ..fast_config() };
-            let mc = MobiCeal::initialize(disk, clock, config, "decoy", &["hidden-a"], 21).unwrap();
-            let public = mc.unlock_public("decoy").unwrap();
-            for i in 0..64u64 {
-                public.write_block(i, &vec![(i % 251) as u8; 4096]).unwrap();
-            }
-            let dirty_before = public.cache_dirty_blocks();
-            mc.commit().unwrap();
-            let plain: Vec<_> = (0..64u64).map(|i| public.read_block(i).unwrap()).collect();
-            (plain, public.is_cached(), dirty_before, public.cache_dirty_blocks())
-        };
-        let (cached_plain, is_cached, dirty_before, dirty_after) = run(128);
-        assert!(is_cached);
-        assert_eq!(dirty_before, 64, "foreground writes are absorbed, not forwarded");
-        assert_eq!(dirty_after, 0, "commit must flush the cache first");
-        let (direct_plain, uncached_flag, _, _) = run(0);
-        assert!(!uncached_flag);
-        assert_eq!(cached_plain, direct_plain);
     }
 
     #[test]

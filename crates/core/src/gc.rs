@@ -14,9 +14,7 @@
 
 use crate::device::MobiCeal;
 use crate::error::MobiCealError;
-use mobiceal_blockdev::Copier;
 use mobiceal_crypto::ChaCha20Rng;
-use std::sync::Arc;
 
 /// Outcome of one garbage-collection pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,11 +33,11 @@ pub struct GcReport {
 ///
 /// Verifying hidden mode means a full PBKDF2 unlock per password —
 /// tens of milliseconds of modeled CPU time. The password-taking entry
-/// points ([`MobiCeal::garbage_collect`] and friends) re-prove it on
-/// *every* pass, which is exactly the kind of work PR 8 takes off the
-/// foreground path: a session established once (at hidden-mode entry,
-/// where the unlock already happened) carries the protected-volume set,
-/// and per-pass planning becomes pure in-memory sampling.
+/// point ([`MobiCeal::garbage_collect`]) re-proves it on *every* pass; a
+/// session established once (at hidden-mode entry, where the unlock
+/// already happened) carries the protected-volume set, so per-pass
+/// planning becomes pure in-memory sampling and a pass costs only its
+/// discards plus the commit.
 #[derive(Debug, Clone)]
 pub struct GcSession {
     /// Volume ids GC must never touch: the public volume plus every
@@ -90,46 +88,13 @@ impl MobiCeal {
         hidden_passwords: &[&str],
         seed: u64,
     ) -> Result<GcReport, MobiCealError> {
-        let (report, discards) = self.plan_gc(hidden_passwords, seed)?;
-        for (id, victims) in &discards {
-            // One batched discard (single pool-lock pass) per volume
-            // instead of a lock round-trip per reclaimed block.
-            self.pool().discard_many(*id, victims)?;
-        }
-        // Through MobiCeal::commit so any write-back caches flush ahead of
-        // the metadata commit (identical to pool.commit() while the cache
-        // knob is off).
-        self.commit()?;
-        Ok(report)
-    }
-
-    /// Like [`MobiCeal::garbage_collect`], but the discards and the commit
-    /// run as background jobs on `copier` instead of inline. Verification
-    /// and victim planning stay on the caller (they are cheap and fix the
-    /// report deterministically); the device work — per-volume discard
-    /// batches of at most `chunk_blocks`, then a flush-caches + commit job
-    /// — drains as the copier is stepped, so foreground writes never stall
-    /// behind a reclamation pass. The report reflects what the submitted
-    /// jobs will reclaim; job errors surface from `copier.drain()`.
-    ///
-    /// # Errors
-    ///
-    /// [`MobiCealError::NotInHiddenMode`] if no password verifies.
-    pub fn garbage_collect_background(
-        &self,
-        hidden_passwords: &[&str],
-        seed: u64,
-        copier: &Copier,
-        chunk_blocks: usize,
-    ) -> Result<GcReport, MobiCealError> {
-        let (report, discards) = self.plan_gc(hidden_passwords, seed)?;
-        self.submit_gc_jobs(discards, copier, chunk_blocks);
-        Ok(report)
+        let session = self.begin_gc_session(hidden_passwords)?;
+        self.garbage_collect_in_session(&session, seed)
     }
 
     /// Like [`MobiCeal::garbage_collect`] with a pre-verified
     /// [`GcSession`]: planning is pure in-memory sampling, so the only
-    /// foreground cost of an inline pass is the discards plus the commit.
+    /// cost of a pass is the discards plus the commit.
     ///
     /// # Errors
     ///
@@ -141,41 +106,15 @@ impl MobiCeal {
     ) -> Result<GcReport, MobiCealError> {
         let (report, discards) = self.plan_gc_session(session, seed);
         for (id, victims) in &discards {
+            // One batched discard (single pool-lock pass) per volume
+            // instead of a lock round-trip per reclaimed block.
             self.pool().discard_many(*id, victims)?;
         }
         self.commit()?;
         Ok(report)
     }
 
-    /// The fully backgrounded pass: a pre-verified [`GcSession`] plus
-    /// copier-submitted device work. Nothing on the foreground path but
-    /// the in-memory victim sampling and the job submissions themselves.
-    ///
-    /// # Errors
-    ///
-    /// None at submit time beyond planning; job errors surface from
-    /// `copier.drain()`.
-    pub fn garbage_collect_background_in_session(
-        &self,
-        session: &GcSession,
-        seed: u64,
-        copier: &Copier,
-        chunk_blocks: usize,
-    ) -> Result<GcReport, MobiCealError> {
-        let (report, discards) = self.plan_gc_session(session, seed);
-        self.submit_gc_jobs(discards, copier, chunk_blocks);
-        Ok(report)
-    }
-
-    /// Shared GC front half: proves hidden mode, samples the reclamation
-    /// fraction, and picks the victim blocks per dummy volume. Pure
-    /// planning — no discards are issued.
-    fn plan_gc(&self, hidden_passwords: &[&str], seed: u64) -> Result<GcPlan, MobiCealError> {
-        let session = self.begin_gc_session(hidden_passwords)?;
-        Ok(self.plan_gc_session(&session, seed))
-    }
-
-    /// The sampling half of planning, on an already-proven session:
+    /// Planning on an already-proven session:
     /// samples the reclamation fraction and picks victim blocks per dummy
     /// volume. In-memory only — no unlocks, no device I/O.
     fn plan_gc_session(&self, session: &GcSession, seed: u64) -> GcPlan {
@@ -209,38 +148,6 @@ impl MobiCeal {
             discards.push((id, indices));
         }
         (report, discards)
-    }
-
-    /// Submits a planned pass's device work to `copier`: per-volume
-    /// discard batches of at most `chunk_blocks`, then one flush-caches +
-    /// commit job, in the same ordering [`MobiCeal::commit`] enforces.
-    fn submit_gc_jobs(&self, discards: Vec<(u32, Vec<u64>)>, copier: &Copier, chunk_blocks: usize) {
-        let chunk = chunk_blocks.max(1);
-        for (id, victims) in discards {
-            for part in victims.chunks(chunk) {
-                let pool = Arc::clone(self.pool());
-                let part = part.to_vec();
-                copier.submit(Box::new(move || {
-                    let n = part.len() as u64;
-                    pool.discard_many(id, &part)?;
-                    Ok(n)
-                }));
-            }
-        }
-        let pool = Arc::clone(self.pool());
-        copier.submit(Box::new(move || {
-            // A bare pool commit, deliberately *without* flushing the
-            // write-back caches: this job persists the discards, and every
-            // mapping the journal can contain at this point had its data
-            // written before the mapping existed (eviction write-back goes
-            // through the normal pool write path), so the PR 4/PR 7
-            // ordering contract holds without touching foreground dirty
-            // data. Absorbed-but-unflushed writes have no metadata
-            // referencing them; their durability point stays the caller's
-            // own `MobiCeal::commit`, exactly as it was before the pass.
-            pool.commit()?;
-            Ok(0)
-        }));
     }
 }
 
@@ -337,46 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn background_gc_matches_inline_gc_exactly() {
-        // Same seed, same device history: the copier-driven pass must plan
-        // the identical report and, once drained, leave the identical
-        // mapped-block footprint — backgrounding changes *when* the work
-        // runs, never *what* it does.
-        let inline_mc = device_with_dummy_traffic(8);
-        let inline_report = inline_mc.garbage_collect(&["hidden-a"], 42).unwrap();
-
-        let bg_mc = device_with_dummy_traffic(8);
-        let copier = mobiceal_blockdev::Copier::new(16);
-        let bg_report = bg_mc.garbage_collect_background(&["hidden-a"], 42, &copier, 8).unwrap();
-        assert_eq!(bg_report, inline_report);
-        // Nothing reclaimed yet: the work is queued, not run.
-        assert!(copier.pending() > 0);
-        copier.drain().unwrap();
-        let inline_view = inline_mc.metadata_view();
-        let bg_view = bg_mc.metadata_view();
-        for v in 1..=5 {
-            assert_eq!(
-                bg_view.mapped_blocks(v),
-                inline_view.mapped_blocks(v),
-                "volume {v} footprint diverged"
-            );
-        }
-        assert_eq!(bg_mc.free_blocks(), inline_mc.free_blocks());
-        assert_eq!(copier.stats().blocks_moved, bg_report.blocks_reclaimed);
-    }
-
-    #[test]
-    fn background_gc_still_requires_hidden_mode() {
-        let mc = device_with_dummy_traffic(9);
-        let copier = mobiceal_blockdev::Copier::new(4);
-        assert_eq!(
-            mc.garbage_collect_background(&["nope"], 1, &copier, 8).unwrap_err(),
-            MobiCealError::NotInHiddenMode
-        );
-        assert_eq!(copier.pending(), 0, "a refused pass must queue nothing");
-    }
-
-    #[test]
     fn session_pass_matches_password_pass_exactly() {
         // Same device history, same seed: a session-based pass must plan
         // and execute identically to the password-taking entry point — the
@@ -389,17 +256,6 @@ mod tests {
         let report_b = by_session.garbage_collect_in_session(&session, 55).unwrap();
         assert_eq!(report_a, report_b);
         assert_eq!(by_password.free_blocks(), by_session.free_blocks());
-
-        // And the backgrounded session variant, drained, lands in the same
-        // place again.
-        let by_bg = device_with_dummy_traffic(12);
-        let session = by_bg.begin_gc_session(&["hidden-a"]).unwrap();
-        let copier = mobiceal_blockdev::Copier::new(8);
-        let report_c =
-            by_bg.garbage_collect_background_in_session(&session, 55, &copier, 8).unwrap();
-        assert_eq!(report_c, report_a);
-        copier.drain().unwrap();
-        assert_eq!(by_bg.free_blocks(), by_password.free_blocks());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The `gc_tail` workload: foreground write tail latency under GC
-//! pressure, inline vs backgrounded.
+//! pressure, re-verifying hidden mode per pass vs once per session.
 //!
 //! The paper's GC (§IV-D) reclaims dummy-write space, and the seed
 //! implementation ran it inline: the unlucky foreground write that lands
@@ -16,22 +16,22 @@
 //! work onto the arrival timeline itself. Work released at time `r` with
 //! measured duration `d` starts at `max(busy_until, r)` and advances
 //! `busy_until` by `d`; a write's latency is its completion minus its
-//! arrival. A GC pass or copier step is released at the arrival of the
-//! write it precedes — it cannot retroactively run in idle time the
-//! schedule already left behind, which is exactly why an inline pass
-//! stalls the writes behind it.
+//! arrival. A GC pass is released at the arrival of the write it
+//! precedes — it cannot retroactively run in idle time the schedule
+//! already left behind, which is exactly why a pass stalls the writes
+//! behind it.
 //!
-//! Two variants over identical traffic and identical GC victim plans:
+//! Two variants over identical traffic and identical GC victim plans,
+//! both running every pass inline between two arrivals:
 //!
-//! - [`GcTailWorkload::run_inline`]: the seed path — no cache, GC passes
-//!   run synchronously between two arrivals.
-//! - [`GcTailWorkload::run_background`]: PR 8's path — a write-back cache
-//!   absorbs foreground writes, GC passes are *submitted* to a
-//!   [`Copier`] and at most one bounded chunk job is stepped between
-//!   arrivals, so no single write ever waits for a whole pass.
+//! - [`GcTailWorkload::run_inline`]: the seed path — every pass re-proves
+//!   hidden mode with a full PBKDF2 unlock.
+//! - [`GcTailWorkload::run_session`]: hidden mode is proven **once** in a
+//!   [`mobiceal::GcSession`] before the measured phase, so a pass costs
+//!   only its in-memory victim sampling, discards and commit.
 
 use mobiceal::{MobiCeal, MobiCealConfig, MobiCealError};
-use mobiceal_blockdev::{BlockDevice, Copier, MemDisk, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, MemDisk, SharedDevice};
 use mobiceal_sim::SimClock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -58,10 +58,10 @@ impl Default for GcTailWorkload {
     fn default() -> Self {
         GcTailWorkload {
             foreground_writes: 400,
-            // 1 ms between arrivals: comfortably above the uncached
-            // per-write service time, so the baseline keeps up with the
-            // schedule and the tail isolates the GC stalls rather than
-            // open-loop saturation.
+            // 1 ms between arrivals: comfortably above the per-write
+            // service time, so the baseline keeps up with the schedule and
+            // the tail isolates the GC stalls rather than open-loop
+            // saturation.
             arrival_interval_ns: 1_000_000,
             gc_every: 100,
             warmup_blocks: 600,
@@ -114,13 +114,11 @@ fn summarize(mut latencies: Vec<u64>, gc_passes: usize, blocks_reclaimed: u64) -
 }
 
 impl GcTailWorkload {
-    fn config(&self, cache_blocks: usize) -> MobiCealConfig {
+    fn config(&self) -> MobiCealConfig {
         MobiCealConfig {
             num_volumes: 5,
             pbkdf2_iterations: 4,
             metadata_blocks: 128,
-            cache_blocks,
-            cache_shards: 8,
             ..MobiCealConfig::default()
         }
     }
@@ -128,16 +126,13 @@ impl GcTailWorkload {
     /// Builds the device, runs the warmup traffic (accruing the dummy
     /// blocks GC will reclaim) and commits, so the measured phase starts
     /// from identical on-disk state in both variants.
-    fn setup(
-        &self,
-        cache_blocks: usize,
-    ) -> Result<(SimClock, MobiCeal, mobiceal::UnlockedVolume), MobiCealError> {
+    fn setup(&self) -> Result<(SimClock, MobiCeal, mobiceal::UnlockedVolume), MobiCealError> {
         let clock = SimClock::new();
         let disk = Arc::new(MemDisk::new(self.disk_blocks, 4096, clock.clone()));
         let mc = MobiCeal::initialize(
             disk as SharedDevice,
             clock.clone(),
-            self.config(cache_blocks),
+            self.config(),
             "decoy",
             &["hidden-a"],
             self.seed,
@@ -152,25 +147,25 @@ impl GcTailWorkload {
     }
 
     /// The measured phase, parameterized over what happens at a GC
-    /// trigger (`on_gc`) and between arrivals (`between`). Returns the
-    /// per-write latencies under the open-loop schedule.
-    fn drive<G, B>(
+    /// trigger (`on_gc`, given the pass number and returning the pass's
+    /// reclaimed block count). Summarizes the per-write latencies under
+    /// the open-loop schedule.
+    fn drive<G>(
         &self,
         clock: &SimClock,
         public: &mobiceal::UnlockedVolume,
         mut on_gc: G,
-        mut between: B,
-    ) -> Result<Vec<u64>, MobiCealError>
+    ) -> Result<GcTailResult, MobiCealError>
     where
         G: FnMut(usize) -> Result<u64, MobiCealError>,
-        B: FnMut(),
     {
         let data = vec![0x9E; 4096];
         let base = self.warmup_blocks;
         let t0 = clock.now().as_nanos();
         let mut busy_until = t0;
         let mut latencies = Vec::with_capacity(self.foreground_writes);
-        let mut pass = 0usize;
+        let mut passes = 0usize;
+        let mut reclaimed = 0u64;
         // Measures one piece of work on the simulated clock and replays it
         // onto the virtual timeline at release time `r`.
         let replay = |busy_until: &mut u64, r: u64, d: u64| {
@@ -181,94 +176,51 @@ impl GcTailWorkload {
             let arrival = t0 + i as u64 * self.arrival_interval_ns;
             if i > 0 && i % self.gc_every == 0 {
                 let before = clock.now().as_nanos();
-                on_gc(pass)?;
-                pass += 1;
+                reclaimed += on_gc(passes)?;
+                passes += 1;
                 replay(&mut busy_until, arrival, clock.now().as_nanos() - before);
             }
-            let before = clock.now().as_nanos();
-            between();
-            replay(&mut busy_until, arrival, clock.now().as_nanos() - before);
             let before = clock.now().as_nanos();
             public.write_block(base + i as u64, &data)?;
             let completion = replay(&mut busy_until, arrival, clock.now().as_nanos() - before);
             latencies.push(completion - arrival);
         }
-        Ok(latencies)
+        Ok(summarize(latencies, passes, reclaimed))
     }
 
-    /// The seed path: no cache, each GC pass runs inline between two
-    /// arrivals and the next writes absorb the full stall.
+    /// The seed path: each GC pass re-verifies hidden mode (a full PBKDF2
+    /// unlock) and runs inline between two arrivals; the next writes
+    /// absorb the full stall.
     ///
     /// # Errors
     ///
     /// Device initialization/unlock/GC errors.
     pub fn run_inline(&self) -> Result<GcTailResult, MobiCealError> {
-        let (clock, mc, public) = self.setup(0)?;
-        let mut reclaimed = 0u64;
-        let mut passes = 0usize;
-        let latencies = self.drive(
-            &clock,
-            &public,
-            |pass| {
-                let report = mc.garbage_collect(&["hidden-a"], self.seed + pass as u64)?;
-                reclaimed += report.blocks_reclaimed;
-                passes += 1;
-                Ok(report.blocks_reclaimed)
-            },
-            || {},
-        )?;
-        Ok(summarize(latencies, passes, reclaimed))
+        let (clock, mc, public) = self.setup()?;
+        self.drive(&clock, &public, |pass| {
+            let report = mc.garbage_collect(&["hidden-a"], self.seed + pass as u64)?;
+            Ok(report.blocks_reclaimed)
+        })
     }
 
-    /// PR 8's path: a `cache_blocks`-block write-back cache absorbs the
-    /// foreground stream, hidden mode is proven **once** before the
-    /// measured phase (a [`mobiceal::GcSession`] — on a real phone the
-    /// hidden unlock already happened when GC was enabled), and each GC
-    /// trigger only samples victims in memory and submits the device work
-    /// to a depth-`depth` [`Copier`] in `chunk_blocks`-discard jobs. At
-    /// most one job is stepped between two arrivals, so no single write
-    /// ever waits behind a whole pass; the copier is drained (and the
-    /// device committed) after the measured phase, off the foreground
-    /// path.
+    /// Hidden mode is proven **once** before the measured phase (a
+    /// [`mobiceal::GcSession`] — on a real phone the hidden unlock already
+    /// happened when GC was enabled), and each GC trigger runs an inline
+    /// pass on that session: in-memory victim sampling, the discards and
+    /// the commit. Victim plans are identical to [`Self::run_inline`]'s.
     ///
     /// # Errors
     ///
-    /// Device initialization/unlock/GC errors; job errors surface from the
-    /// final drain.
-    pub fn run_background(
-        &self,
-        cache_blocks: usize,
-        depth: usize,
-        chunk_blocks: usize,
-    ) -> Result<GcTailResult, MobiCealError> {
-        let (clock, mc, public) = self.setup(cache_blocks)?;
+    /// Device initialization/unlock/GC errors.
+    pub fn run_session(&self) -> Result<GcTailResult, MobiCealError> {
+        let (clock, mc, public) = self.setup()?;
         // Verification charges its PBKDF2 cost here, before the arrival
         // schedule starts — the measured passes reuse the proof.
         let session = mc.begin_gc_session(&["hidden-a"])?;
-        let copier = Copier::new(depth);
-        let mut reclaimed = 0u64;
-        let mut passes = 0usize;
-        let latencies = self.drive(
-            &clock,
-            &public,
-            |pass| {
-                let report = mc.garbage_collect_background_in_session(
-                    &session,
-                    self.seed + pass as u64,
-                    &copier,
-                    chunk_blocks,
-                )?;
-                reclaimed += report.blocks_reclaimed;
-                passes += 1;
-                Ok(report.blocks_reclaimed)
-            },
-            || {
-                copier.step();
-            },
-        )?;
-        copier.drain().map_err(MobiCealError::from)?;
-        mc.commit()?;
-        Ok(summarize(latencies, passes, reclaimed))
+        self.drive(&clock, &public, |pass| {
+            let report = mc.garbage_collect_in_session(&session, self.seed + pass as u64)?;
+            Ok(report.blocks_reclaimed)
+        })
     }
 }
 
@@ -290,40 +242,37 @@ mod tests {
     fn runs_are_deterministic() {
         let w = quick();
         assert_eq!(w.run_inline().unwrap(), w.run_inline().unwrap());
-        assert_eq!(w.run_background(256, 8, 16).unwrap(), w.run_background(256, 8, 16).unwrap());
+        assert_eq!(w.run_session().unwrap(), w.run_session().unwrap());
     }
 
     #[test]
-    fn both_variants_run_real_gc_passes() {
-        // Victim *counts* legitimately differ between the variants: the
-        // cache re-batches write-back below itself, so the dummy trigger
-        // consumes its RNG stream in a different order and places
-        // different dummy blocks. (Plan equality at identical device
-        // history is pinned separately by
-        // `background_gc_matches_inline_gc_exactly` in the core crate.)
+    fn both_variants_reclaim_the_same_blocks() {
+        // The session moves the verification cost, never the decisions:
+        // over a whole run both variants see identical device history and
+        // seeds, so they reclaim exactly the same number of blocks.
         let w = quick();
         let inline = w.run_inline().unwrap();
-        let background = w.run_background(256, 8, 16).unwrap();
+        let session = w.run_session().unwrap();
         assert!(inline.gc_passes >= 3, "{inline:?}");
-        assert_eq!(background.gc_passes, inline.gc_passes);
+        assert_eq!(session.gc_passes, inline.gc_passes);
         assert!(inline.blocks_reclaimed > 0);
-        assert!(background.blocks_reclaimed > 0);
+        assert_eq!(session.blocks_reclaimed, inline.blocks_reclaimed);
     }
 
     #[test]
-    fn backgrounding_cuts_foreground_p99_by_10x() {
-        // The tentpole acceptance pin: taking GC off the foreground path
+    fn session_cuts_foreground_p99_by_10x() {
+        // Verifying hidden mode once per session instead of once per pass
         // must drop the foreground write p99 by at least an order of
         // magnitude on identical traffic.
         let w = quick();
         let inline = w.run_inline().unwrap();
-        let background = w.run_background(256, 8, 16).unwrap();
+        let session = w.run_session().unwrap();
         assert!(
-            inline.p99_ns >= background.p99_ns.max(1) * 10,
-            "p99 inline {} ns vs background {} ns",
+            inline.p99_ns >= session.p99_ns.max(1) * 10,
+            "p99 inline {} ns vs session {} ns",
             inline.p99_ns,
-            background.p99_ns
+            session.p99_ns
         );
-        assert!(inline.max_ns > background.max_ns, "worst stall must shrink too");
+        assert!(inline.max_ns > session.max_ns, "worst stall must shrink too");
     }
 }

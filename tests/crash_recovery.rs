@@ -336,78 +336,6 @@ fn fast_config() -> MobiCealConfig {
 }
 
 #[test]
-fn cached_stack_recovers_committed_data_at_every_crash_boundary() {
-    // The flush-ordering contract through the write-back cache: dirty data
-    // blocks (and the thin mappings their write-back allocates) land
-    // before the metadata commit that references them. Sweep a power cut
-    // across every write boundary of the WHOLE disk — data, journal,
-    // checkpoint and superblock writes alike — and require that every
-    // vblock committed by then reads back its committed plaintext.
-    let clock = SimClock::new();
-    let crash = Arc::new(CrashDisk::new(MemDisk::new(1024, 4096, clock.clone())));
-    let config =
-        MobiCealConfig { cache_blocks: 128, cache_shards: 4, copier_depth: 4, ..fast_config() };
-    let mc = MobiCeal::initialize(
-        crash.clone() as SharedDevice,
-        clock.clone(),
-        config.clone(),
-        "decoy",
-        &["hidden"],
-        31,
-    )
-    .unwrap();
-    let public = mc.unlock_public("decoy").unwrap();
-
-    // (boundary, committed vblock contents) per commit. Fresh vblocks
-    // only: thin overwrites are in place, so only never-rewritten blocks
-    // have a single committed value to check.
-    let mut committed: Vec<(u64, u8)> = Vec::new();
-    let mut commits: Vec<(usize, Vec<(u64, u8)>)> = vec![(crash.write_points(), committed.clone())];
-    let mut pat = 1u8;
-    for round in 0..3u64 {
-        for i in 0..16u64 {
-            let v = round * 16 + i;
-            public.write_block(v, &vec![pat; 4096]).unwrap();
-            committed.push((v, pat));
-            pat = pat.wrapping_add(3);
-        }
-        assert!(public.cache_dirty_blocks() > 0, "writes must be absorbed, not forwarded");
-        mc.commit().unwrap();
-        commits.push((crash.write_points(), committed.clone()));
-    }
-
-    let total = crash.write_points();
-    for k in 0..=total {
-        let disk = Arc::new(MemDisk::new(1024, 4096, clock.clone()));
-        disk.load_image(&crash.image_at(k));
-        let expected = commits.iter().rev().find(|(b, _)| *b <= k).map(|(_, d)| d);
-        match MobiCeal::open(disk as SharedDevice, clock.clone(), config.clone(), 32) {
-            Err(_) => {
-                assert!(
-                    expected.is_none(),
-                    "open failed at k={k} after the device was initialized"
-                );
-            }
-            Ok(rec) => {
-                let Some(expected) = expected else {
-                    // Mid-initialization image that happens to open; it
-                    // carries no committed user data to check.
-                    continue;
-                };
-                let vol = rec.unlock_public("decoy").unwrap();
-                for &(v, p) in expected {
-                    assert_eq!(
-                        vol.read_block(v).unwrap(),
-                        vec![p; 4096],
-                        "crash after {k} writes lost committed vblock {v}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn crash_without_commit_rolls_back_to_last_transaction() {
     let clock = SimClock::new();
     let disk = Arc::new(MemDisk::new(4096, 4096, clock.clone()));

@@ -666,150 +666,6 @@ fn journal_replay_is_world_independent() {
 }
 
 #[test]
-fn write_back_cache_is_world_independent() {
-    // PR 8's write-back cache sits between the volume and DmCrypt, so its
-    // behavior — what hits, what misses, when eviction writes back, and
-    // what the flush-on-commit batch looks like on the device — must
-    // depend only on the trace shape, never on which world the volume
-    // belongs to. Identical shapes through identically configured caches
-    // must charge identical simulated time, leave identical device op
-    // mixes, and produce identical cache-stats vectors in the public and
-    // hidden worlds. A tiny cache keeps eviction pressure constant so the
-    // write-back path itself is exercised, not just absorption. The dummy
-    // trigger is quiesced with x = 1 exactly as in
-    // batch_amortization_opens_no_timing_channel.
-    use mobiceal::{MobiCeal, MobiCealConfig};
-    use mobiceal_blockdev::{BlockDevice, CacheStats, DeviceStats, MemDisk, SharedDevice};
-    use mobiceal_sim::SimClock;
-    use std::sync::Arc;
-
-    let run_world =
-        |hidden_world: bool, cache_blocks: usize, seed: u64| -> (u64, DeviceStats, CacheStats) {
-            let clock = SimClock::new();
-            let disk = Arc::new(MemDisk::new(8192, 4096, clock.clone()));
-            let mc = MobiCeal::initialize(
-                disk.clone() as SharedDevice,
-                clock.clone(),
-                MobiCealConfig {
-                    num_volumes: 6,
-                    pbkdf2_iterations: 4,
-                    metadata_blocks: 64,
-                    x: 1, // quiesce the dummy trigger deterministically
-                    cache_blocks,
-                    cache_shards: 4,
-                    ..Default::default()
-                },
-                "decoy",
-                &["hidden-a", "hidden-b"],
-                seed,
-            )
-            .unwrap();
-            let vol = if hidden_world {
-                mc.unlock_hidden("hidden-a").unwrap()
-            } else {
-                mc.unlock_public("decoy").unwrap()
-            };
-            assert!(vol.is_cached(), "the cache knob must reach the volume");
-            disk.reset_stats();
-            let t0 = clock.now();
-            run_write_trace(&vol, &clock);
-            // Read the trace back (mix of hits and, for small caches, misses
-            // against evicted blocks), then commit: the flush-on-commit batch
-            // is part of the observable shape.
-            for b in 0..TRACE_SHAPES.iter().sum::<usize>() as u64 {
-                vol.read_block(b).unwrap();
-            }
-            mc.commit().unwrap();
-            let elapsed = (clock.now() - t0).as_nanos();
-            (elapsed, disk.stats(), vol.cache_stats().unwrap())
-        };
-
-    for cache_blocks in [8usize, 128] {
-        for seed in [5u64, 41] {
-            let (public_time, public_stats, public_cache) = run_world(false, cache_blocks, seed);
-            let (hidden_time, hidden_stats, hidden_cache) = run_world(true, cache_blocks, seed);
-            assert_eq!(
-                public_time, hidden_time,
-                "identical shapes through a {cache_blocks}-block cache must charge identical time (seed {seed})"
-            );
-            assert_eq!(
-                public_stats, hidden_stats,
-                "identical shapes through a {cache_blocks}-block cache must leave identical op mixes"
-            );
-            assert_eq!(
-                public_cache, hidden_cache,
-                "hit/miss/eviction behavior must be world-independent"
-            );
-        }
-    }
-    // The cache genuinely absorbs: a trace through a big cache charges
-    // strictly less foreground time than the same trace uncached — in both
-    // worlds, equally.
-    let uncached = |hidden_world: bool| -> u64 {
-        let clock = SimClock::new();
-        let disk = Arc::new(MemDisk::new(8192, 4096, clock.clone()));
-        let mc = MobiCeal::initialize(
-            disk as SharedDevice,
-            clock.clone(),
-            MobiCealConfig {
-                num_volumes: 6,
-                pbkdf2_iterations: 4,
-                metadata_blocks: 64,
-                x: 1,
-                ..Default::default()
-            },
-            "decoy",
-            &["hidden-a", "hidden-b"],
-            5,
-        )
-        .unwrap();
-        let vol = if hidden_world {
-            mc.unlock_hidden("hidden-a").unwrap()
-        } else {
-            mc.unlock_public("decoy").unwrap()
-        };
-        let t0 = clock.now();
-        run_write_trace(&vol, &clock);
-        clock.now().as_nanos() - t0.as_nanos()
-    };
-    let cached_foreground = |hidden_world: bool| -> u64 {
-        let clock = SimClock::new();
-        let disk = Arc::new(MemDisk::new(8192, 4096, clock.clone()));
-        let mc = MobiCeal::initialize(
-            disk as SharedDevice,
-            clock.clone(),
-            MobiCealConfig {
-                num_volumes: 6,
-                pbkdf2_iterations: 4,
-                metadata_blocks: 64,
-                x: 1,
-                cache_blocks: 256,
-                cache_shards: 4,
-                ..Default::default()
-            },
-            "decoy",
-            &["hidden-a", "hidden-b"],
-            5,
-        )
-        .unwrap();
-        let vol = if hidden_world {
-            mc.unlock_hidden("hidden-a").unwrap()
-        } else {
-            mc.unlock_public("decoy").unwrap()
-        };
-        let t0 = clock.now();
-        run_write_trace(&vol, &clock);
-        clock.now().as_nanos() - t0.as_nanos()
-    };
-    for world in [false, true] {
-        assert!(
-            cached_foreground(world) < uncached(world),
-            "a big cache must absorb foreground write time (hidden={world})"
-        );
-    }
-}
-
-#[test]
 fn raw_device_is_uniformly_ciphertextlike() {
     let mut world = MobiCealWorld::build(3, true);
     use mobiceal_adversary::GameWorld;

@@ -15,10 +15,7 @@
 //! (more expensive) time instead and fail the equality.
 
 use mobiceal_baselines::{AndroidFde, DefyLite, HiveWoOram};
-use mobiceal_blockdev::{
-    BlockDevice, CacheConfig, CrashDisk, EngineDevice, IoEngine, MemDisk, SharedDevice,
-    WriteBackCache,
-};
+use mobiceal_blockdev::{BlockDevice, CrashDisk, EngineDevice, IoEngine, MemDisk, SharedDevice};
 use mobiceal_dm::{DmCrypt, DmLinear};
 use mobiceal_sim::{EmmcCostModel, SimClock};
 use mobiceal_thinp::{AllocStrategy, PoolConfig, ThinPool};
@@ -153,22 +150,6 @@ fn engine_device_forwards_host_queue_holds() {
 }
 
 #[test]
-fn write_back_cache_forwards_host_queue_holds() {
-    // A tiny cache so the 16-block batch immediately evicts 12 dirty
-    // victims: the write-back happens inside the audited window and must
-    // see the held depth.
-    audit_forwarding("WriteBackCache", || {
-        let clock = SimClock::new();
-        let disk = cqe_disk(128, &clock);
-        let cache = WriteBackCache::new(
-            disk.clone() as SharedDevice,
-            CacheConfig { capacity_blocks: 4, shards: 2 },
-        );
-        (Box::new(cache), disk, clock)
-    });
-}
-
-#[test]
 fn fde_offset_device_forwards_host_queue_holds() {
     audit_forwarding("AndroidFde/OffsetDevice", || {
         let clock = SimClock::new();
@@ -204,40 +185,30 @@ fn defy_forwards_host_queue_holds() {
 
 #[test]
 fn full_mobiceal_stack_forwards_host_queue_holds() {
-    // The deepest path: UnlockedVolume → [WriteBackCache] → DmCrypt →
-    // PdeVolume → ThinVolume → ThinPool → DmLinear → MemDisk. A hold taken
-    // at the very top must reach the bottom counter, cached or not.
-    // The cached variant uses a 4-block cache so the audited 16-block batch
-    // forces a 12-victim write-back inside the measured window (a big cache
-    // would absorb the whole batch and charge nothing either way).
+    // The deepest path: UnlockedVolume → DmCrypt → PdeVolume → ThinVolume
+    // → ThinPool → DmLinear → MemDisk. A hold taken at the very top must
+    // reach the bottom counter.
     use mobiceal::{MobiCeal, MobiCealConfig};
-    for cache_blocks in [0usize, 4] {
-        audit_forwarding(
-            if cache_blocks == 0 { "MobiCeal (uncached)" } else { "MobiCeal (cached)" },
-            || {
-                let clock = SimClock::new();
-                let disk = cqe_disk(8192, &clock);
-                let mc = MobiCeal::initialize(
-                    disk.clone() as SharedDevice,
-                    clock.clone(),
-                    MobiCealConfig {
-                        num_volumes: 5,
-                        pbkdf2_iterations: 4,
-                        metadata_blocks: 64,
-                        x: 1, // deterministic: the dummy trigger never fires
-                        cache_blocks,
-                        cache_shards: 4,
-                        ..Default::default()
-                    },
-                    "decoy",
-                    &["hidden"],
-                    7,
-                )
-                .unwrap();
-                let vol = mc.unlock_public("decoy").unwrap();
-                std::mem::forget(mc);
-                (Box::new(vol), disk, clock)
+    audit_forwarding("MobiCeal", || {
+        let clock = SimClock::new();
+        let disk = cqe_disk(8192, &clock);
+        let mc = MobiCeal::initialize(
+            disk.clone() as SharedDevice,
+            clock.clone(),
+            MobiCealConfig {
+                num_volumes: 5,
+                pbkdf2_iterations: 4,
+                metadata_blocks: 64,
+                x: 1, // deterministic: the dummy trigger never fires
+                ..Default::default()
             },
-        );
-    }
+            "decoy",
+            &["hidden"],
+            7,
+        )
+        .unwrap();
+        let vol = mc.unlock_public("decoy").unwrap();
+        std::mem::forget(mc);
+        (Box::new(vol), disk, clock)
+    });
 }
