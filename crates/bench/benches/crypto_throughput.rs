@@ -74,9 +74,9 @@ fn bench_lane_widths(c: &mut Criterion) {
 }
 
 /// ESSIV batch encrypt at depths 1, 2, 4, 8, 9 and 64 sectors of 4 KiB:
-/// one sector is the serial CBC chain, 2/4/8 interleave that many chains
-/// through the single-block, 4-wide and 8-wide lanes, 9 is a full group
-/// plus a lone serial sector, and 64 is eight full groups.
+/// one sector is a single register-resident CBC chain, 2/4/8 interleave
+/// that many chains in one `cbc_encrypt_lanes` kernel, 9 is a full group
+/// plus a lone one-chain sector, and 64 is eight full groups.
 fn bench_essiv_batch_depths(c: &mut Criterion) {
     let mut group = c.benchmark_group("essiv_encrypt_sectors");
     let essiv = CbcEssiv::with_essiv_key(Aes256::new(&[1u8; 32]), &sha256(&[1u8; 32]));

@@ -23,10 +23,20 @@
 //! decrypt) get their ~4x over the one-block-at-a-time path. The ragged
 //! tail of a run falls back to the single-block path, and on non-AES-NI
 //! hosts the wide entry points are a plain loop over the T-table core, so
-//! every backend computes byte-identical output. The original byte-wise
-//! core survives as [`reference`], an executable specification that the
-//! property tests pin whichever backend is active against; all of them
-//! are validated against the FIPS 197 example vectors in the tests.
+//! every backend computes byte-identical output.
+//!
+//! CBC encrypt cannot split a chain: block `i`'s input is block `i - 1`'s
+//! output. [`BlockCipher::cbc_encrypt_lanes`] instead runs 1..=8 whole
+//! chains at once through one AES-NI kernel that loads the round keys
+//! once per call and keeps every chain value in an xmm register from IV
+//! to last block, so a lone sector runs at the `AESENC` latency bound and
+//! eight sectors fill the pipeline (Gueron's AES-NI white paper does the
+//! same). Its portable default is a lane-buffer loop over
+//! [`BlockCipher::encrypt_blocks`]. The original byte-wise core survives
+//! as [`reference`], an executable specification that the property tests
+//! pin whichever backend is active against; all of them are validated
+//! against the FIPS 197 example vectors and the NIST SP 800-38A CBC
+//! vectors in the tests.
 //!
 //! Real wall-clock speed matters only for running the test/bench suite:
 //! *simulated* encryption timing in the experiments is charged to the
@@ -159,9 +169,9 @@ pub trait BlockCipher: Send + Sync {
     /// The default is a loop over [`BlockCipher::encrypt_block`];
     /// implementations with hardware pipelines override it to keep several
     /// blocks in flight (the AES ciphers run 8x/4x interleaved AES-NI
-    /// ladders). The blocks must genuinely be independent — CBC encrypt
-    /// can only pass one block from each of several chains, never
-    /// consecutive blocks of one chain.
+    /// ladders). The blocks must genuinely be independent, so CBC encrypt,
+    /// whose consecutive blocks chain, goes through
+    /// [`BlockCipher::cbc_encrypt_lanes`] instead.
     ///
     /// # Panics
     ///
@@ -188,8 +198,81 @@ pub trait BlockCipher: Send + Sync {
         }
     }
 
+    /// CBC-encrypts `sectors` in place, chain `i` starting from `ivs[i]`:
+    /// `C_0 = E(P_0 ^ IV)`, `C_k = E(P_k ^ C_{k-1})` within each sector.
+    ///
+    /// Chains are independent, so up to 8 of them advance side by side.
+    /// The default is a lane-buffer loop: one 16-byte chain value per
+    /// sector on the stack, and for each block offset the blocks XOR into
+    /// their lanes, one [`BlockCipher::encrypt_blocks`] call encrypts every
+    /// lane, and the results are copied back as ciphertext. The AES
+    /// ciphers override it with an AES-NI kernel that keeps the chains in
+    /// registers; every implementation computes the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ivs.len() == sectors.len()`, that count is in
+    /// `1..=8`, and every sector has the same length, a positive multiple
+    /// of 16.
+    fn cbc_encrypt_lanes(&self, ivs: &[[u8; AES_BLOCK_SIZE]], sectors: &mut [&mut [u8]]) {
+        cbc_encrypt_lanes_portable(self, ivs, sectors);
+    }
+
     /// Key length in bytes (used by ESSIV to derive the IV key).
     fn key_len(&self) -> usize;
+}
+
+/// The most chains one [`BlockCipher::cbc_encrypt_lanes`] call takes: one
+/// per lane of the 8-wide AES ladder.
+pub(crate) const CBC_LANES: usize = 8;
+
+/// Asserts the [`BlockCipher::cbc_encrypt_lanes`] contract and returns the
+/// shared sector length. The AES-NI kernel's memory safety rests on these
+/// checks, so they are `assert!`, not `debug_assert!`.
+fn check_cbc_lanes(ivs: &[[u8; AES_BLOCK_SIZE]], sectors: &[&mut [u8]]) -> usize {
+    assert!(
+        ivs.len() == sectors.len(),
+        "cbc lanes: {} IVs for {} sectors",
+        ivs.len(),
+        sectors.len()
+    );
+    assert!(
+        (1..=CBC_LANES).contains(&sectors.len()),
+        "cbc lanes: {} sectors, expected 1..={CBC_LANES}",
+        sectors.len()
+    );
+    let len = sectors[0].len();
+    assert!(
+        len > 0 && len.is_multiple_of(AES_BLOCK_SIZE),
+        "cbc lanes: sector length {len} not a multiple of 16"
+    );
+    assert!(sectors.iter().all(|s| s.len() == len), "cbc lanes: sector lengths differ");
+    len
+}
+
+/// The portable [`BlockCipher::cbc_encrypt_lanes`]: a stack lane buffer of
+/// chain values pushed through `cipher.encrypt_blocks` once per block
+/// offset. [`reference::ReferenceAes`] and `force_software()` AES run this.
+fn cbc_encrypt_lanes_portable<C: BlockCipher + ?Sized>(
+    cipher: &C,
+    ivs: &[[u8; AES_BLOCK_SIZE]],
+    sectors: &mut [&mut [u8]],
+) {
+    let len = check_cbc_lanes(ivs, sectors);
+    let mut lanes = [[0u8; AES_BLOCK_SIZE]; CBC_LANES];
+    let lanes = &mut lanes[..ivs.len()];
+    lanes.copy_from_slice(ivs);
+    for off in (0..len).step_by(AES_BLOCK_SIZE) {
+        for (lane, sector) in lanes.iter_mut().zip(sectors.iter()) {
+            let block: &[u8; AES_BLOCK_SIZE] =
+                sector[off..off + AES_BLOCK_SIZE].try_into().expect("exact block");
+            *lane = (u128::from_ne_bytes(*lane) ^ u128::from_ne_bytes(*block)).to_ne_bytes();
+        }
+        cipher.encrypt_blocks(lanes.as_flattened_mut());
+        for (lane, sector) in lanes.iter().zip(sectors.iter_mut()) {
+            sector[off..off + AES_BLOCK_SIZE].copy_from_slice(lane);
+        }
+    }
 }
 
 /// Maximum round-key words: AES-256 has 14 rounds → 4·(14+1) = 60 words.
@@ -491,6 +574,7 @@ impl AesCore {
     #[target_feature(enable = "aes,sse2")]
     unsafe fn encrypt_blocks_aesni(&self, data: &mut [u8]) {
         use std::arch::x86_64::*;
+        let keys = load_round_keys(&self.enc_key_blocks);
         // SAFETY: caller guarantees AES-NI + SSE2 (this fn's contract).
         // `keys[..=rounds]` is in bounds because the schedule holds
         // `rounds + 1` blocks; every pointer passed to the lane helpers
@@ -498,10 +582,6 @@ impl AesCore {
         // offset loops subtract before comparing, so `off + width <= len`),
         // and all loads/stores are unaligned intrinsics.
         unsafe {
-            let mut keys = [_mm_setzero_si128(); MAX_RK_BLOCKS];
-            for (k, src) in keys.iter_mut().zip(self.enc_key_blocks.iter()) {
-                *k = _mm_loadu_si128(src.as_ptr() as *const __m128i);
-            }
             let mut off = 0usize;
             while data.len() - off >= 8 * 16 {
                 enc_lanes::<8>(&keys, self.rounds, data.as_mut_ptr().add(off) as *mut __m128i);
@@ -531,13 +611,10 @@ impl AesCore {
     #[target_feature(enable = "aes,sse2")]
     unsafe fn decrypt_blocks_aesni(&self, data: &mut [u8]) {
         use std::arch::x86_64::*;
+        let keys = load_round_keys(&self.dec_key_blocks);
         // SAFETY: same contract and bounds argument as
         // `encrypt_blocks_aesni`, over the decrypt schedule.
         unsafe {
-            let mut keys = [_mm_setzero_si128(); MAX_RK_BLOCKS];
-            for (k, src) in keys.iter_mut().zip(self.dec_key_blocks.iter()) {
-                *k = _mm_loadu_si128(src.as_ptr() as *const __m128i);
-            }
             let mut off = 0usize;
             while data.len() - off >= 8 * 16 {
                 dec_lanes::<8>(&keys, self.rounds, data.as_mut_ptr().add(off) as *mut __m128i);
@@ -552,6 +629,104 @@ impl AesCore {
                     (&mut data[off..off + 16]).try_into().expect("exact block");
                 self.decrypt_aesni(block);
                 off += 16;
+            }
+        }
+    }
+
+    /// CBC-encrypts `sectors.len()` chains through [`cbc_enc_lanes`],
+    /// monomorphised per chain count so every count gets a fully unrolled
+    /// ladder. The round keys load once for the whole call.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `aes` and `sse2` feature sets, and `ivs`
+    /// and `sectors` must satisfy [`check_cbc_lanes`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn cbc_encrypt_aesni(&self, ivs: &[[u8; 16]], sectors: &mut [&mut [u8]]) {
+        let keys = load_round_keys(&self.enc_key_blocks);
+        let r = self.rounds;
+        // SAFETY: the caller guarantees the feature set and the
+        // `check_cbc_lanes` contract, so each arm hands its kernel exactly
+        // `N == sectors.len() == ivs.len()` lanes of one shared length.
+        unsafe {
+            match sectors.len() {
+                1 => cbc_enc_lanes::<1>(&keys, r, ivs, sectors),
+                2 => cbc_enc_lanes::<2>(&keys, r, ivs, sectors),
+                3 => cbc_enc_lanes::<3>(&keys, r, ivs, sectors),
+                4 => cbc_enc_lanes::<4>(&keys, r, ivs, sectors),
+                5 => cbc_enc_lanes::<5>(&keys, r, ivs, sectors),
+                6 => cbc_enc_lanes::<6>(&keys, r, ivs, sectors),
+                7 => cbc_enc_lanes::<7>(&keys, r, ivs, sectors),
+                8 => cbc_enc_lanes::<8>(&keys, r, ivs, sectors),
+                n => unreachable!("check_cbc_lanes admits 1..={CBC_LANES} chains, got {n}"),
+            }
+        }
+    }
+}
+
+/// The 16-byte round-key blocks as `__m128i` values, loaded once per call
+/// so the ladders below never reload a key per block.
+#[cfg(target_arch = "x86_64")]
+fn load_round_keys(src: &[[u8; 16]; MAX_RK_BLOCKS]) -> [std::arch::x86_64::__m128i; MAX_RK_BLOCKS] {
+    use std::arch::x86_64::*;
+    // SAFETY: SSE2 is part of the x86-64 baseline, `src[i]` is a 16-byte
+    // array, and the load is unaligned.
+    std::array::from_fn(|i| unsafe { _mm_loadu_si128(src[i].as_ptr() as *const __m128i) })
+}
+
+/// CBC-encrypts `N` equal-length chains in place: chain `i` starts from
+/// `ivs[i]` and walks `sectors[i]` block by block. Each chain value stays
+/// in an xmm register from the IV to the last block, and each plaintext
+/// block's whitening `P ^ K0` does not depend on the chain, so the
+/// loop-carried path per block is one XOR plus the round ladder. With
+/// `N > 1` the `N` independent ladders interleave like [`enc_lanes`] and
+/// hide `AESENC` latency. Plaintext loads from, and ciphertext stores to,
+/// the caller's buffers directly.
+///
+/// # Safety
+///
+/// The CPU must support `aes` + `sse2`; `ivs` and `sectors` must each hold
+/// exactly `N` entries, and every sector the same length, a multiple of 16
+/// (what [`check_cbc_lanes`] asserts); `keys[..=rounds]` must hold the
+/// expanded encryption schedule.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes,sse2")]
+unsafe fn cbc_enc_lanes<const N: usize>(
+    keys: &[std::arch::x86_64::__m128i; MAX_RK_BLOCKS],
+    rounds: usize,
+    ivs: &[[u8; 16]],
+    sectors: &mut [&mut [u8]],
+) {
+    use std::arch::x86_64::*;
+    let blocks = sectors[0].len() / 16;
+    let mut p = [std::ptr::null_mut::<__m128i>(); N];
+    let mut chain = [_mm_setzero_si128(); N];
+    for (i, (ptr, lane)) in p.iter_mut().zip(chain.iter_mut()).enumerate() {
+        *ptr = sectors[i].as_mut_ptr() as *mut __m128i;
+        // SAFETY: `ivs[i]` is a 16-byte array and the load is unaligned.
+        *lane = unsafe { _mm_loadu_si128(ivs[i].as_ptr() as *const __m128i) };
+    }
+    // SAFETY: the caller guarantees the feature set and that all `N`
+    // sectors hold exactly `blocks` 16-byte blocks (the `check_cbc_lanes`
+    // assert), so `p[i].add(b)` for `b < blocks` stays inside sector `i`.
+    // The sectors are distinct `&mut` borrows, so no two lanes alias, and
+    // every load and store is an unaligned intrinsic.
+    unsafe {
+        for b in 0..blocks {
+            let mut s = [_mm_setzero_si128(); N];
+            for ((state, ptr), lane) in s.iter_mut().zip(&p).zip(&chain) {
+                let whitened = _mm_xor_si128(_mm_loadu_si128(ptr.add(b)), keys[0]);
+                *state = _mm_xor_si128(whitened, *lane);
+            }
+            for key in keys.iter().take(rounds).skip(1) {
+                for state in s.iter_mut() {
+                    *state = _mm_aesenc_si128(*state, *key);
+                }
+            }
+            for ((state, ptr), lane) in s.iter().zip(&p).zip(chain.iter_mut()) {
+                *lane = _mm_aesenclast_si128(*state, keys[rounds]);
+                _mm_storeu_si128(ptr.add(b), *lane);
             }
         }
     }
@@ -714,6 +889,24 @@ macro_rules! aes_variant {
 
             fn decrypt_blocks(&self, data: &mut [u8]) {
                 self.core.decrypt_many(data);
+            }
+
+            fn cbc_encrypt_lanes(
+                &self,
+                ivs: &[[u8; AES_BLOCK_SIZE]],
+                sectors: &mut [&mut [u8]],
+            ) {
+                #[cfg(target_arch = "x86_64")]
+                if self.core.use_aesni {
+                    check_cbc_lanes(ivs, sectors);
+                    // SAFETY: `use_aesni` is only set when the CPU reports
+                    // AES-NI and SSE2 support at runtime, and the
+                    // `check_cbc_lanes` assert just above guarantees the
+                    // kernel's lane contract.
+                    unsafe { self.core.cbc_encrypt_aesni(ivs, sectors) };
+                    return;
+                }
+                cbc_encrypt_lanes_portable(self, ivs, sectors);
             }
 
             fn key_len(&self) -> usize {
@@ -1201,6 +1394,151 @@ mod tests {
         let cipher = Aes128::new(&[0u8; 16]);
         let mut data = vec![0u8; 24];
         cipher.encrypt_blocks(&mut data);
+    }
+
+    /// The AES-NI dispatch (T-tables on hosts without it), the
+    /// forced-software AES and the byte-wise reference core for one key.
+    fn cbc_backends(key: &[u8]) -> [Box<dyn BlockCipher>; 3] {
+        macro_rules! hw_and_soft {
+            ($aes:ty) => {{
+                let mut soft = <$aes>::from_slice(key);
+                soft.force_software();
+                [Box::new(<$aes>::from_slice(key)) as Box<dyn BlockCipher>, Box::new(soft)]
+            }};
+        }
+        let [hw, soft] = match key.len() {
+            16 => hw_and_soft!(Aes128),
+            24 => hw_and_soft!(Aes192),
+            _ => hw_and_soft!(Aes256),
+        };
+        [hw, soft, Box::new(ReferenceAes::new(key))]
+    }
+
+    /// Runs `cbc_encrypt_lanes` over `data.len()` chains and returns them.
+    fn cbc_lanes(cipher: &dyn BlockCipher, ivs: &[[u8; 16]], data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut out = data.to_vec();
+        let mut lanes: Vec<&mut [u8]> = out.iter_mut().map(|d| d.as_mut_slice()).collect();
+        cipher.cbc_encrypt_lanes(ivs, &mut lanes);
+        out
+    }
+
+    #[test]
+    fn sp800_38a_cbc_encrypt_vectors() {
+        // NIST SP 800-38A Appendix F.2.1 / F.2.3 / F.2.5 (CBC-AES128/192/
+        // 256.Encrypt): four chained blocks from one IV, as one chain and
+        // as eight identical chains, on every backend.
+        let iv: [u8; 16] =
+            from_hex("000102030405060708090a0b0c0d0e0f").unwrap().try_into().unwrap();
+        let pt = from_hex(
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+        )
+        .unwrap();
+        let vectors = [
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
+                 73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
+            ),
+            (
+                "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+                "4f021db243bc633d7178183a9fa071e8b4d9ada9ad7dedf4e5e738763f69145a\
+                 571b242012fb7ae07fa9baac3df102e008b0e27988598881d920a9e64f5615cd",
+            ),
+            (
+                "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+                "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d\
+                 39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b",
+            ),
+        ];
+        for (key_hex, ct_hex) in vectors {
+            let key = from_hex(key_hex).unwrap();
+            for (b, cipher) in cbc_backends(&key).iter().enumerate() {
+                for chains in [1usize, CBC_LANES] {
+                    let out = cbc_lanes(&**cipher, &vec![iv; chains], &vec![pt.clone(); chains]);
+                    for ct in &out {
+                        assert_eq!(
+                            to_hex(ct),
+                            ct_hex,
+                            "key {key_hex}, backend {b}, {chains} chains"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cbc_lanes_match_a_serial_chain_at_every_width() {
+        // Every chain count 1..=8 (each its own unrolled AES-NI kernel) at
+        // one-block, short and 512-byte lengths, against CBC written out
+        // one `encrypt_block` at a time, on every backend and key size.
+        let mut x: u64 = 0xc0ffee;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 24) as u8
+        };
+        for key_len in [16usize, 24, 32] {
+            let key: Vec<u8> = (0..key_len).map(|_| next()).collect();
+            let backends = cbc_backends(&key);
+            for chains in 1..=CBC_LANES {
+                for len in [16usize, 48, 512] {
+                    let ivs: Vec<[u8; 16]> =
+                        (0..chains).map(|_| std::array::from_fn(|_| next())).collect();
+                    let data: Vec<Vec<u8>> =
+                        (0..chains).map(|_| (0..len).map(|_| next()).collect()).collect();
+                    let mut expect = data.clone();
+                    for (sector, iv) in expect.iter_mut().zip(&ivs) {
+                        let mut prev = *iv;
+                        for chunk in sector.chunks_exact_mut(16) {
+                            let block: &mut [u8; 16] = chunk.try_into().unwrap();
+                            block.iter_mut().zip(prev).for_each(|(b, p)| *b ^= p);
+                            backends[2].encrypt_block(block);
+                            prev = *block;
+                        }
+                    }
+                    for (b, cipher) in backends.iter().enumerate() {
+                        assert_eq!(
+                            cbc_lanes(&**cipher, &ivs, &data),
+                            expect,
+                            "key_len {key_len}, {chains} chains of {len} B, backend {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sector lengths differ")]
+    fn cbc_lanes_reject_unequal_lengths() {
+        let cipher = Aes256::new(&[3u8; 32]);
+        let (mut a, mut b) = ([0u8; 64], [0u8; 48]);
+        cipher.cbc_encrypt_lanes(&[[0u8; 16]; 2], &mut [&mut a[..], &mut b[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sector lengths differ")]
+    fn cbc_lanes_reject_unequal_lengths_in_the_portable_default() {
+        let cipher = ReferenceAes::new(&[3u8; 32]);
+        let (mut a, mut b) = ([0u8; 32], [0u8; 64]);
+        cipher.cbc_encrypt_lanes(&[[0u8; 16]; 2], &mut [&mut a[..], &mut b[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 IVs for 1 sectors")]
+    fn cbc_lanes_reject_an_iv_count_mismatch() {
+        let cipher = Aes128::new(&[0u8; 16]);
+        cipher.cbc_encrypt_lanes(&[[0u8; 16]; 2], &mut [&mut [0u8; 16][..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected 1..=8")]
+    fn cbc_lanes_reject_more_than_eight_chains() {
+        let cipher = Aes128::new(&[0u8; 16]);
+        let mut bufs = [[0u8; 16]; 9];
+        let mut lanes: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+        cipher.cbc_encrypt_lanes(&[[0u8; 16]; 9], &mut lanes);
     }
 
     #[test]

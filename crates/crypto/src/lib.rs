@@ -19,7 +19,8 @@
 //!   computationally indistinguishable from ciphertext (§IV-A Q2).
 //!
 //! Every primitive is validated against published test vectors (FIPS 197,
-//! RFC 4231, RFC 7914/6070, IEEE 1619, RFC 8439) in the module tests.
+//! NIST SP 800-38A for CBC chaining, RFC 4231, RFC 7914/6070, IEEE 1619,
+//! RFC 8439) in the module tests.
 //!
 //! # Example
 //!

@@ -18,29 +18,26 @@
 //! * **CBC decrypt** is also embarrassingly parallel — every block is
 //!   `D(C_i) ^ C_{i-1}` over *ciphertexts that already exist* — so each chunk
 //!   saves its ciphertext, decrypts wide, then applies the lagged XOR.
-//! * **CBC encrypt** is serial within a sector, interleaved across sectors:
-//!   block `i`'s input includes block `i - 1`'s *output*, so one sector's
-//!   chain cannot pipeline, but every sector has its own ESSIV IV and its
-//!   own chain. The batch entry point runs up to [`CBC_LANES`] equal-length
-//!   sectors side by side, block `k` of each chain in one wide call; a lone
-//!   sector stays on the serial single-block path.
+//! * **CBC encrypt** chains within a sector: block `i`'s input includes
+//!   block `i - 1`'s *output*, so one sector's blocks cannot overlap, but
+//!   every sector has its own ESSIV IV and its own chain. Both encrypt
+//!   entry points hand whole chains to [`BlockCipher::cbc_encrypt_lanes`]:
+//!   a lone sector as one chain, a batch as runs of up to 8 equal-length
+//!   sectors side by side. On AES-NI hosts that is one kernel keeping the
+//!   round keys and every chain value in registers.
 //!
 //! [`SectorCipher::encrypt_sectors_in_place`] /
 //! [`SectorCipher::decrypt_sectors_in_place`] are the batch entry points the
 //! dm layer drives, so a whole write batch crosses the cipher's virtual
 //! dispatch once.
 
-use crate::aes::{BlockCipher, AES_BLOCK_SIZE};
+use crate::aes::{BlockCipher, AES_BLOCK_SIZE, CBC_LANES};
 use crate::sha256::sha256;
 
 /// Blocks staged per wide-lane chunk: 64 blocks (1 KiB) keeps the tweak /
 /// saved-ciphertext scratch on the stack (no per-sector allocation) while
 /// giving the 8-wide AES ladders long runs; a 4 KiB sector is 4 chunks.
 const LANE_CHUNK: usize = 64;
-
-/// Sectors whose CBC chains one interleaved encrypt pass advances together:
-/// one chain per lane of the 8-wide AES ladder.
-const CBC_LANES: usize = 8;
 
 /// A length-preserving cipher over whole device sectors, keyed by sector
 /// number. This is the interface `mobiceal-dm`'s crypt target consumes.
@@ -166,34 +163,23 @@ impl<C: BlockCipher> CbcEssiv<C> {
         iv
     }
 
-    /// CBC-encrypts 2..=[`CBC_LANES`] equal-length sectors side by side.
-    ///
-    /// A stack lane buffer holds one chain value per sector, starting at
-    /// the sector's IV (all IVs come out of one wide call). For each block offset `k`,
-    /// block `k` of every sector is XORed into its lane, the lanes go
-    /// through one wide encrypt, and each result is both that sector's
-    /// ciphertext block and its chain value for block `k + 1` — the same
-    /// `E(P_k ^ C_{k-1})` the serial path computes, `n` chains at a time.
+    /// CBC-encrypts 1..=8 equal-length sectors side by side: all their
+    /// ESSIV IVs come out of one wide call, then one
+    /// [`BlockCipher::cbc_encrypt_lanes`] call runs every chain. The IVs
+    /// and the lane slices live in stack arrays, so a group costs no heap
+    /// allocation.
     fn encrypt_interleaved(&self, group: &mut [(u64, &mut [u8])]) {
-        let mut lanes = [0u8; CBC_LANES * AES_BLOCK_SIZE];
-        let lanes = &mut lanes[..group.len() * AES_BLOCK_SIZE];
-        for (lane, (index, _)) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(group.iter()) {
-            lane[..8].copy_from_slice(&index.to_le_bytes());
+        let mut ivs = [[0u8; AES_BLOCK_SIZE]; CBC_LANES];
+        let ivs = &mut ivs[..group.len()];
+        for (iv, (index, _)) in ivs.iter_mut().zip(group.iter()) {
+            iv[..8].copy_from_slice(&index.to_le_bytes());
         }
-        self.iv_cipher.encrypt_blocks(lanes);
-        let len = group[0].1.len();
-        for off in (0..len).step_by(AES_BLOCK_SIZE) {
-            for (lane, (_, buf)) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(group.iter()) {
-                let lane: &mut [u8; AES_BLOCK_SIZE] = lane.try_into().expect("exact chunk");
-                let block: &[u8; AES_BLOCK_SIZE] =
-                    buf[off..off + AES_BLOCK_SIZE].try_into().expect("exact block");
-                *lane = (u128::from_ne_bytes(*lane) ^ u128::from_ne_bytes(*block)).to_ne_bytes();
-            }
-            self.data_cipher.encrypt_blocks(lanes);
-            for (lane, (_, buf)) in lanes.chunks_exact(AES_BLOCK_SIZE).zip(group.iter_mut()) {
-                buf[off..off + AES_BLOCK_SIZE].copy_from_slice(lane);
-            }
+        self.iv_cipher.encrypt_blocks(ivs.as_flattened_mut());
+        let mut lanes: [&mut [u8]; CBC_LANES] = Default::default();
+        for (lane, (_, buf)) in lanes.iter_mut().zip(group.iter_mut()) {
+            *lane = buf;
         }
+        self.data_cipher.cbc_encrypt_lanes(ivs, &mut lanes[..ivs.len()]);
     }
 }
 
@@ -210,39 +196,28 @@ impl<C: BlockCipher> SectorCipher for CbcEssiv<C> {
         out
     }
 
-    // CBC encrypt is serial within a sector, interleaved across sectors:
-    // block i's cipher input is `P_i ^ C_{i-1}`, and `C_{i-1}` is the
-    // *output* of the previous block's AES call — a true data dependency,
-    // so one sector's blocks run one at a time here. Sectors chain
-    // independently, so `encrypt_sectors_in_place` interleaves up to
-    // `CBC_LANES` of them through the wide lanes instead.
+    // CBC encrypt chains within a sector: block i's cipher input is
+    // `P_i ^ C_{i-1}`, and `C_{i-1}` is the *output* of the previous
+    // block's AES call. A lone sector is one chain for
+    // `cbc_encrypt_lanes`; on AES-NI hosts the chain value never leaves a
+    // register, so the sector runs at the `AESENC` latency bound.
     fn encrypt_sector_in_place(&self, sector_index: u64, sector_data: &mut [u8]) {
         check_len(sector_data.len());
-        let mut prev = u128::from_ne_bytes(self.iv_for(sector_index));
-        for chunk in sector_data.chunks_exact_mut(AES_BLOCK_SIZE) {
-            let block: &mut [u8; AES_BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
-            *block = (u128::from_ne_bytes(*block) ^ prev).to_ne_bytes();
-            self.data_cipher.encrypt_block(block);
-            prev = u128::from_ne_bytes(*block);
-        }
+        self.data_cipher.cbc_encrypt_lanes(&[self.iv_for(sector_index)], &mut [sector_data]);
     }
 
-    // Runs of up to `CBC_LANES` consecutive equal-length sectors share one
-    // interleaved pass; a run of one, or a length the mode rejects, takes
-    // the per-sector path (which panics on the bad length).
+    // Sectors chain independently, so runs of up to `CBC_LANES`
+    // consecutive equal-length sectors share one `cbc_encrypt_lanes` call
+    // whose chains interleave through the AES pipeline. A length the mode
+    // rejects panics before its run is touched.
     fn encrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
         let mut rest = jobs;
         while let Some((_, head)) = rest.first() {
             let len = head.len();
+            check_len(len);
             let run = rest.iter().take(CBC_LANES).take_while(|(_, buf)| buf.len() == len).count();
             let (group, tail) = std::mem::take(&mut rest).split_at_mut(run);
-            if run > 1 && len > 0 && len.is_multiple_of(AES_BLOCK_SIZE) {
-                self.encrypt_interleaved(group);
-            } else {
-                for (index, buf) in group.iter_mut() {
-                    self.encrypt_sector_in_place(*index, buf);
-                }
-            }
+            self.encrypt_interleaved(group);
             rest = tail;
         }
     }

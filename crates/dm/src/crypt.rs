@@ -32,12 +32,12 @@ pub const MIN_PARALLEL_SECTORS: usize = 2;
 /// Under the default policy each worker must carry at least this much
 /// payload before threads are spawned: spawning a scoped thread costs tens
 /// of microseconds, so a shard has to hold enough AES work to amortize it.
-/// Both modes now run wide lanes on batches: ~3 GiB/s XTS per core, and
-/// ESSIV encrypt, interleaved across sectors, at 4–7 GiB/s (serial, it
-/// took ~440 µs per 256 KiB; interleaved, ~35–65 µs). 64 KiB would be
-/// only ~10–20 µs of AES — thread-spawn noise — so the floor is 256 KiB,
-/// ~35–80 µs of AES per worker. Batches too shallow to feed every worker
-/// simply use fewer threads, or none.
+/// Both modes run wide lanes on batches. On a 2-vCPU Intel Xeon, 256 KiB
+/// is ~105 µs of XTS (~2.3 GiB/s per core) and ~50 µs of ESSIV encrypt
+/// (~4.8 GiB/s, eight sector chains per register-resident AES-NI kernel
+/// call). 64 KiB would be only ~13–26 µs of AES — thread-spawn noise — so
+/// the floor is 256 KiB. Batches too shallow to feed every worker simply
+/// use fewer threads, or none.
 pub const DEFAULT_MIN_SHARD_BYTES: usize = 256 * 1024;
 
 /// Upper bound on the default worker count; batches are rarely deep enough
@@ -432,9 +432,9 @@ mod tests {
         assert_eq!(enc.shard_count(64, 64 * 512), 8, "explicit config ignores bytes");
         // The default policy refuses to spawn threads that would each get
         // less than DEFAULT_MIN_SHARD_BYTES of work (256 KiB), so the
-        // 64x4 KiB batch the stack write path emits stays inline (under
-        // ~65 µs of interleaved ESSIV encrypt, ~80 µs of XTS: not worth a
-        // spawn) while genuinely deep batches still fan out.
+        // 64x4 KiB batch the stack write path emits stays inline (~50 µs
+        // of ESSIV encrypt in eight-chain kernel calls, ~105 µs of XTS:
+        // not worth a spawn) while genuinely deep batches still fan out.
         let (_, dflt) = setup(CipherMode::CbcEssiv);
         let dflt = DmCrypt { workers: 8, ..dflt };
         assert_eq!(dflt.shard_count(64, 64 * 512), 1, "32 KiB batch stays inline");

@@ -284,13 +284,16 @@ fn pipelined_crypto_charges_are_world_independent() {
     // must charge identical simulated time and leave identical device op
     // mixes, for both cipher modes, across batch depths that fill the
     // 8-wide, 4-wide and single-block lanes and the interleaved ESSIV
-    // encrypt groups differently.
+    // encrypt groups differently. A second leg drives the single-block
+    // `write_block`/`read_block` entry points, whose ESSIV encrypt is one
+    // register-resident chain per call: the path every random 4 KiB
+    // overwrite and every foreground write under GC takes.
     use mobiceal_blockdev::{BlockDevice, DeviceStats, MemDisk};
     use mobiceal_dm::DmCrypt;
     use mobiceal_sim::{CpuCostModel, SimClock};
     use std::sync::Arc;
 
-    let run_trace = |base: u64, xts: bool| -> (u64, DeviceStats) {
+    let stack = |xts: bool| {
         let clock = SimClock::new();
         let disk = Arc::new(MemDisk::new(4096, 4096, clock.clone()));
         let crypt = if xts {
@@ -299,12 +302,16 @@ fn pipelined_crypto_charges_are_world_independent() {
             DmCrypt::new_essiv(disk.clone(), &[0x42; 32])
         }
         .with_timing(clock.clone(), CpuCostModel::nexus4());
+        (clock, disk, crypt)
+    };
+    let run_trace = |base: u64, xts: bool| -> (u64, DeviceStats) {
+        let (clock, disk, crypt) = stack(xts);
         let data = vec![0xC3u8; 4096];
         let t0 = clock.now();
         let mut cursor = base;
         // 7, 8, 9 and 64 straddle the interleaved ESSIV encrypt's
         // 8-sector groups: a ragged group, one full group, a full group
-        // plus a lone serial sector, and eight full groups.
+        // plus a lone sector, and eight full groups.
         for &shape in TRACE_SHAPES.iter().chain(&[7, 8, 9, 64]) {
             let batch: Vec<(u64, &[u8])> =
                 (0..shape as u64).map(|i| (cursor + i, data.as_slice())).collect();
@@ -317,18 +324,39 @@ fn pipelined_crypto_charges_are_world_independent() {
         crypt.read_blocks(&indices).unwrap();
         ((clock.now() - t0).as_nanos(), disk.stats())
     };
+    // Scattered single-block overwrites with a read-back after every third
+    // write, the rand_4k mix, at the same offsets from each world's base.
+    let run_singles = |base: u64, xts: bool| -> (u64, DeviceStats) {
+        let (clock, disk, crypt) = stack(xts);
+        let data = vec![0x3Cu8; 4096];
+        let t0 = clock.now();
+        for i in 0..96u64 {
+            let index = base + (i * 37) % 1024;
+            crypt.write_block(index, &data).unwrap();
+            if i % 3 == 0 {
+                assert_eq!(crypt.read_block(index).unwrap(), data);
+            }
+        }
+        ((clock.now() - t0).as_nanos(), disk.stats())
+    };
 
     for xts in [false, true] {
-        let (public_time, public_stats) = run_trace(0, xts);
-        let (hidden_time, hidden_stats) = run_trace(2048, xts);
-        assert_eq!(
-            public_time, hidden_time,
-            "identical shapes must charge identical time wherever the sectors live (xts={xts})"
-        );
-        assert_eq!(
-            public_stats, hidden_stats,
-            "identical shapes must leave identical op mixes wherever the sectors live (xts={xts})"
-        );
+        for (leg, run) in
+            [("batched", &run_trace as &dyn Fn(u64, bool) -> _), ("single", &run_singles)]
+        {
+            let (public_time, public_stats) = run(0, xts);
+            let (hidden_time, hidden_stats) = run(2048, xts);
+            assert_eq!(
+                public_time, hidden_time,
+                "identical shapes must charge identical time wherever the sectors live \
+                 ({leg}, xts={xts})"
+            );
+            assert_eq!(
+                public_stats, hidden_stats,
+                "identical shapes must leave identical op mixes wherever the sectors live \
+                 ({leg}, xts={xts})"
+            );
+        }
     }
 }
 
