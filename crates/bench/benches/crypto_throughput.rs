@@ -1,7 +1,7 @@
 //! Raw sector-cipher throughput: real MB/s of the T-table AES core through
-//! the CBC-ESSIV and XTS sector modes, single-sector and batched-parallel
-//! through `DmCrypt`, plus the byte-wise reference core for the speedup
-//! ratio. These are *wall-clock* numbers (like `micro`'s `crypto` group);
+//! the CBC-ESSIV and XTS sector modes, single-block and batched-parallel
+//! through `DmCrypt` (whose 4 KiB blocks are eight 512-byte sectors), plus
+//! the byte-wise reference core for the speedup ratio. These are *wall-clock* numbers (like `micro`'s `crypto` group);
 //! simulated timing in the experiments is charged by `CpuCostModel` and
 //! does not depend on any of this.
 //!
@@ -73,25 +73,56 @@ fn bench_lane_widths(c: &mut Criterion) {
     group.finish();
 }
 
-/// ESSIV batch encrypt at depths 1, 2, 4, 8, 9 and 64 sectors of 4 KiB:
-/// one sector is a single register-resident CBC chain, 2/4/8 interleave
-/// that many chains in one `cbc_encrypt_lanes` kernel, 9 is a full group
-/// plus a lone one-chain sector, and 64 is eight full groups.
+/// ESSIV batch encrypt and decrypt at depths 1, 2, 4, 8, 9 and 64 sectors
+/// of 4 KiB. For encrypt, one sector is a single register-resident CBC
+/// chain, 2/4/8 interleave that many chains in one `cbc_encrypt_lanes`
+/// kernel, 9 is a full group plus a lone one-chain sector, and 64 is eight
+/// full groups. Decrypt takes the same groups through one
+/// `cbc_decrypt_lanes` call each, eight blocks in flight at any depth.
 fn bench_essiv_batch_depths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("essiv_encrypt_sectors");
     let essiv = CbcEssiv::with_essiv_key(Aes256::new(&[1u8; 32]), &sha256(&[1u8; 32]));
-    for depth in [1usize, 2, 4, 8, 9, 64] {
-        let mut bufs = vec![vec![0xABu8; SECTOR]; depth];
-        group.throughput(Throughput::Bytes((depth * SECTOR) as u64));
-        group.bench_function(format!("{depth}x4k").as_str(), |b| {
-            b.iter(|| {
-                let mut jobs: Vec<(u64, &mut [u8])> = bufs
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, d)| (i as u64, d.as_mut_slice()))
-                    .collect();
-                essiv.encrypt_sectors_in_place(&mut jobs)
-            })
+    for (name, encrypt) in [("essiv_encrypt_sectors", true), ("essiv_decrypt_sectors", false)] {
+        let mut group = c.benchmark_group(name);
+        for depth in [1usize, 2, 4, 8, 9, 64] {
+            let mut bufs = vec![vec![0xABu8; SECTOR]; depth];
+            group.throughput(Throughput::Bytes((depth * SECTOR) as u64));
+            group.bench_function(format!("{depth}x4k").as_str(), |b| {
+                b.iter(|| {
+                    let mut jobs: Vec<(u64, &mut [u8])> = bufs
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, d)| (i as u64, d.as_mut_slice()))
+                        .collect();
+                    if encrypt {
+                        essiv.encrypt_sectors_in_place(&mut jobs)
+                    } else {
+                        essiv.decrypt_sectors_in_place(&mut jobs)
+                    }
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
+/// One 4 KiB `write_block` and `read_block` through `DmCrypt` over a
+/// MemDisk in each mode: the `rand_4k` shape, where a block's eight
+/// 512-byte sectors go through the sector-batch entry points as one group.
+fn bench_dm_single_block(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dm_crypt_block_4k");
+    group.throughput(Throughput::Bytes(SECTOR as u64));
+    let data = vec![0x5Au8; SECTOR];
+    for mode in ["essiv", "xts"] {
+        let disk = Arc::new(MemDisk::new(16, SECTOR, SimClock::new()));
+        let dm = match mode {
+            "essiv" => DmCrypt::new_essiv(disk, &[9u8; 32]),
+            _ => DmCrypt::new_xts(disk, &[9u8; 64]),
+        };
+        group.bench_function(format!("{mode}_write_block").as_str(), |b| {
+            b.iter(|| dm.write_block(7, &data).expect("write block"))
+        });
+        group.bench_function(format!("{mode}_read_block").as_str(), |b| {
+            b.iter(|| dm.read_block(7).expect("read block"))
         });
     }
     group.finish();
@@ -136,6 +167,7 @@ fn bench_batched_parallel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sector_modes, bench_lane_widths, bench_essiv_batch_depths, bench_batched_parallel
+    targets = bench_sector_modes, bench_lane_widths, bench_essiv_batch_depths,
+        bench_dm_single_block, bench_batched_parallel
 }
 criterion_main!(benches);

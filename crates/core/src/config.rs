@@ -29,8 +29,8 @@ pub struct MobiCealConfig {
     /// Explicit dm-crypt batch parallelism for unlocked volumes:
     /// `Some((workers, min_sectors))` forwards to
     /// [`mobiceal_dm::DmCrypt::with_parallelism`] — shard crypto batches of
-    /// at least `min_sectors` sectors across up to `workers` threads —
-    /// while `None` keeps dm-crypt's byte-aware default policy.
+    /// at least `min_sectors` 512-byte sectors across up to `workers`
+    /// threads — while `None` keeps dm-crypt's byte-aware default policy.
     /// `workers` must be positive and `min_sectors` at least
     /// [`mobiceal_dm::MIN_PARALLEL_SECTORS`] ([`MobiCealConfig::validate`]
     /// rejects values the crypt layer would silently clamp). Parallelism only changes host wall-clock

@@ -19,8 +19,8 @@
 //! [`BlockCipher::encrypt_blocks`] / [`BlockCipher::decrypt_blocks`]
 //! therefore drive runs of *independent* blocks through interleaved
 //! ladders that keep 8 (then 4) `__m128i` states in flight per round-key
-//! load, which is where sector modes over independent blocks (XTS, CBC
-//! decrypt) get their ~4x over the one-block-at-a-time path. The ragged
+//! load, which is where XTS, whose blocks are independent, gets its ~4x
+//! over the one-block-at-a-time path. The ragged
 //! tail of a run falls back to the single-block path, and on non-AES-NI
 //! hosts the wide entry points are a plain loop over the T-table core, so
 //! every backend computes byte-identical output.
@@ -32,7 +32,14 @@
 //! to last block, so a lone sector runs at the `AESENC` latency bound and
 //! eight sectors fill the pipeline (Gueron's AES-NI white paper does the
 //! same). Its portable default is a lane-buffer loop over
-//! [`BlockCipher::encrypt_blocks`]. The original byte-wise core survives
+//! [`BlockCipher::encrypt_blocks`]. CBC decrypt has no chain: every block
+//! is `D(C_i) ^ C_{i-1}` over ciphertexts that already exist, so
+//! [`BlockCipher::cbc_decrypt_lanes`] takes the same lanes through one
+//! kernel that decrypts eight blocks at a time and XORs each with the
+//! previous ciphertext block held in a register (the sector's IV at each
+//! sector boundary); its portable default saves each chunk's ciphertext on
+//! the stack and applies the lagged XOR after
+//! [`BlockCipher::decrypt_blocks`]. The original byte-wise core survives
 //! as [`reference`], an executable specification that the property tests
 //! pin whichever backend is active against; all of them are validated
 //! against the FIPS 197 example vectors and the NIST SP 800-38A CBC
@@ -218,6 +225,27 @@ pub trait BlockCipher: Send + Sync {
         cbc_encrypt_lanes_portable(self, ivs, sectors);
     }
 
+    /// CBC-decrypts `sectors` in place, chain `i` starting from `ivs[i]`:
+    /// `P_0 = D(C_0) ^ IV`, `P_k = D(C_k) ^ C_{k-1}` within each sector;
+    /// the inverse of [`BlockCipher::cbc_encrypt_lanes`].
+    ///
+    /// Every block's inputs are ciphertexts that already exist, so no
+    /// block waits on another. The default saves each sector's ciphertext
+    /// chunk by chunk to the stack, decrypts the chunk through
+    /// [`BlockCipher::decrypt_blocks`] and XORs each block with the saved
+    /// ciphertext one block back. The AES ciphers override it with an
+    /// AES-NI kernel that holds the previous ciphertext in a register;
+    /// every implementation computes the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// The lane contract of [`BlockCipher::cbc_encrypt_lanes`]: panics
+    /// unless `ivs.len() == sectors.len()`, that count is in `1..=8`, and
+    /// every sector has the same length, a positive multiple of 16.
+    fn cbc_decrypt_lanes(&self, ivs: &[[u8; AES_BLOCK_SIZE]], sectors: &mut [&mut [u8]]) {
+        cbc_decrypt_lanes_portable(self, ivs, sectors);
+    }
+
     /// Key length in bytes (used by ESSIV to derive the IV key).
     fn key_len(&self) -> usize;
 }
@@ -226,8 +254,9 @@ pub trait BlockCipher: Send + Sync {
 /// per lane of the 8-wide AES ladder.
 pub(crate) const CBC_LANES: usize = 8;
 
-/// Asserts the [`BlockCipher::cbc_encrypt_lanes`] contract and returns the
-/// shared sector length. The AES-NI kernel's memory safety rests on these
+/// Asserts the [`BlockCipher::cbc_encrypt_lanes`] /
+/// [`BlockCipher::cbc_decrypt_lanes`] contract and returns the shared
+/// sector length. The AES-NI kernel's memory safety rests on these
 /// checks, so they are `assert!`, not `debug_assert!`.
 fn check_cbc_lanes(ivs: &[[u8; AES_BLOCK_SIZE]], sectors: &[&mut [u8]]) -> usize {
     assert!(
@@ -271,6 +300,41 @@ fn cbc_encrypt_lanes_portable<C: BlockCipher + ?Sized>(
         cipher.encrypt_blocks(lanes.as_flattened_mut());
         for (lane, sector) in lanes.iter().zip(sectors.iter_mut()) {
             sector[off..off + AES_BLOCK_SIZE].copy_from_slice(lane);
+        }
+    }
+}
+
+/// Blocks the portable CBC decrypt saves per stack chunk: 64 blocks
+/// (1 KiB) keeps the scratch on the stack while giving
+/// [`BlockCipher::decrypt_blocks`] long runs; a 4 KiB sector is 4 chunks.
+/// XTS stages its tweaks in chunks of the same size.
+pub(crate) const LANE_CHUNK: usize = 64;
+
+/// The portable [`BlockCipher::cbc_decrypt_lanes`]: per sector, each chunk
+/// of ciphertext is saved to a stack scratch, decrypted through
+/// `cipher.decrypt_blocks`, and XORed with the saved ciphertext lagged by
+/// one block. [`reference::ReferenceAes`] and `force_software()` AES run
+/// this.
+fn cbc_decrypt_lanes_portable<C: BlockCipher + ?Sized>(
+    cipher: &C,
+    ivs: &[[u8; AES_BLOCK_SIZE]],
+    sectors: &mut [&mut [u8]],
+) {
+    check_cbc_lanes(ivs, sectors);
+    let mut saved = [0u8; LANE_CHUNK * AES_BLOCK_SIZE];
+    for (iv, sector) in ivs.iter().zip(sectors.iter_mut()) {
+        let mut prev = u128::from_ne_bytes(*iv);
+        for chunk in sector.chunks_mut(LANE_CHUNK * AES_BLOCK_SIZE) {
+            let saved = &mut saved[..chunk.len()];
+            saved.copy_from_slice(chunk);
+            cipher.decrypt_blocks(chunk);
+            for (block, ct) in
+                chunk.chunks_exact_mut(AES_BLOCK_SIZE).zip(saved.chunks_exact(AES_BLOCK_SIZE))
+            {
+                let block: &mut [u8; AES_BLOCK_SIZE] = block.try_into().expect("exact block");
+                *block = (u128::from_ne_bytes(*block) ^ prev).to_ne_bytes();
+                prev = u128::from_ne_bytes(ct.try_into().expect("exact block"));
+            }
         }
     }
 }
@@ -663,6 +727,49 @@ impl AesCore {
             }
         }
     }
+
+    /// CBC-decrypts each sector as one run of blocks through
+    /// [`cbc_dec_run`]: eight blocks per interleaved `AESDEC` ladder while
+    /// the sector has them, then four, then one. The previous ciphertext
+    /// block, starting from the sector's IV, passes from run to run in a
+    /// register. The round keys load once for the whole call.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `aes` and `sse2` feature sets, and `ivs`
+    /// and `sectors` must satisfy [`check_cbc_lanes`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn cbc_decrypt_aesni(&self, ivs: &[[u8; 16]], sectors: &mut [&mut [u8]]) {
+        use std::arch::x86_64::*;
+        let keys = load_round_keys(&self.dec_key_blocks);
+        let r = self.rounds;
+        for (iv, sector) in ivs.iter().zip(sectors.iter_mut()) {
+            let blocks = sector.len() / 16;
+            let p = sector.as_mut_ptr() as *mut __m128i;
+            // SAFETY: the caller guarantees the feature set; `iv` is a
+            // 16-byte array and the load is unaligned. The sector holds
+            // `blocks` whole blocks (the `check_cbc_lanes` assert), and each
+            // loop subtracts before comparing, so every run of `W` blocks at
+            // `p.add(b)` has `b + W <= blocks` and stays inside the sector.
+            unsafe {
+                let mut prev = _mm_loadu_si128(iv.as_ptr() as *const __m128i);
+                let mut b = 0usize;
+                while blocks - b >= 8 {
+                    prev = cbc_dec_run::<8>(&keys, r, p.add(b), prev);
+                    b += 8;
+                }
+                while blocks - b >= 4 {
+                    prev = cbc_dec_run::<4>(&keys, r, p.add(b), prev);
+                    b += 4;
+                }
+                while b < blocks {
+                    prev = cbc_dec_run::<1>(&keys, r, p.add(b), prev);
+                    b += 1;
+                }
+            }
+        }
+    }
 }
 
 /// The 16-byte round-key blocks as `__m128i` values, loaded once per call
@@ -729,6 +836,53 @@ unsafe fn cbc_enc_lanes<const N: usize>(
                 _mm_storeu_si128(ptr.add(b), *lane);
             }
         }
+    }
+}
+
+/// CBC-decrypts `W` consecutive blocks at `p` in place, `prev` being the
+/// ciphertext block before the first (the sector's IV at a sector start),
+/// and returns the last ciphertext block, the next run's `prev`. All `W`
+/// ciphertexts load into registers and step through one interleaved
+/// `AESDEC` ladder like [`dec_lanes`]. `AESDECLAST` XORs its round key into
+/// its result, so the CBC XOR folds into the last round: block `i`
+/// finishes with key `K_last ^ C_{i-1}`, computed off the ladder. Every
+/// ciphertext is loaded before the first store, so in place is safe.
+///
+/// # Safety
+///
+/// The CPU must support `aes` + `sse2`; `p` must be valid for reads and
+/// writes of `W * 16` bytes (any alignment); `keys[..=rounds]` must hold
+/// the equivalent-inverse-cipher schedule.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes,sse2")]
+unsafe fn cbc_dec_run<const W: usize>(
+    keys: &[std::arch::x86_64::__m128i; MAX_RK_BLOCKS],
+    rounds: usize,
+    p: *mut std::arch::x86_64::__m128i,
+    prev: std::arch::x86_64::__m128i,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    // SAFETY: caller guarantees the feature set, that `p..p+W` is readable
+    // and writable, and an initialised decrypt schedule (see `dec_lanes`).
+    unsafe {
+        let mut ct = [_mm_setzero_si128(); W];
+        let mut s = [_mm_setzero_si128(); W];
+        for (i, (c, state)) in ct.iter_mut().zip(s.iter_mut()).enumerate() {
+            *c = _mm_loadu_si128(p.add(i));
+            *state = _mm_xor_si128(*c, keys[0]);
+        }
+        for key in keys.iter().take(rounds).skip(1) {
+            for state in s.iter_mut() {
+                *state = _mm_aesdec_si128(*state, *key);
+            }
+        }
+        let mut lagged = prev;
+        for (i, (state, c)) in s.iter().zip(&ct).enumerate() {
+            let last = _mm_xor_si128(keys[rounds], lagged);
+            _mm_storeu_si128(p.add(i), _mm_aesdeclast_si128(*state, last));
+            lagged = *c;
+        }
+        lagged
     }
 }
 
@@ -907,6 +1061,24 @@ macro_rules! aes_variant {
                     return;
                 }
                 cbc_encrypt_lanes_portable(self, ivs, sectors);
+            }
+
+            fn cbc_decrypt_lanes(
+                &self,
+                ivs: &[[u8; AES_BLOCK_SIZE]],
+                sectors: &mut [&mut [u8]],
+            ) {
+                #[cfg(target_arch = "x86_64")]
+                if self.core.use_aesni {
+                    check_cbc_lanes(ivs, sectors);
+                    // SAFETY: `use_aesni` is only set when the CPU reports
+                    // AES-NI and SSE2 support at runtime, and the
+                    // `check_cbc_lanes` assert just above guarantees the
+                    // kernel's lane contract.
+                    unsafe { self.core.cbc_decrypt_aesni(ivs, sectors) };
+                    return;
+                }
+                cbc_decrypt_lanes_portable(self, ivs, sectors);
             }
 
             fn key_len(&self) -> usize {
@@ -1422,36 +1594,46 @@ mod tests {
         out
     }
 
+    /// NIST SP 800-38A Appendix F.2 CBC vectors: one IV and one 4-block
+    /// plaintext, and per key size the key and the chained ciphertext.
+    const SP800_38A_CBC_IV: &str = "000102030405060708090a0b0c0d0e0f";
+    const SP800_38A_CBC_PT: &str =
+        "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+         30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710";
+    const SP800_38A_CBC: [(&str, &str); 3] = [
+        (
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
+             73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
+        ),
+        (
+            "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+            "4f021db243bc633d7178183a9fa071e8b4d9ada9ad7dedf4e5e738763f69145a\
+             571b242012fb7ae07fa9baac3df102e008b0e27988598881d920a9e64f5615cd",
+        ),
+        (
+            "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+            "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d\
+             39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b",
+        ),
+    ];
+
+    /// Runs `cbc_decrypt_lanes` over `data.len()` chains and returns them.
+    fn cbc_dec_lanes(cipher: &dyn BlockCipher, ivs: &[[u8; 16]], data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut out = data.to_vec();
+        let mut lanes: Vec<&mut [u8]> = out.iter_mut().map(|d| d.as_mut_slice()).collect();
+        cipher.cbc_decrypt_lanes(ivs, &mut lanes);
+        out
+    }
+
     #[test]
     fn sp800_38a_cbc_encrypt_vectors() {
         // NIST SP 800-38A Appendix F.2.1 / F.2.3 / F.2.5 (CBC-AES128/192/
         // 256.Encrypt): four chained blocks from one IV, as one chain and
         // as eight identical chains, on every backend.
-        let iv: [u8; 16] =
-            from_hex("000102030405060708090a0b0c0d0e0f").unwrap().try_into().unwrap();
-        let pt = from_hex(
-            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
-             30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
-        )
-        .unwrap();
-        let vectors = [
-            (
-                "2b7e151628aed2a6abf7158809cf4f3c",
-                "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
-                 73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
-            ),
-            (
-                "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
-                "4f021db243bc633d7178183a9fa071e8b4d9ada9ad7dedf4e5e738763f69145a\
-                 571b242012fb7ae07fa9baac3df102e008b0e27988598881d920a9e64f5615cd",
-            ),
-            (
-                "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
-                "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d\
-                 39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b",
-            ),
-        ];
-        for (key_hex, ct_hex) in vectors {
+        let iv: [u8; 16] = from_hex(SP800_38A_CBC_IV).unwrap().try_into().unwrap();
+        let pt = from_hex(SP800_38A_CBC_PT).unwrap();
+        for (key_hex, ct_hex) in SP800_38A_CBC {
             let key = from_hex(key_hex).unwrap();
             for (b, cipher) in cbc_backends(&key).iter().enumerate() {
                 for chains in [1usize, CBC_LANES] {
@@ -1460,6 +1642,31 @@ mod tests {
                         assert_eq!(
                             to_hex(ct),
                             ct_hex,
+                            "key {key_hex}, backend {b}, {chains} chains"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sp800_38a_cbc_decrypt_vectors() {
+        // NIST SP 800-38A Appendix F.2.2 / F.2.4 / F.2.6 (CBC-AES128/192/
+        // 256.Decrypt): the same four blocks back to the plaintext, as one
+        // chain and as eight identical chains, on every backend.
+        let iv: [u8; 16] = from_hex(SP800_38A_CBC_IV).unwrap().try_into().unwrap();
+        for (key_hex, ct_hex) in SP800_38A_CBC {
+            let key = from_hex(key_hex).unwrap();
+            let ct = from_hex(ct_hex).unwrap();
+            for (b, cipher) in cbc_backends(&key).iter().enumerate() {
+                for chains in [1usize, CBC_LANES] {
+                    let out =
+                        cbc_dec_lanes(&**cipher, &vec![iv; chains], &vec![ct.clone(); chains]);
+                    for pt in &out {
+                        assert_eq!(
+                            to_hex(pt),
+                            SP800_38A_CBC_PT,
                             "key {key_hex}, backend {b}, {chains} chains"
                         );
                     }
@@ -1507,6 +1714,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cbc_decrypt_lanes_match_a_serial_chain_at_every_width() {
+        // Every chain count 1..=8 at 1, 7, 32 and 256 blocks: 7 is the
+        // tail below the kernel's eight-block runs (4 + 1 + 1 + 1), 32 is a
+        // 512-byte dm-crypt sector and 256 a 4 KiB one. Each backend must
+        // equal CBC decrypt written out one `decrypt_block` at a time.
+        let mut x: u64 = 0xdec0de;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 24) as u8
+        };
+        for key_len in [16usize, 24, 32] {
+            let key: Vec<u8> = (0..key_len).map(|_| next()).collect();
+            let backends = cbc_backends(&key);
+            for chains in 1..=CBC_LANES {
+                for blocks in [1usize, 7, 32, 256] {
+                    let ivs: Vec<[u8; 16]> =
+                        (0..chains).map(|_| std::array::from_fn(|_| next())).collect();
+                    let data: Vec<Vec<u8>> =
+                        (0..chains).map(|_| (0..blocks * 16).map(|_| next()).collect()).collect();
+                    let mut expect = data.clone();
+                    for (sector, iv) in expect.iter_mut().zip(&ivs) {
+                        let mut prev = *iv;
+                        for chunk in sector.chunks_exact_mut(16) {
+                            let block: &mut [u8; 16] = chunk.try_into().unwrap();
+                            let ct = *block;
+                            backends[2].decrypt_block(block);
+                            block.iter_mut().zip(prev).for_each(|(b, p)| *b ^= p);
+                            prev = ct;
+                        }
+                    }
+                    for (b, cipher) in backends.iter().enumerate() {
+                        assert_eq!(
+                            cbc_dec_lanes(&**cipher, &ivs, &data),
+                            expect,
+                            "key_len {key_len}, {chains} chains of {blocks} blocks, backend {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sector lengths differ")]
+    fn cbc_decrypt_lanes_reject_unequal_lengths() {
+        let cipher = Aes256::new(&[3u8; 32]);
+        let (mut a, mut b) = ([0u8; 512], [0u8; 496]);
+        cipher.cbc_decrypt_lanes(&[[0u8; 16]; 2], &mut [&mut a[..], &mut b[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 IVs for 2 sectors")]
+    fn cbc_decrypt_lanes_reject_an_iv_count_mismatch() {
+        let cipher = Aes128::new(&[0u8; 16]);
+        let (mut a, mut b) = ([0u8; 16], [0u8; 16]);
+        cipher.cbc_decrypt_lanes(&[[0u8; 16]; 1], &mut [&mut a[..], &mut b[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected 1..=8")]
+    fn cbc_decrypt_lanes_reject_more_than_eight_chains_in_the_portable_default() {
+        let cipher = ReferenceAes::new(&[0u8; 16]);
+        let mut bufs = [[0u8; 16]; 9];
+        let mut lanes: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+        cipher.cbc_decrypt_lanes(&[[0u8; 16]; 9], &mut lanes);
     }
 
     #[test]

@@ -5,39 +5,47 @@
 //! `aes-cbc-essiv:sha256`; modern deployments use `aes-xts-plain64`. Both are
 //! provided so the reproduction can model either stack.
 //!
-//! Both modes feed the cipher through the wide entry points
-//! ([`BlockCipher::encrypt_blocks`]/[`BlockCipher::decrypt_blocks`]) wherever
-//! their block structure allows, in [`LANE_CHUNK`]-block chunks staged on the
-//! stack so the per-sector paths stay allocation-free:
+//! Both modes feed the cipher through its wide entry points, with all
+//! per-sector scratch on the stack so the sector paths stay
+//! allocation-free:
 //!
 //! * **XTS** is independent per block in both directions once the tweak
-//!   sequence is known, so each chunk's tweaks are precomputed (a PCLMULQDQ
-//!   carry-less ladder on hosts that report it, the serial shift/xor double
-//!   otherwise — see [`Xts::fill_tweaks`]), XORed in, run through the wide
-//!   lanes, and XORed out.
-//! * **CBC decrypt** is also embarrassingly parallel — every block is
-//!   `D(C_i) ^ C_{i-1}` over *ciphertexts that already exist* — so each chunk
-//!   saves its ciphertext, decrypts wide, then applies the lagged XOR.
+//!   sequence is known, so each [`LANE_CHUNK`]-block chunk's tweaks are
+//!   precomputed (a PCLMULQDQ carry-less ladder on hosts that report it,
+//!   the serial shift/xor double otherwise — see [`Xts::fill_tweaks`]),
+//!   XORed in, run through [`BlockCipher::encrypt_blocks`] /
+//!   [`BlockCipher::decrypt_blocks`], and XORed out. The batch entry points
+//!   derive up to 8 sectors' initial tweaks in one wide call.
+//! * **CBC decrypt** has no chain — every block is `D(C_i) ^ C_{i-1}` over
+//!   *ciphertexts that already exist* — so both decrypt entry points hand
+//!   whole sectors to [`BlockCipher::cbc_decrypt_lanes`]. On AES-NI hosts
+//!   that is one kernel that decrypts eight blocks at a time and XORs each
+//!   with the previous ciphertext block held in a register, switching to
+//!   the sector's ESSIV IV at each sector boundary.
 //! * **CBC encrypt** chains within a sector: block `i`'s input includes
 //!   block `i - 1`'s *output*, so one sector's blocks cannot overlap, but
 //!   every sector has its own ESSIV IV and its own chain. Both encrypt
-//!   entry points hand whole chains to [`BlockCipher::cbc_encrypt_lanes`]:
-//!   a lone sector as one chain, a batch as runs of up to 8 equal-length
-//!   sectors side by side. On AES-NI hosts that is one kernel keeping the
-//!   round keys and every chain value in registers.
+//!   entry points hand whole chains to [`BlockCipher::cbc_encrypt_lanes`].
+//!   On AES-NI hosts that is one kernel keeping the round keys and every
+//!   chain value in registers.
+//!
+//! A lone sector is one lane. The batch entry points take runs of up to 8
+//! equal-length sectors, derive their ESSIV IVs in one wide
+//! `encrypt_blocks` call, and run them through one lanes call, so dm-crypt's
+//! eight 512-byte sectors of a 4 KiB block fill the AES pipeline together.
 //!
 //! [`SectorCipher::encrypt_sectors_in_place`] /
 //! [`SectorCipher::decrypt_sectors_in_place`] are the batch entry points the
-//! dm layer drives, so a whole write batch crosses the cipher's virtual
-//! dispatch once.
+//! dm layer drives, so a whole batch crosses the cipher's virtual dispatch
+//! once.
 
-use crate::aes::{BlockCipher, AES_BLOCK_SIZE, CBC_LANES};
+use crate::aes::{BlockCipher, AES_BLOCK_SIZE, CBC_LANES, LANE_CHUNK};
 use crate::sha256::sha256;
 
-/// Blocks staged per wide-lane chunk: 64 blocks (1 KiB) keeps the tweak /
-/// saved-ciphertext scratch on the stack (no per-sector allocation) while
-/// giving the 8-wide AES ladders long runs; a 4 KiB sector is 4 chunks.
-const LANE_CHUNK: usize = 64;
+/// Sectors whose ESSIV IVs or XTS initial tweaks one wide `encrypt_blocks`
+/// call derives, and the most CBC lanes one kernel call takes: one pass of
+/// the 8-wide AES ladder.
+const SECTOR_GROUP: usize = CBC_LANES;
 
 /// A length-preserving cipher over whole device sectors, keyed by sector
 /// number. This is the interface `mobiceal-dm`'s crypt target consumes.
@@ -163,23 +171,45 @@ impl<C: BlockCipher> CbcEssiv<C> {
         iv
     }
 
-    /// CBC-encrypts 1..=8 equal-length sectors side by side: all their
-    /// ESSIV IVs come out of one wide call, then one
-    /// [`BlockCipher::cbc_encrypt_lanes`] call runs every chain. The IVs
+    /// CBC-encrypts (or decrypts) 1..=8 equal-length sectors side by
+    /// side: all their ESSIV IVs come out of one wide call, then one
+    /// [`BlockCipher::cbc_encrypt_lanes`] (or
+    /// [`BlockCipher::cbc_decrypt_lanes`]) call runs every sector. The IVs
     /// and the lane slices live in stack arrays, so a group costs no heap
     /// allocation.
-    fn encrypt_interleaved(&self, group: &mut [(u64, &mut [u8])]) {
-        let mut ivs = [[0u8; AES_BLOCK_SIZE]; CBC_LANES];
+    fn crypt_group(&self, group: &mut [(u64, &mut [u8])], encrypt: bool) {
+        let mut ivs = [[0u8; AES_BLOCK_SIZE]; SECTOR_GROUP];
         let ivs = &mut ivs[..group.len()];
         for (iv, (index, _)) in ivs.iter_mut().zip(group.iter()) {
             iv[..8].copy_from_slice(&index.to_le_bytes());
         }
         self.iv_cipher.encrypt_blocks(ivs.as_flattened_mut());
-        let mut lanes: [&mut [u8]; CBC_LANES] = Default::default();
+        let mut lanes: [&mut [u8]; SECTOR_GROUP] = Default::default();
         for (lane, (_, buf)) in lanes.iter_mut().zip(group.iter_mut()) {
             *lane = buf;
         }
-        self.data_cipher.cbc_encrypt_lanes(ivs, &mut lanes[..ivs.len()]);
+        let lanes = &mut lanes[..ivs.len()];
+        if encrypt {
+            self.data_cipher.cbc_encrypt_lanes(ivs, lanes);
+        } else {
+            self.data_cipher.cbc_decrypt_lanes(ivs, lanes);
+        }
+    }
+
+    /// Splits `jobs` into runs of up to 8 consecutive equal-length sectors
+    /// and hands each to [`CbcEssiv::crypt_group`]. A length the mode
+    /// rejects panics before its run is touched.
+    fn crypt_runs(&self, jobs: &mut [(u64, &mut [u8])], encrypt: bool) {
+        let mut rest = jobs;
+        while let Some((_, head)) = rest.first() {
+            let len = head.len();
+            check_len(len);
+            let run =
+                rest.iter().take(SECTOR_GROUP).take_while(|(_, buf)| buf.len() == len).count();
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(run);
+            self.crypt_group(group, encrypt);
+            rest = tail;
+        }
     }
 }
 
@@ -206,42 +236,25 @@ impl<C: BlockCipher> SectorCipher for CbcEssiv<C> {
         self.data_cipher.cbc_encrypt_lanes(&[self.iv_for(sector_index)], &mut [sector_data]);
     }
 
-    // Sectors chain independently, so runs of up to `CBC_LANES`
-    // consecutive equal-length sectors share one `cbc_encrypt_lanes` call
-    // whose chains interleave through the AES pipeline. A length the mode
-    // rejects panics before its run is touched.
+    // Sectors chain independently, so runs of up to 8 consecutive
+    // equal-length sectors share one `cbc_encrypt_lanes` call whose chains
+    // interleave through the AES pipeline.
     fn encrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
-        let mut rest = jobs;
-        while let Some((_, head)) = rest.first() {
-            let len = head.len();
-            check_len(len);
-            let run = rest.iter().take(CBC_LANES).take_while(|(_, buf)| buf.len() == len).count();
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(run);
-            self.encrypt_interleaved(group);
-            rest = tail;
-        }
+        self.crypt_runs(jobs, true);
     }
 
-    // CBC decrypt, unlike encrypt, is embarrassingly parallel: every
-    // output is `D(C_i) ^ C_{i-1}` over ciphertexts that all exist up
-    // front. Each chunk saves its ciphertext to a stack scratch, computes
-    // every `D(C_i)` through the wide lanes, then applies the lagged XOR.
+    // CBC decrypt, unlike encrypt, has no chain: every output is
+    // `D(C_i) ^ C_{i-1}` over ciphertexts that all exist up front, so a
+    // lone sector is one `cbc_decrypt_lanes` lane whose blocks all overlap.
     fn decrypt_sector_in_place(&self, sector_index: u64, sector_data: &mut [u8]) {
         check_len(sector_data.len());
-        let mut prev = u128::from_ne_bytes(self.iv_for(sector_index));
-        let mut saved = [0u8; LANE_CHUNK * AES_BLOCK_SIZE];
-        for chunk in sector_data.chunks_mut(LANE_CHUNK * AES_BLOCK_SIZE) {
-            let saved = &mut saved[..chunk.len()];
-            saved.copy_from_slice(chunk);
-            self.data_cipher.decrypt_blocks(chunk);
-            for (block, ct) in
-                chunk.chunks_exact_mut(AES_BLOCK_SIZE).zip(saved.chunks_exact(AES_BLOCK_SIZE))
-            {
-                let block: &mut [u8; AES_BLOCK_SIZE] = block.try_into().expect("exact chunk");
-                *block = (u128::from_ne_bytes(*block) ^ prev).to_ne_bytes();
-                prev = u128::from_ne_bytes(ct.try_into().expect("exact chunk"));
-            }
-        }
+        self.data_cipher.cbc_decrypt_lanes(&[self.iv_for(sector_index)], &mut [sector_data]);
+    }
+
+    // The mirror of the encrypt batch: runs of up to 8 equal-length
+    // sectors, their IVs from one wide call, one `cbc_decrypt_lanes` call.
+    fn decrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
+        self.crypt_runs(jobs, false);
     }
 }
 
@@ -256,7 +269,10 @@ impl<C: BlockCipher> std::fmt::Debug for CbcEssiv<C> {
 /// Uses two independent keys: one for data, one for the tweak. Both
 /// directions precompute each chunk's tweak sequence (PCLMULQDQ carry-less
 /// ladder when the host reports it, serial shift/xor otherwise) and drive
-/// the data cipher through the wide-lane entry points.
+/// the data cipher through the wide-lane entry points. The batch entry
+/// points encrypt up to 8 sectors' initial tweaks in one wide call, so the
+/// eight 512-byte sectors of a dm-crypt 4 KiB block pay one tweak-key pass
+/// rather than eight serial ones.
 pub struct Xts<C: BlockCipher> {
     data_cipher: C,
     tweak_cipher: C,
@@ -322,7 +338,31 @@ impl<C: BlockCipher> Xts<C> {
 
     fn process_in_place(&self, sector_index: u64, data: &mut [u8], encrypt: bool) {
         check_len(data.len());
-        let mut t0 = u128::from_le_bytes(self.initial_tweak(sector_index));
+        self.process_from_tweak(self.initial_tweak(sector_index), data, encrypt);
+    }
+
+    /// Runs `jobs` in groups of up to 8 sectors: one wide
+    /// `tweak_cipher.encrypt_blocks` call derives a group's initial tweaks,
+    /// then each sector runs from its own. A length the mode rejects
+    /// panics before its group is touched.
+    fn process_batch(&self, jobs: &mut [(u64, &mut [u8])], encrypt: bool) {
+        for group in jobs.chunks_mut(SECTOR_GROUP) {
+            let mut tweaks = [[0u8; AES_BLOCK_SIZE]; SECTOR_GROUP];
+            let tweaks = &mut tweaks[..group.len()];
+            for (t, (index, buf)) in tweaks.iter_mut().zip(group.iter()) {
+                check_len(buf.len());
+                t[..8].copy_from_slice(&index.to_le_bytes());
+            }
+            self.tweak_cipher.encrypt_blocks(tweaks.as_flattened_mut());
+            for (t, (_, buf)) in tweaks.iter().zip(group.iter_mut()) {
+                self.process_from_tweak(*t, buf, encrypt);
+            }
+        }
+    }
+
+    /// XTS over one sector whose initial (encrypted) tweak is `t0`.
+    fn process_from_tweak(&self, t0: [u8; AES_BLOCK_SIZE], data: &mut [u8], encrypt: bool) {
+        let mut t0 = u128::from_le_bytes(t0);
         let mut tweaks = [0u128; LANE_CHUNK];
         for chunk in data.chunks_mut(LANE_CHUNK * AES_BLOCK_SIZE) {
             let tweaks = &mut tweaks[..chunk.len() / AES_BLOCK_SIZE];
@@ -456,6 +496,14 @@ impl<C: BlockCipher> SectorCipher for Xts<C> {
 
     fn decrypt_sector_in_place(&self, sector_index: u64, sector_data: &mut [u8]) {
         self.process_in_place(sector_index, sector_data, false);
+    }
+
+    fn encrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
+        self.process_batch(jobs, true);
+    }
+
+    fn decrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
+        self.process_batch(jobs, false);
     }
 }
 
@@ -617,25 +665,41 @@ mod tests {
         }
     }
 
-    /// Runs `jobs` through `encrypt_sectors_in_place`, asserts every sector
-    /// equals the per-sector `encrypt_sector`, and returns the ciphertexts.
-    fn batch_encrypt_matches_per_sector(
+    /// Runs `jobs` through `encrypt_sectors_in_place` (or
+    /// `decrypt_sectors_in_place`), asserts every sector equals the
+    /// per-sector `encrypt_sector` (or `decrypt_sector`), and returns the
+    /// outputs.
+    fn batch_matches_per_sector(
         cipher: &dyn SectorCipher,
         jobs: &[(u64, Vec<u8>)],
+        encrypt: bool,
     ) -> Vec<Vec<u8>> {
-        let expect: Vec<Vec<u8>> = jobs.iter().map(|(s, d)| cipher.encrypt_sector(*s, d)).collect();
+        let expect: Vec<Vec<u8>> =
+            jobs.iter()
+                .map(|(s, d)| {
+                    if encrypt {
+                        cipher.encrypt_sector(*s, d)
+                    } else {
+                        cipher.decrypt_sector(*s, d)
+                    }
+                })
+                .collect();
         let mut got: Vec<Vec<u8>> = jobs.iter().map(|(_, d)| d.clone()).collect();
         let mut batch: Vec<(u64, &mut [u8])> =
             jobs.iter().zip(got.iter_mut()).map(|((s, _), d)| (*s, d.as_mut_slice())).collect();
-        cipher.encrypt_sectors_in_place(&mut batch);
+        if encrypt {
+            cipher.encrypt_sectors_in_place(&mut batch);
+        } else {
+            cipher.decrypt_sectors_in_place(&mut batch);
+        }
         for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(g, e, "job {i} of {} diverges from per-sector encrypt", jobs.len());
+            assert_eq!(g, e, "job {i} of {}, encrypt {encrypt}: batch diverges", jobs.len());
         }
         got
     }
 
     /// `depth` sectors of `len` bytes at scattered indices.
-    fn essiv_jobs(depth: usize, len: usize) -> Vec<(u64, Vec<u8>)> {
+    fn scattered_jobs(depth: usize, len: usize) -> Vec<(u64, Vec<u8>)> {
         (0..depth as u64)
             .map(|s| (s * 37 + 5, (0..len).map(|i| (i as u64 * 13 + s * 7) as u8).collect()))
             .collect()
@@ -647,7 +711,7 @@ mod tests {
         // ragged 2..7-sector and singleton tails, for every key size, on
         // the AES-NI lanes, the forced-software lanes and the byte-wise
         // reference core (the default per-block `encrypt_blocks`) — all of
-        // which must agree byte for byte.
+        // which must agree byte for byte, in both directions.
         let key = [0x5Au8; 32];
         for key_len in [16usize, 24, 32] {
             let essiv_key = crate::sha256::sha256(&key[..key_len]);
@@ -671,10 +735,42 @@ mod tests {
             let reference =
                 CbcEssiv::with_essiv_key(ReferenceAes::new(&key[..key_len]), &essiv_key);
             for depth in (0..=24).chain([64]) {
-                let jobs = essiv_jobs(depth, 512);
-                let ct = batch_encrypt_matches_per_sector(&*hw, &jobs);
-                assert_eq!(batch_encrypt_matches_per_sector(&*soft, &jobs), ct);
-                assert_eq!(batch_encrypt_matches_per_sector(&reference, &jobs), ct);
+                let jobs = scattered_jobs(depth, 512);
+                for encrypt in [true, false] {
+                    let out = batch_matches_per_sector(&*hw, &jobs, encrypt);
+                    assert_eq!(batch_matches_per_sector(&*soft, &jobs, encrypt), out);
+                    assert_eq!(batch_matches_per_sector(&reference, &jobs, encrypt), out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn xts_batch_matches_per_sector_at_every_depth() {
+        // The batch entry points derive up to eight initial tweaks in one
+        // wide call; at depths 0..=24 and 64 (full groups, ragged tails)
+        // they must equal per-sector calls in both directions, on the
+        // hardware lanes and on the forced-software lanes with the portable
+        // tweak ladder. A mixed-length batch shows a group need not share a
+        // length.
+        let hw = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
+        let mut soft = {
+            let mut k1 = Aes256::new(&[3u8; 32]);
+            let mut k2 = Aes256::new(&[9u8; 32]);
+            k1.force_software();
+            k2.force_software();
+            Xts::new(k1, k2)
+        };
+        soft.force_portable_tweaks();
+        let mixed: Vec<(u64, Vec<u8>)> = [512, 16, 4096, 512, 48, 512, 512, 512, 4096, 16]
+            .into_iter()
+            .enumerate()
+            .map(|(s, len)| (s as u64 * 5, (0..len).map(|i| (i * 3 + s) as u8).collect()))
+            .collect();
+        for jobs in (0..=24).chain([64]).map(|depth| scattered_jobs(depth, 512)).chain([mixed]) {
+            for encrypt in [true, false] {
+                let out = batch_matches_per_sector(&hw, &jobs, encrypt);
+                assert_eq!(batch_matches_per_sector(&soft, &jobs, encrypt), out);
             }
         }
     }
@@ -692,17 +788,18 @@ mod tests {
             .enumerate()
             .map(|(s, len)| (s as u64 * 3, (0..len).map(|i| (i * 5 + s) as u8).collect()))
             .collect();
-        batch_encrypt_matches_per_sector(&essiv, &jobs);
+        batch_matches_per_sector(&essiv, &jobs, true);
+        batch_matches_per_sector(&essiv, &jobs, false);
         // Duplicate sector indices share an IV, so identical plaintext
         // must give identical ciphertext inside one interleaved group.
-        let mut jobs = essiv_jobs(12, 4096);
+        let mut jobs = scattered_jobs(12, 4096);
         for (i, (s, d)) in jobs.iter_mut().enumerate() {
             *s = if i % 2 == 0 { 9 } else { 4 };
             if i < 4 {
                 *d = vec![0xEE; 4096];
             }
         }
-        let ct = batch_encrypt_matches_per_sector(&essiv, &jobs);
+        let ct = batch_matches_per_sector(&essiv, &jobs, true);
         assert_eq!(ct[0], ct[2], "same sector + same plaintext, same ciphertext");
         assert_ne!(ct[0], ct[1], "different sectors never share a chain");
     }

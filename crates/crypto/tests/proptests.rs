@@ -94,6 +94,31 @@ fn batch_encrypt(cipher: &dyn SectorCipher, batch: &[(u64, Vec<u8>)]) -> Vec<Vec
     bufs
 }
 
+/// Runs `batch` through `decrypt_sectors_in_place` and returns the buffers.
+fn batch_decrypt(cipher: &dyn SectorCipher, batch: &[(u64, Vec<u8>)]) -> Vec<Vec<u8>> {
+    let mut bufs: Vec<Vec<u8>> = batch.iter().map(|(_, d)| d.clone()).collect();
+    let mut jobs: Vec<(u64, &mut [u8])> =
+        batch.iter().zip(bufs.iter_mut()).map(|((s, _), d)| (*s, d.as_mut_slice())).collect();
+    cipher.decrypt_sectors_in_place(&mut jobs);
+    bufs
+}
+
+/// `depth` sectors of `len` bytes whose indices are drawn from
+/// `0..index_range` (so `index_range` 1..4 repeats indices in a group).
+fn equal_length_batch(
+    depth: usize,
+    len: usize,
+    index_range: u64,
+    seed: u64,
+) -> Vec<(u64, Vec<u8>)> {
+    (0..depth as u64)
+        .map(|i| {
+            let s = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9)) % index_range;
+            (s, filler(seed ^ i, len))
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn t_table_core_is_pinned_to_reference(
@@ -450,12 +475,7 @@ proptest! {
         // sector indices in one group, for every key size and on every
         // backend: AES-NI lanes, forced-software lanes and the byte-wise
         // reference core must all equal the per-sector serial encrypt.
-        let batch: Vec<(u64, Vec<u8>)> = (0..depth as u64)
-            .map(|i| {
-                let s = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9)) % index_range;
-                (s, filler(seed ^ i, len))
-            })
-            .collect();
+        let batch = equal_length_batch(depth, len, index_range, seed);
         for key_len in [16usize, 24, 32] {
             let backends = essiv_backends(&key[..key_len]);
             let expect: Vec<Vec<u8>> =
@@ -464,6 +484,33 @@ proptest! {
                 prop_assert_eq!(
                     &batch_encrypt(&**cipher, &batch), &expect,
                     "interleaved encrypt diverges: key_len {}, backend {}, depth {}, len {}",
+                    key_len, b, depth, len
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn essiv_batch_decrypt_is_pinned_to_per_sector(
+        key in prop::array::uniform32(any::<u8>()),
+        depth in prop_oneof![4 => 0usize..=24, 1 => Just(64usize)],
+        len in prop_oneof![Just(16usize), Just(512), Just(4096)],
+        index_range in prop_oneof![Just(u64::MAX), 1u64..4],
+        seed in any::<u64>(),
+    ) {
+        // The decrypt mirror of the property above: runs of up to eight
+        // equal-length sectors through one `cbc_decrypt_lanes` call must
+        // equal the per-sector decrypt of the byte-wise reference core on
+        // every backend, for arbitrary bytes taken as ciphertext.
+        let batch = equal_length_batch(depth, len, index_range, seed);
+        for key_len in [16usize, 24, 32] {
+            let backends = essiv_backends(&key[..key_len]);
+            let expect: Vec<Vec<u8>> =
+                batch.iter().map(|(s, d)| backends[2].decrypt_sector(*s, d)).collect();
+            for (b, cipher) in backends.iter().enumerate() {
+                prop_assert_eq!(
+                    &batch_decrypt(&**cipher, &batch), &expect,
+                    "batch decrypt diverges: key_len {}, backend {}, depth {}, len {}",
                     key_len, b, depth, len
                 );
             }

@@ -6,6 +6,16 @@
 //! 4.2 stack the paper used, XTS optionally), and the AES work is charged to
 //! the simulated clock via a CPU cost model so throughput experiments see
 //! realistic encryption overhead.
+//!
+//! The unit of encryption is the 512-byte sector, as in the paper's Android
+//! 4.2 kernel (dm-crypt's `sector_size` option only arrived in Linux 4.12):
+//! a block of `block_size` bytes is `block_size / 512` sectors, and sector
+//! `i` of block `b` is numbered `b · (block_size / 512) + i`, so the ESSIV
+//! IV (or the XTS tweak) comes from the 512-byte sector number. A block
+//! smaller than 512 bytes is one sector numbered by its index. A 4 KiB
+//! block is therefore eight independent CBC chains of 32 AES blocks, which
+//! the cipher runs side by side in one AES-NI kernel call instead of one
+//! 256-block chain.
 
 use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
 use mobiceal_crypto::{Aes256, CbcEssiv, SectorCipher, Xts};
@@ -20,8 +30,13 @@ pub enum CipherMode {
     XtsPlain64,
 }
 
-/// Batches at or above this many sectors are sharded across worker
-/// threads by default (see [`DmCrypt::with_parallelism`]).
+/// The dm-crypt sector: every block is encrypted as `block_size / 512`
+/// sectors of this many bytes, numbered from the block index (see the
+/// module docs).
+const SECTOR_SIZE: usize = 512;
+
+/// Batches at or above this many 512-byte sectors are sharded across
+/// worker threads by default (see [`DmCrypt::with_parallelism`]).
 pub const DEFAULT_PARALLEL_MIN_SECTORS: usize = 8;
 
 /// The floor [`DmCrypt::with_parallelism`] clamps `min_sectors` to: a
@@ -37,7 +52,9 @@ pub const MIN_PARALLEL_SECTORS: usize = 2;
 /// (~4.8 GiB/s, eight sector chains per register-resident AES-NI kernel
 /// call). 64 KiB would be only ~13–26 µs of AES — thread-spawn noise — so
 /// the floor is 256 KiB. Batches too shallow to feed every worker simply
-/// use fewer threads, or none.
+/// use fewer threads, or none. The depth threshold, like an explicit
+/// [`DmCrypt::with_parallelism`] `min_sectors`, counts 512-byte sectors,
+/// eight per 4 KiB block, and a shard boundary may fall inside a block.
 pub const DEFAULT_MIN_SHARD_BYTES: usize = 256 * 1024;
 
 /// Upper bound on the default worker count; batches are rarely deep enough
@@ -50,17 +67,22 @@ const DEFAULT_MAX_WORKERS: usize = 8;
 /// ciphertext. Without the key, backing blocks are indistinguishable from
 /// random — the property MobiCeal's dummy writes rely on (§IV-A Q2).
 ///
-/// Batched reads/writes encrypt sectors *in place* (one ciphertext arena
-/// per write batch, zero extra allocation per read batch) through the
-/// cipher's sector-batch entry points — one virtual dispatch per batch
-/// shard, wide AES lanes inside — and, for batches of at least
-/// [`DEFAULT_PARALLEL_MIN_SECTORS`] sectors carrying
-/// [`DEFAULT_MIN_SHARD_BYTES`] of payload per worker, shard the AES work
+/// Every block is encrypted as its 512-byte sectors, sector `i` of block
+/// `b` numbered `b · (block_size / 512) + i`. All four block operations
+/// hand each block's sector jobs to the cipher's sector-batch entry
+/// points, in place: a single-block read or write in stack groups of at
+/// most eight sectors (one group for a 4 KiB block, so its eight CBC
+/// chains run in one kernel call), a batch as one job list (one
+/// ciphertext arena per write batch, zero extra allocation per read
+/// batch) — one virtual dispatch per batch shard, wide AES lanes inside.
+/// Batches of at least [`DEFAULT_PARALLEL_MIN_SECTORS`] sectors carrying
+/// [`DEFAULT_MIN_SHARD_BYTES`] of payload per worker shard the AES work
 /// across scoped worker threads — the real-time analogue of dm-crypt's
 /// per-CPU crypto queues. Sector ciphers are deterministic per
 /// `(key, sector, data)`, and the simulated-clock charge is computed from
-/// byte counts before the work is sharded, so ciphertext on the backing
-/// device *and* virtual-clock charges are bit-for-bit identical to the
+/// byte counts before the work is sharded — one `aes_cost(total bytes)`
+/// per call, never one per sector — so ciphertext on the backing device
+/// *and* virtual-clock charges are bit-for-bit identical to the
 /// sequential path (pinned by `tests/parallel_props.rs`).
 pub struct DmCrypt {
     backing: SharedDevice,
@@ -74,6 +96,8 @@ pub struct DmCrypt {
     /// Minimum payload bytes per worker before threads are spawned
     /// (0 = shard on depth alone; set by [`DmCrypt::with_parallelism`]).
     min_shard_bytes: usize,
+    /// 512-byte sectors per block (`block_size / 512`, rounded up).
+    sectors_per_block: u64,
 }
 
 impl std::fmt::Debug for DmCrypt {
@@ -108,7 +132,9 @@ impl DmCrypt {
     }
 
     fn with_cipher(backing: SharedDevice, cipher: Box<dyn SectorCipher>, mode: CipherMode) -> Self {
+        let sectors_per_block = backing.block_size().div_ceil(SECTOR_SIZE) as u64;
         DmCrypt {
+            sectors_per_block,
             backing,
             cipher,
             mode,
@@ -126,7 +152,8 @@ impl DmCrypt {
     }
 
     /// Configures batched-crypto parallelism explicitly: shard batches of
-    /// at least `min_sectors` sectors across up to `workers` threads.
+    /// at least `min_sectors` 512-byte sectors across up to `workers`
+    /// threads.
     /// `workers <= 1` keeps every batch on the calling thread.
     ///
     /// Unlike the default policy, an explicit configuration shards on
@@ -175,36 +202,81 @@ impl DmCrypt {
         }
     }
 
-    /// Runs `cipher op` over every `(sector, buffer)` job, sharding the
-    /// batch across scoped worker threads when it is deep enough. Jobs are
-    /// disjoint buffers and sector ciphers are pure per job, so sharding
-    /// cannot change the bytes produced. Each shard crosses the cipher's
-    /// virtual dispatch once via the sector-batch entry points; inside,
-    /// the mode feeds the wide AES lanes (ESSIV encrypt interleaves up to
-    /// eight sectors' chains, so shard boundaries only change grouping).
-    fn crypt_sectors(&self, mut jobs: Vec<(BlockIndex, &mut [u8])>, encrypt: bool) {
-        let cipher: &dyn SectorCipher = &*self.cipher;
-        let run = |chunk: &mut [(BlockIndex, &mut [u8])]| {
-            if encrypt {
-                cipher.encrypt_sectors_in_place(chunk);
-            } else {
-                cipher.decrypt_sectors_in_place(chunk);
+    /// The `(sector number, 512-byte slice)` jobs of block `index`:
+    /// sector `i` is numbered `index · sectors_per_block + i`. The
+    /// numbering wraps rather than panics on an index no device has; the
+    /// backing device rejects such an index anyway.
+    fn block_sectors<'a>(
+        &self,
+        index: BlockIndex,
+        block: &'a mut [u8],
+    ) -> impl Iterator<Item = (u64, &'a mut [u8])> {
+        let first = index.wrapping_mul(self.sectors_per_block);
+        block.chunks_mut(SECTOR_SIZE).zip(0u64..).map(move |(s, i)| (first.wrapping_add(i), s))
+    }
+
+    /// Every sector job of the blocks in `blocks`, in one allocation.
+    fn batch_sectors<'a>(
+        &self,
+        blocks: impl ExactSizeIterator<Item = (BlockIndex, &'a mut [u8])>,
+    ) -> Vec<(u64, &'a mut [u8])> {
+        let mut jobs = Vec::with_capacity(blocks.len() * self.sectors_per_block as usize);
+        for (index, block) in blocks {
+            jobs.extend(self.block_sectors(index, block));
+        }
+        jobs
+    }
+
+    /// Runs the cipher's sector-batch entry point over `jobs`.
+    fn crypt_jobs(&self, jobs: &mut [(u64, &mut [u8])], encrypt: bool) {
+        if encrypt {
+            self.cipher.encrypt_sectors_in_place(jobs);
+        } else {
+            self.cipher.decrypt_sectors_in_place(jobs);
+        }
+    }
+
+    /// En- or decrypts one block in place through the sector-batch entry
+    /// point, in stack groups of at most eight sectors: one call for a
+    /// 4 KiB block, and no heap allocation at any block size.
+    fn crypt_block(&self, index: BlockIndex, block: &mut [u8], encrypt: bool) {
+        let mut sectors = self.block_sectors(index, block).peekable();
+        while sectors.peek().is_some() {
+            let mut group: [(u64, &mut [u8]); BLOCK_GROUP] = Default::default();
+            let mut n = 0;
+            for (slot, job) in group.iter_mut().zip(&mut sectors) {
+                *slot = job;
+                n += 1;
             }
-        };
+            self.crypt_jobs(&mut group[..n], encrypt);
+        }
+    }
+
+    /// Runs the cipher over every `(sector, buffer)` job of a batch,
+    /// sharding it across scoped worker threads when it is deep enough.
+    /// Jobs are disjoint buffers and sector ciphers are pure per job, so
+    /// sharding cannot change the bytes produced. Each shard crosses the
+    /// cipher's virtual dispatch once via the sector-batch entry points;
+    /// inside, the mode feeds the wide AES lanes (ESSIV runs up to eight
+    /// sectors per kernel call, so shard boundaries only change grouping).
+    fn crypt_sectors(&self, mut jobs: Vec<(u64, &mut [u8])>, encrypt: bool) {
         let shards = self.shard_count(jobs.len(), jobs.iter().map(|(_, b)| b.len()).sum());
         if shards <= 1 {
-            run(&mut jobs);
+            self.crypt_jobs(&mut jobs, encrypt);
             return;
         }
         let per_shard = jobs.len().div_ceil(shards);
-        let run = &run;
         std::thread::scope(|s| {
             for chunk in jobs.chunks_mut(per_shard) {
-                s.spawn(move || run(chunk));
+                s.spawn(move || self.crypt_jobs(chunk, encrypt));
             }
         });
     }
 }
+
+/// Sectors per stack group on the single-block paths: the most lanes one
+/// CBC kernel call takes, and exactly one 4 KiB block.
+const BLOCK_GROUP: usize = 8;
 
 /// Default worker count: the machine's parallelism, capped so deep test
 /// matrices don't oversubscribe the host.
@@ -224,7 +296,7 @@ impl BlockDevice for DmCrypt {
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
         let mut buf = self.backing.read_block(index)?;
         self.charge_aes(buf.len());
-        self.cipher.decrypt_sector_in_place(index, &mut buf);
+        self.crypt_block(index, &mut buf, false);
         Ok(buf)
     }
 
@@ -232,7 +304,7 @@ impl BlockDevice for DmCrypt {
         self.check_buffer(data)?;
         self.charge_aes(data.len());
         let mut ct = data.to_vec();
-        self.cipher.encrypt_sector_in_place(index, &mut ct);
+        self.crypt_block(index, &mut ct, true);
         self.backing.write_block(index, &ct)
     }
 
@@ -243,11 +315,9 @@ impl BlockDevice for DmCrypt {
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         let mut bufs = self.backing.read_blocks(indices)?;
         self.charge_aes(bufs.iter().map(Vec::len).sum());
-        let jobs: Vec<(BlockIndex, &mut [u8])> = indices
-            .iter()
-            .zip(bufs.iter_mut())
-            .map(|(&index, buf)| (index, buf.as_mut_slice()))
-            .collect();
+        let jobs = self.batch_sectors(
+            indices.iter().zip(bufs.iter_mut()).map(|(&index, buf)| (index, buf.as_mut_slice())),
+        );
         self.crypt_sectors(jobs, false);
         Ok(bufs)
     }
@@ -271,11 +341,9 @@ impl BlockDevice for DmCrypt {
         for &(_, data) in valid {
             arena.extend_from_slice(data);
         }
-        let jobs: Vec<(BlockIndex, &mut [u8])> = valid
-            .iter()
-            .zip(arena.chunks_mut(bs))
-            .map(|(&(index, _), slot)| (index, slot))
-            .collect();
+        let jobs = self.batch_sectors(
+            valid.iter().zip(arena.chunks_mut(bs)).map(|(&(index, _), slot)| (index, slot)),
+        );
         self.crypt_sectors(jobs, true);
         let refs: Vec<(BlockIndex, &[u8])> =
             valid.iter().zip(arena.chunks(bs)).map(|(&(index, _), ct)| (index, ct)).collect();
@@ -442,6 +510,75 @@ mod tests {
         assert_eq!(dflt.shard_count(256, 256 * 4096), 4, "1 MiB batch feeds 4 workers");
         assert_eq!(dflt.shard_count(1024, 1024 * 4096), 8, "deep batch uses all workers");
         assert_eq!(dflt.shard_count(4, 4 << 20), 1, "depth threshold still applies");
+    }
+
+    /// The sector cipher `DmCrypt` builds for `mode` from `setup`'s keys.
+    fn sector_cipher(mode: CipherMode) -> Box<dyn SectorCipher> {
+        match mode {
+            CipherMode::CbcEssiv => Box::new(CbcEssiv::with_essiv_key(
+                Aes256::new(&[0x11; 32]),
+                &mobiceal_crypto::sha256(&[0x11; 32]),
+            )),
+            CipherMode::XtsPlain64 => {
+                Box::new(Xts::new(Aes256::new(&[0x22; 32]), Aes256::new(&[0x22; 32])))
+            }
+        }
+    }
+
+    #[test]
+    fn a_4k_block_is_eight_512_byte_sectors_numbered_from_its_index() {
+        // Known answer for the dm-crypt layout: block k's raw bytes are the
+        // sector cipher's outputs for sectors 8k..8k+7, one per 512-byte
+        // slice. The sector modes themselves are pinned to SP 800-38A and
+        // IEEE 1619, so this pins the on-disk bytes end to end, through
+        // both the single-block and the batch write path, and both read
+        // paths invert them.
+        let k = 5u64;
+        let plain: Vec<u8> = (0..4096).map(|i| (i * 7 % 251) as u8).collect();
+        let other = vec![0x33u8; 4096];
+        for mode in [CipherMode::CbcEssiv, CipherMode::XtsPlain64] {
+            let cipher = sector_cipher(mode);
+            let expect: Vec<u8> = plain
+                .chunks(SECTOR_SIZE)
+                .zip(8 * k..)
+                .flat_map(|(sector, n)| cipher.encrypt_sector(n, sector))
+                .collect();
+            let (raw, enc) = setup(mode);
+            enc.write_block(k, &plain).unwrap();
+            assert_eq!(raw.read_block(k).unwrap(), expect, "{mode:?} write_block");
+            assert_eq!(enc.read_block(k).unwrap(), plain, "{mode:?} read_block");
+            let (raw, enc) = setup(mode);
+            enc.write_blocks(&[(k + 1, &other), (k, &plain), (k - 1, &other)]).unwrap();
+            assert_eq!(raw.read_block(k).unwrap(), expect, "{mode:?} write_blocks");
+            let back = enc.read_blocks(&[k - 1, k, k + 1]).unwrap();
+            assert_eq!(back, [other.clone(), plain.clone(), other.clone()], "{mode:?} read_blocks");
+        }
+    }
+
+    #[test]
+    fn a_512_byte_block_is_one_sector_numbered_by_its_index() {
+        // On a 512-byte-block device each block is exactly one sector, and
+        // its number is the block index.
+        let k = 11u64;
+        let plain: Vec<u8> = (0..512).map(|i| (i * 3 % 256) as u8).collect();
+        for mode in [CipherMode::CbcEssiv, CipherMode::XtsPlain64] {
+            let expect = sector_cipher(mode).encrypt_sector(k, &plain);
+            for batched in [false, true] {
+                let raw = Arc::new(MemDisk::with_default_timing(16, 512));
+                let enc = match mode {
+                    CipherMode::CbcEssiv => DmCrypt::new_essiv(raw.clone(), &[0x11; 32]),
+                    CipherMode::XtsPlain64 => DmCrypt::new_xts(raw.clone(), &[0x22; 64]),
+                };
+                if batched {
+                    enc.write_blocks(&[(k, &plain)]).unwrap();
+                    assert_eq!(enc.read_blocks(&[k]).unwrap(), std::slice::from_ref(&plain));
+                } else {
+                    enc.write_block(k, &plain).unwrap();
+                    assert_eq!(enc.read_block(k).unwrap(), plain);
+                }
+                assert_eq!(raw.read_block(k).unwrap(), expect, "{mode:?}, batched {batched}");
+            }
+        }
     }
 
     #[test]

@@ -239,16 +239,9 @@ fn pool_exhaustion_surfaces_cleanly_through_the_whole_stack() {
     assert_eq!(fs.read("filler", 0, 16).unwrap(), vec![1u8; 16]);
 }
 
-#[test]
-fn dd_public_write_trace_pins_the_medium_image() {
-    // Golden pin for the dummy-write path: a fixed-seed dd-shaped trace
-    // (sequential 64×4 KiB batches on the public volume, then a commit)
-    // must leave exactly these bytes on the raw medium and charge exactly
-    // this much simulated time. The image covers the footer, the dummy
-    // volumes' noise headers, the dm-crypt ciphertext, the thin-pool
-    // metadata and every dummy burst's CSPRNG noise at its placement, so
-    // any change to the noise stream, its placement or the allocation
-    // order moves the digest.
+/// The fixed-seed dd-shaped trace both golden pins below run: sequential
+/// 64×4 KiB batches on the public volume, then a commit.
+fn dd_public_write_trace() -> (Arc<MemDisk>, SimClock, MobiCeal) {
     let (disk, clock, mc) = fresh(5);
     let public = mc.unlock_public("decoy").unwrap();
     let chunk: Vec<Vec<u8>> = (0..64u64).map(|i| vec![i as u8 ^ 0xA5; 4096]).collect();
@@ -263,10 +256,50 @@ fn dd_public_write_trace_pins_the_medium_image() {
     mc.commit().unwrap();
     let stats = mc.dummy_stats();
     assert!(stats.blocks_written > 0, "this seed's regime should fire: {stats:?}");
+    (disk, clock, mc)
+}
+
+#[test]
+fn dd_public_write_trace_pins_the_medium_image() {
+    // Golden pin for the dummy-write path: the dd trace must leave exactly
+    // these bytes on the raw medium and charge exactly this much simulated
+    // time. The image covers the footer, the dummy volumes' noise headers,
+    // the dm-crypt ciphertext, the thin-pool metadata and every dummy
+    // burst's CSPRNG noise at its placement, so any change to the noise
+    // stream, its placement or the allocation order moves the digest.
+    let (disk, clock, mc) = dd_public_write_trace();
     let digest = mobiceal_crypto::to_hex(&mobiceal_crypto::sha256(disk.snapshot().as_bytes()));
     assert_eq!(
-        digest, "293ef0bb748b33e87523b65ff2e28f029fc001d2da1ee0ffccbc66b5e45d33d3",
-        "dummy stats {stats:?}"
+        digest,
+        "0121e1ad9c3f5a53908f41bfd3def69dc9ab9ce044e3911e277484a8128992e3",
+        "dummy stats {:?}",
+        mc.dummy_stats()
     );
     assert_eq!(clock.now().as_nanos(), 303_283_888);
+}
+
+#[test]
+fn dd_public_write_trace_pins_the_medium_outside_public_data() {
+    // The same trace with every raw block the public volume maps zeroed
+    // out. What is left is the footer, the dummy volumes' noise headers,
+    // the thin-pool metadata and every dummy burst's noise at its
+    // placement: none of it depends on how dm-crypt lays the public
+    // volume's sectors out, so this pin holds across a change of
+    // ciphertext layout that moves the raw digest above.
+    let (disk, _clock, mc) = dd_public_write_trace();
+    let layout = mc.layout();
+    let public = &mc.metadata_view().volumes[&1];
+    let mut image = disk.snapshot().as_bytes().to_vec();
+    for physical in public.mappings.values() {
+        let start = (layout.metadata_blocks + physical) as usize * layout.block_size;
+        image[start..start + layout.block_size].fill(0);
+    }
+    let digest = mobiceal_crypto::to_hex(&mobiceal_crypto::sha256(&image));
+    assert_eq!(
+        digest,
+        "4a5411c6f8981dc620fb38aaddc40ecc9cccc44b3ddb574b00f73a43aae8925c",
+        "{} public blocks masked, dummy stats {:?}",
+        public.mappings.len(),
+        mc.dummy_stats()
+    );
 }
