@@ -13,8 +13,8 @@ const HEADER_MAGIC: &[u8; 8] = b"FDEVOL01";
 /// master key wrapped by the password in the 16 KiB footer.
 ///
 /// The unlocked volume inherits [`DmCrypt`]'s hot path: in-place sector
-/// encryption and thread-sharded batched crypto, so FDE workloads pay no
-/// per-sector allocation on vectored I/O. The footer rides one vectored
+/// encryption and one sector-batch cipher call per batch, so FDE workloads
+/// pay no per-sector allocation on vectored I/O. The footer rides one vectored
 /// write on initialize and one vectored read on open, and the batched
 /// volume path is pinned against the single-block loop (same medium, never
 /// more charged time) by `tests/baseline_props.rs` alongside the other

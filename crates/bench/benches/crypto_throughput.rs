@@ -1,11 +1,14 @@
 //! Raw sector-cipher throughput: real MB/s of the T-table AES core through
-//! the CBC-ESSIV and XTS sector modes, single-block and batched-parallel
-//! through `DmCrypt` (whose 4 KiB blocks are eight 512-byte sectors), plus
-//! the byte-wise reference core for the speedup ratio. These are *wall-clock* numbers (like `micro`'s `crypto` group);
-//! simulated timing in the experiments is charged by `CpuCostModel` and
-//! does not depend on any of this.
+//! the CBC-ESSIV and XTS sector modes, single-block and batched through
+//! `DmCrypt` (whose 4 KiB blocks are eight 512-byte sectors), plus the
+//! byte-wise reference core for the speedup ratio. These are *wall-clock*
+//! numbers (like `micro`'s `crypto` group); simulated timing in the
+//! experiments is charged by `CpuCostModel` and does not depend on any of
+//! this.
 //!
-//! Recorded numbers live in `EXPERIMENTS.md` and `BENCH_crypto.json`.
+//! Recorded runs live in `EXPERIMENTS.md`. End-to-end and per-layer crypto
+//! numbers come from the repository benchmark (`benchsuite/`, its
+//! `crypto.modes.*` probes and the traced `dm.crypt` rungs).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mobiceal_blockdev::{BlockDevice, MemDisk};
@@ -128,39 +131,19 @@ fn bench_dm_single_block(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 64×4 KiB batch through `DmCrypt` over a MemDisk: the batched-parallel
-/// crypto path vs. the same batch pinned to one thread.
-fn bench_batched_parallel(c: &mut Criterion) {
-    fn crypt(parallel: bool) -> (Arc<MemDisk>, DmCrypt) {
-        let clock = SimClock::new();
-        let disk = Arc::new(MemDisk::new(2 * BATCH as u64, SECTOR, clock));
-        let dm = DmCrypt::new_essiv(disk.clone(), &[9u8; 32]);
-        let dm = if parallel { dm } else { dm.sequential() };
-        (disk, dm)
-    }
+/// A 64×4 KiB batch through `DmCrypt` over a MemDisk: one `write_blocks`
+/// and one `read_blocks` call, each a single sector-batch job list.
+fn bench_batched(c: &mut Criterion) {
+    let disk = Arc::new(MemDisk::new(2 * BATCH as u64, SECTOR, SimClock::new()));
+    let dm = DmCrypt::new_essiv(disk, &[9u8; 32]);
+    let data = vec![0x5Au8; SECTOR];
+    let writes: Vec<(u64, &[u8])> = (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();
+    let indices: Vec<u64> = (0..BATCH as u64).collect();
 
     let mut group = c.benchmark_group("crypto_batch_64x4k");
     group.throughput(Throughput::Bytes((BATCH * SECTOR) as u64));
-    let data = vec![0x5Au8; SECTOR];
-
-    for (label, parallel) in [("write_parallel", true), ("write_sequential", false)] {
-        group.bench_function(label, |b| {
-            let (_disk, dm) = crypt(parallel);
-            let writes: Vec<(u64, &[u8])> =
-                (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();
-            b.iter(|| dm.write_blocks(&writes).expect("write batch"))
-        });
-    }
-    for (label, parallel) in [("read_parallel", true), ("read_sequential", false)] {
-        group.bench_function(label, |b| {
-            let (_disk, dm) = crypt(parallel);
-            let writes: Vec<(u64, &[u8])> =
-                (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();
-            dm.write_blocks(&writes).expect("prefill");
-            let indices: Vec<u64> = (0..BATCH as u64).collect();
-            b.iter(|| dm.read_blocks(&indices).expect("read batch"))
-        });
-    }
+    group.bench_function("write", |b| b.iter(|| dm.write_blocks(&writes).expect("write batch")));
+    group.bench_function("read", |b| b.iter(|| dm.read_blocks(&indices).expect("read batch")));
     group.finish();
 }
 
@@ -168,6 +151,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_sector_modes, bench_lane_widths, bench_essiv_batch_depths,
-        bench_dm_single_block, bench_batched_parallel
+        bench_dm_single_block, bench_batched
 }
 criterion_main!(benches);

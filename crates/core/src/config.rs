@@ -26,17 +26,6 @@ pub struct MobiCealConfig {
     /// Blocks reserved for pool metadata at the front of the disk
     /// (the "metadata part" of Fig. 3).
     pub metadata_blocks: u64,
-    /// Explicit dm-crypt batch parallelism for unlocked volumes:
-    /// `Some((workers, min_sectors))` forwards to
-    /// [`mobiceal_dm::DmCrypt::with_parallelism`] — shard crypto batches of
-    /// at least `min_sectors` 512-byte sectors across up to `workers`
-    /// threads — while `None` keeps dm-crypt's byte-aware default policy.
-    /// `workers` must be positive and `min_sectors` at least
-    /// [`mobiceal_dm::MIN_PARALLEL_SECTORS`] ([`MobiCealConfig::validate`]
-    /// rejects values the crypt layer would silently clamp). Parallelism only changes host wall-clock
-    /// speed; ciphertext and simulated-clock charges are identical either
-    /// way.
-    pub crypt_parallelism: Option<(usize, usize)>,
 }
 
 impl Default for MobiCealConfig {
@@ -48,7 +37,6 @@ impl Default for MobiCealConfig {
             pbkdf2_iterations: 64, // scaled down from Android's 2000 for simulation speed
             stored_rand_refresh: SimDuration::from_secs(3600),
             metadata_blocks: 256,
-            crypt_parallelism: None,
         }
     }
 }
@@ -79,18 +67,6 @@ impl MobiCealConfig {
         if self.metadata_blocks < 8 {
             return Err(format!("metadata region too small: {}", self.metadata_blocks));
         }
-        if let Some((workers, min_sectors)) = self.crypt_parallelism {
-            if workers == 0 {
-                return Err("crypt_parallelism workers must be positive".into());
-            }
-            if min_sectors < mobiceal_dm::MIN_PARALLEL_SECTORS {
-                return Err(format!(
-                    "crypt_parallelism min_sectors must be at least {} \
-                     (dm-crypt's sharding floor), got {min_sectors}",
-                    mobiceal_dm::MIN_PARALLEL_SECTORS
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -118,27 +94,9 @@ mod tests {
             MobiCealConfig { x: 0, ..base.clone() },
             MobiCealConfig { pbkdf2_iterations: 0, ..base.clone() },
             MobiCealConfig { metadata_blocks: 2, ..base.clone() },
-            MobiCealConfig { crypt_parallelism: Some((0, 8)), ..base.clone() },
-            MobiCealConfig { crypt_parallelism: Some((4, 1)), ..base.clone() },
         ];
         for c in cases {
             assert!(c.validate().is_err(), "{c:?} should be invalid");
         }
-    }
-
-    #[test]
-    fn crypt_parallelism_round_trips() {
-        // The knob defaults off, survives struct-update round-trips, and
-        // validates when set to a sane worker count.
-        assert_eq!(MobiCealConfig::default().crypt_parallelism, None);
-        let c = MobiCealConfig { crypt_parallelism: Some((4, 8)), ..Default::default() };
-        c.validate().unwrap();
-        let copy = MobiCealConfig { ..c.clone() };
-        assert_eq!(copy, c);
-        assert_eq!(copy.crypt_parallelism, Some((4, 8)));
-        // Forcing the sequential path is a valid explicit configuration.
-        MobiCealConfig { crypt_parallelism: Some((1, 2)), ..Default::default() }
-            .validate()
-            .unwrap();
     }
 }

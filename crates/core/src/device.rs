@@ -289,10 +289,8 @@ impl MobiCeal {
             self.cpu.clone(),
             self.clock.clone(),
         );
-        let crypt = self.configure_crypt(
-            mobiceal_dm::DmCrypt::new_essiv(Arc::new(pde), &key)
-                .with_timing(self.clock.clone(), self.cpu.clone()),
-        );
+        let crypt = mobiceal_dm::DmCrypt::new_essiv(Arc::new(pde), &key)
+            .with_timing(self.clock.clone(), self.cpu.clone());
         Ok(self.assemble_unlocked(crypt, VolumeRole::Public, 1))
     }
 
@@ -310,10 +308,8 @@ impl MobiCeal {
         self.clock.advance(self.cpu.pbkdf2_cost());
         let raw = self.pool.open_volume(k)?;
         verify_header(&raw, &key, password, self.layout.block_size)?;
-        let crypt = self.configure_crypt(
-            mobiceal_dm::DmCrypt::new_essiv(Arc::new(raw), &key)
-                .with_timing(self.clock.clone(), self.cpu.clone()),
-        );
+        let crypt = mobiceal_dm::DmCrypt::new_essiv(Arc::new(raw), &key)
+            .with_timing(self.clock.clone(), self.cpu.clone());
         Ok(self.assemble_unlocked(crypt, VolumeRole::Hidden, k))
     }
 
@@ -326,16 +322,6 @@ impl MobiCeal {
     ) -> UnlockedVolume {
         let data_blocks = self.layout.data_blocks - 1;
         UnlockedVolume { inner: Arc::new(crypt), role, volume_id, data_blocks }
-    }
-
-    /// Applies the configured dm-crypt batch-parallelism knob (ROADMAP:
-    /// `with_parallelism` wired through [`MobiCealConfig`]). `None` keeps
-    /// dm-crypt's byte-aware default sharding policy.
-    fn configure_crypt(&self, crypt: mobiceal_dm::DmCrypt) -> mobiceal_dm::DmCrypt {
-        match self.config.crypt_parallelism {
-            Some((workers, min_sectors)) => crypt.with_parallelism(workers, min_sectors),
-            None => crypt,
-        }
     }
 
     /// Commits pool metadata (called by Vold on clean unmount/shutdown).
@@ -585,6 +571,7 @@ mod tests {
     #[test]
     fn initialize_and_unlock_both_roles() {
         let (_disk, _clock, mc) = fresh_device(1);
+        assert_eq!(mc.config(), &fast_config(), "config round-trips through the device");
         let public = mc.unlock_public("decoy").unwrap();
         assert_eq!(public.role(), VolumeRole::Public);
         assert_eq!(public.volume_id(), 1);
@@ -755,45 +742,6 @@ mod tests {
         let hidden = mc.unlock_hidden("hidden-a").unwrap();
         hidden.write_blocks(&batch).unwrap();
         assert_eq!(hidden.read_blocks(&[0]).unwrap()[0], blocks[0].1);
-    }
-
-    #[test]
-    fn crypt_parallelism_knob_round_trips_and_is_output_identical() {
-        // The same batched workload through a forced-parallel stack and a
-        // forced-sequential stack must leave identical media and identical
-        // simulated clocks: the knob only changes host wall-clock behavior.
-        let run = |parallelism: Option<(usize, usize)>| {
-            let clock = SimClock::new();
-            let disk = Arc::new(MemDisk::new(4096, 4096, clock.clone()));
-            let config = MobiCealConfig { crypt_parallelism: parallelism, ..fast_config() };
-            let mc = MobiCeal::initialize(
-                disk.clone(),
-                clock.clone(),
-                config.clone(),
-                "decoy",
-                &["hidden-a"],
-                77,
-            )
-            .unwrap();
-            assert_eq!(mc.config(), &config, "config round-trips through the device");
-            let public = mc.unlock_public("decoy").unwrap();
-            let blocks: Vec<(u64, Vec<u8>)> =
-                (0..32u64).map(|i| (i, vec![(i % 251) as u8; 4096])).collect();
-            let batch: Vec<(u64, &[u8])> = blocks.iter().map(|(b, d)| (*b, d.as_slice())).collect();
-            public.write_blocks(&batch).unwrap();
-            let indices: Vec<u64> = blocks.iter().map(|(b, _)| *b).collect();
-            let plain = public.read_blocks(&indices).unwrap();
-            (disk.snapshot(), clock.now(), plain)
-        };
-        let (snap_par, t_par, plain_par) = run(Some((4, 2)));
-        let (snap_seq, t_seq, plain_seq) = run(Some((1, 2)));
-        let (snap_dflt, t_dflt, plain_dflt) = run(None);
-        assert_eq!(snap_par.as_bytes(), snap_seq.as_bytes(), "media bit-identical");
-        assert_eq!(snap_par.as_bytes(), snap_dflt.as_bytes());
-        assert_eq!(t_par, t_seq, "simulated clocks identical");
-        assert_eq!(t_par, t_dflt);
-        assert_eq!(plain_par, plain_seq);
-        assert_eq!(plain_par, plain_dflt);
     }
 
     #[test]

@@ -35,32 +35,6 @@ pub enum CipherMode {
 /// module docs).
 const SECTOR_SIZE: usize = 512;
 
-/// Batches at or above this many 512-byte sectors are sharded across
-/// worker threads by default (see [`DmCrypt::with_parallelism`]).
-pub const DEFAULT_PARALLEL_MIN_SECTORS: usize = 8;
-
-/// The floor [`DmCrypt::with_parallelism`] clamps `min_sectors` to: a
-/// one-sector batch has nothing to shard. Configuration layers validate
-/// against this instead of hard-coding the clamp.
-pub const MIN_PARALLEL_SECTORS: usize = 2;
-
-/// Under the default policy each worker must carry at least this much
-/// payload before threads are spawned: spawning a scoped thread costs tens
-/// of microseconds, so a shard has to hold enough AES work to amortize it.
-/// Both modes run wide lanes on batches. On a 2-vCPU Intel Xeon, 256 KiB
-/// is ~105 µs of XTS (~2.3 GiB/s per core) and ~50 µs of ESSIV encrypt
-/// (~4.8 GiB/s, eight sector chains per register-resident AES-NI kernel
-/// call). 64 KiB would be only ~13–26 µs of AES — thread-spawn noise — so
-/// the floor is 256 KiB. Batches too shallow to feed every worker simply
-/// use fewer threads, or none. The depth threshold, like an explicit
-/// [`DmCrypt::with_parallelism`] `min_sectors`, counts 512-byte sectors,
-/// eight per 4 KiB block, and a shard boundary may fall inside a block.
-pub const DEFAULT_MIN_SHARD_BYTES: usize = 256 * 1024;
-
-/// Upper bound on the default worker count; batches are rarely deep enough
-/// to feed more cores, and tests run many stacks concurrently.
-const DEFAULT_MAX_WORKERS: usize = 8;
-
 /// A transparent encryption layer over a block device.
 ///
 /// Reads decrypt; writes encrypt; the backing device only ever sees
@@ -70,32 +44,21 @@ const DEFAULT_MAX_WORKERS: usize = 8;
 /// Every block is encrypted as its 512-byte sectors, sector `i` of block
 /// `b` numbered `b · (block_size / 512) + i`. All four block operations
 /// hand each block's sector jobs to the cipher's sector-batch entry
-/// points, in place: a single-block read or write in stack groups of at
-/// most eight sectors (one group for a 4 KiB block, so its eight CBC
-/// chains run in one kernel call), a batch as one job list (one
-/// ciphertext arena per write batch, zero extra allocation per read
-/// batch) — one virtual dispatch per batch shard, wide AES lanes inside.
-/// Batches of at least [`DEFAULT_PARALLEL_MIN_SECTORS`] sectors carrying
-/// [`DEFAULT_MIN_SHARD_BYTES`] of payload per worker shard the AES work
-/// across scoped worker threads — the real-time analogue of dm-crypt's
-/// per-CPU crypto queues. Sector ciphers are deterministic per
-/// `(key, sector, data)`, and the simulated-clock charge is computed from
-/// byte counts before the work is sharded — one `aes_cost(total bytes)`
-/// per call, never one per sector — so ciphertext on the backing device
-/// *and* virtual-clock charges are bit-for-bit identical to the
-/// sequential path (pinned by `tests/parallel_props.rs`).
+/// points, in place, on the calling thread: a single-block read or write
+/// in stack groups of at most eight sectors (one group for a 4 KiB block,
+/// so its eight CBC chains run in one kernel call), a batch as one job
+/// list (one ciphertext arena per write batch, zero extra allocation per
+/// read batch) — one virtual dispatch per batch, wide AES lanes inside.
+/// The simulated-clock charge is computed from byte counts — one
+/// `aes_cost(total bytes)` per call, never one per sector — and sector
+/// ciphers are deterministic per `(key, sector, data)`, so a batch lands
+/// the same ciphertext as per-block writes (pinned by
+/// `tests/batch_props.rs`).
 pub struct DmCrypt {
     backing: SharedDevice,
     cipher: Box<dyn SectorCipher>,
     mode: CipherMode,
     timing: Option<(SimClock, CpuCostModel)>,
-    /// Maximum worker threads for batched crypto (1 = always sequential).
-    workers: usize,
-    /// Minimum batch depth, in sectors, before threads are spawned.
-    parallel_min_sectors: usize,
-    /// Minimum payload bytes per worker before threads are spawned
-    /// (0 = shard on depth alone; set by [`DmCrypt::with_parallelism`]).
-    min_shard_bytes: usize,
     /// 512-byte sectors per block (`block_size / 512`, rounded up).
     sectors_per_block: u64,
 }
@@ -133,48 +96,13 @@ impl DmCrypt {
 
     fn with_cipher(backing: SharedDevice, cipher: Box<dyn SectorCipher>, mode: CipherMode) -> Self {
         let sectors_per_block = backing.block_size().div_ceil(SECTOR_SIZE) as u64;
-        DmCrypt {
-            sectors_per_block,
-            backing,
-            cipher,
-            mode,
-            timing: None,
-            workers: default_workers(),
-            parallel_min_sectors: DEFAULT_PARALLEL_MIN_SECTORS,
-            min_shard_bytes: DEFAULT_MIN_SHARD_BYTES,
-        }
+        DmCrypt { sectors_per_block, backing, cipher, mode, timing: None }
     }
 
     /// Attaches CPU timing: AES work will advance `clock` per `model`.
     pub fn with_timing(mut self, clock: SimClock, model: CpuCostModel) -> Self {
         self.timing = Some((clock, model));
         self
-    }
-
-    /// Configures batched-crypto parallelism explicitly: shard batches of
-    /// at least `min_sectors` 512-byte sectors across up to `workers`
-    /// threads.
-    /// `workers <= 1` keeps every batch on the calling thread.
-    ///
-    /// Unlike the default policy, an explicit configuration shards on
-    /// batch depth alone — no [`DEFAULT_MIN_SHARD_BYTES`] amortization
-    /// guard — so tests and tuning runs can force the threaded path for
-    /// any batch the depth threshold admits.
-    ///
-    /// Parallelism only changes wall-clock speed: ciphertext and
-    /// simulated-clock charges are identical in either configuration.
-    pub fn with_parallelism(mut self, workers: usize, min_sectors: usize) -> Self {
-        self.workers = workers.max(1);
-        self.parallel_min_sectors = min_sectors.max(MIN_PARALLEL_SECTORS);
-        self.min_shard_bytes = 0;
-        self
-    }
-
-    /// Disables batched-crypto parallelism (equivalent to
-    /// `with_parallelism(1, _)`).
-    pub fn sequential(self) -> Self {
-        let min = self.parallel_min_sectors;
-        self.with_parallelism(1, min)
     }
 
     /// The cipher mode in use.
@@ -185,20 +113,6 @@ impl DmCrypt {
     fn charge_aes(&self, bytes: usize) {
         if let Some((clock, model)) = &self.timing {
             clock.advance(model.aes_cost(bytes));
-        }
-    }
-
-    /// How many worker threads a batch of `jobs` sectors carrying `bytes`
-    /// of payload should be sharded across: the configured worker count,
-    /// reduced so every shard holds enough bytes to amortize its thread
-    /// spawn, and 1 (inline) for batches below the depth threshold.
-    fn shard_count(&self, jobs: usize, bytes: usize) -> usize {
-        if jobs < self.parallel_min_sectors {
-            return 1;
-        }
-        match self.min_shard_bytes {
-            0 => self.workers,
-            min => self.workers.min(bytes / min).max(1),
         }
     }
 
@@ -251,38 +165,11 @@ impl DmCrypt {
             self.crypt_jobs(&mut group[..n], encrypt);
         }
     }
-
-    /// Runs the cipher over every `(sector, buffer)` job of a batch,
-    /// sharding it across scoped worker threads when it is deep enough.
-    /// Jobs are disjoint buffers and sector ciphers are pure per job, so
-    /// sharding cannot change the bytes produced. Each shard crosses the
-    /// cipher's virtual dispatch once via the sector-batch entry points;
-    /// inside, the mode feeds the wide AES lanes (ESSIV runs up to eight
-    /// sectors per kernel call, so shard boundaries only change grouping).
-    fn crypt_sectors(&self, mut jobs: Vec<(u64, &mut [u8])>, encrypt: bool) {
-        let shards = self.shard_count(jobs.len(), jobs.iter().map(|(_, b)| b.len()).sum());
-        if shards <= 1 {
-            self.crypt_jobs(&mut jobs, encrypt);
-            return;
-        }
-        let per_shard = jobs.len().div_ceil(shards);
-        std::thread::scope(|s| {
-            for chunk in jobs.chunks_mut(per_shard) {
-                s.spawn(move || self.crypt_jobs(chunk, encrypt));
-            }
-        });
-    }
 }
 
 /// Sectors per stack group on the single-block paths: the most lanes one
 /// CBC kernel call takes, and exactly one 4 KiB block.
 const BLOCK_GROUP: usize = 8;
-
-/// Default worker count: the machine's parallelism, capped so deep test
-/// matrices don't oversubscribe the host.
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(DEFAULT_MAX_WORKERS)
-}
 
 impl BlockDevice for DmCrypt {
     fn num_blocks(&self) -> u64 {
@@ -309,29 +196,27 @@ impl BlockDevice for DmCrypt {
     }
 
     /// Batched read: one vectored read on the backing device, then in-place
-    /// (possibly thread-sharded) decryption of every sector — no extra
-    /// allocation. AES time for the whole batch is charged in one clock
-    /// advance, before the work is sharded.
+    /// decryption of every sector — no extra allocation. AES time for the
+    /// whole batch is charged in one clock advance.
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         let mut bufs = self.backing.read_blocks(indices)?;
         self.charge_aes(bufs.iter().map(Vec::len).sum());
-        let jobs = self.batch_sectors(
+        let mut jobs = self.batch_sectors(
             indices.iter().zip(bufs.iter_mut()).map(|(&index, buf)| (index, buf.as_mut_slice())),
         );
-        self.crypt_sectors(jobs, false);
+        self.crypt_jobs(&mut jobs, false);
         Ok(bufs)
     }
 
     /// Batched write: copies the batch into one contiguous ciphertext
     /// arena (a single allocation, not one per sector), encrypts every
-    /// sector in place — sharded across threads for deep batches — then
-    /// issues one vectored write on the backing device. A wrong-sized
-    /// buffer mid-batch writes the valid prefix first, preserving
-    /// sequential fail-fast semantics. AES time for the whole valid batch
-    /// is charged even when the backing write then fails mid-batch — the
-    /// encryption work really was done up front, which is where the
-    /// batched path's cost deliberately differs from the sequential loop's
-    /// on failure.
+    /// sector in place, then issues one vectored write on the backing
+    /// device. A wrong-sized buffer mid-batch writes the valid prefix
+    /// first, preserving sequential fail-fast semantics. AES time for the
+    /// whole valid batch is charged even when the backing write then fails
+    /// mid-batch — the encryption work really was done up front, which is
+    /// where the batched path's cost deliberately differs from the
+    /// sequential loop's on failure.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
         let bs = self.block_size();
         let bad = writes.iter().position(|&(_, d)| d.len() != bs);
@@ -341,10 +226,10 @@ impl BlockDevice for DmCrypt {
         for &(_, data) in valid {
             arena.extend_from_slice(data);
         }
-        let jobs = self.batch_sectors(
+        let mut jobs = self.batch_sectors(
             valid.iter().zip(arena.chunks_mut(bs)).map(|(&(index, _), slot)| (index, slot)),
         );
-        self.crypt_sectors(jobs, true);
+        self.crypt_jobs(&mut jobs, true);
         let refs: Vec<(BlockIndex, &[u8])> =
             valid.iter().zip(arena.chunks(bs)).map(|(&(index, _), ct)| (index, ct)).collect();
         self.backing.write_blocks(&refs)?;
@@ -489,27 +374,6 @@ mod tests {
                 assert_eq!(expect, got, "batched read decrypts to the written plaintext");
             }
         }
-    }
-
-    #[test]
-    fn shard_policy_amortizes_thread_spawns() {
-        let (_, enc) = setup(CipherMode::CbcEssiv);
-        let enc = enc.with_parallelism(8, 8);
-        // Explicit config shards on depth alone.
-        assert_eq!(enc.shard_count(7, 7 * 512), 1, "below depth threshold");
-        assert_eq!(enc.shard_count(64, 64 * 512), 8, "explicit config ignores bytes");
-        // The default policy refuses to spawn threads that would each get
-        // less than DEFAULT_MIN_SHARD_BYTES of work (256 KiB), so the
-        // 64x4 KiB batch the stack write path emits stays inline (~50 µs
-        // of ESSIV encrypt in eight-chain kernel calls, ~105 µs of XTS:
-        // not worth a spawn) while genuinely deep batches still fan out.
-        let (_, dflt) = setup(CipherMode::CbcEssiv);
-        let dflt = DmCrypt { workers: 8, ..dflt };
-        assert_eq!(dflt.shard_count(64, 64 * 512), 1, "32 KiB batch stays inline");
-        assert_eq!(dflt.shard_count(64, 64 * 4096), 1, "256 KiB batch feeds one worker");
-        assert_eq!(dflt.shard_count(256, 256 * 4096), 4, "1 MiB batch feeds 4 workers");
-        assert_eq!(dflt.shard_count(1024, 1024 * 4096), 8, "deep batch uses all workers");
-        assert_eq!(dflt.shard_count(4, 4 << 20), 1, "depth threshold still applies");
     }
 
     /// The sector cipher `DmCrypt` builds for `mode` from `setup`'s keys.

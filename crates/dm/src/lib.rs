@@ -31,5 +31,5 @@
 mod crypt;
 mod linear;
 
-pub use crypt::{CipherMode, DmCrypt, MIN_PARALLEL_SECTORS};
+pub use crypt::{CipherMode, DmCrypt};
 pub use linear::DmLinear;

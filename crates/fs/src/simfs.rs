@@ -19,9 +19,8 @@
 //!
 //! Data writes and the metadata write-back each land as one vectored
 //! `write_blocks` batch, so when the device below is a `DmCrypt` target the
-//! whole batch is encrypted in place (and thread-sharded when deep enough)
-//! with no per-sector allocation — the file system itself never re-buffers
-//! full-block writes.
+//! whole batch is encrypted in place with no per-sector allocation — the
+//! file system itself never re-buffers full-block writes.
 
 use crate::fs_trait::{FileSystem, FsError};
 use mobiceal_blockdev::SharedDevice;

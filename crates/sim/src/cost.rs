@@ -198,10 +198,11 @@ impl EmmcCostModel {
     /// A Nexus 4-class medium upgraded to an eMMC 5.1 command queue: the
     /// same per-block/transfer timing as [`EmmcCostModel::nexus4`], plus
     /// the CQE 32-slot task queue that lets the controller overlap the
-    /// latency phases of queued commands. This is the profile the
-    /// `multi_tenant` workload drives so multi-volume concurrency shows up
-    /// in *simulated* time; the paper's own (single-threaded, pre-CQE)
-    /// figures keep using `nexus4()`.
+    /// latency phases of queued commands. The benchmark suite's
+    /// `multi_tenant` workload (`benchsuite/`) drives this profile through
+    /// `IoEngine` rings so multi-volume concurrency shows up in *simulated*
+    /// time; the paper's own (single-threaded, pre-CQE) figures keep using
+    /// `nexus4()`.
     pub fn emmc51_cqe() -> Self {
         EmmcCostModel { queue_depth: 32, ..EmmcCostModel::nexus4() }
     }
@@ -368,9 +369,8 @@ impl CostModel for EmmcCostModel {
 /// This model is the *only* source of simulated encryption time: layers like
 /// `DmCrypt` charge [`CpuCostModel::aes_cost`] to the virtual clock for the
 /// bytes they process, regardless of how fast the host actually runs the
-/// real cipher (T-tables, AES-NI, or the byte-wise reference core) and of
-/// whether a batch was sharded across worker threads. Making the real
-/// implementation faster therefore never moves a simulated result.
+/// real cipher (T-tables, AES-NI, or the byte-wise reference core). Making
+/// the real implementation faster therefore never moves a simulated result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CpuCostModel {
     /// AES-CBC/XTS bulk cost per byte (encrypt or decrypt).

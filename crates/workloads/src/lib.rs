@@ -18,18 +18,14 @@
 
 pub mod bonnie;
 pub mod dd;
-pub mod gc_tail;
 pub mod iozone;
-pub mod multi_tenant;
 pub mod report;
 pub mod stacks;
 pub mod table1;
 
 pub use bonnie::{BonnieResult, BonnieWorkload};
 pub use dd::{DdResult, DdWorkload};
-pub use gc_tail::{GcTailResult, GcTailWorkload};
 pub use iozone::{IozoneResult, IozoneWorkload};
-pub use multi_tenant::{MultiTenantResult, MultiTenantWorkload};
 pub use report::{render_table, Cell, Table};
 pub use stacks::{build_stack, StackConfig, StackHandle};
 pub use table1::{defy_row, hive_row, mobiceal_row, Table1Row};
