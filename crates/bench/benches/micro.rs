@@ -32,6 +32,12 @@ fn bench_crypto(c: &mut Criterion) {
         let mut buf = vec![0u8; 4096];
         b.iter(|| rng.fill_bytes(&mut buf))
     });
+
+    // A thin-pool checkpoint digests its whole payload (about 124 KB on
+    // the suite's `gc_tail` pool) on every journal wrap.
+    let checkpoint = vec![0x5Au8; 128 * 1024];
+    group.throughput(Throughput::Bytes(checkpoint.len() as u64));
+    group.bench_function("sha256_checkpoint_128k", |b| b.iter(|| sha256(&checkpoint)));
     group.finish();
 
     // Dummy bursts draw their noise as one buffer of `blocks` 4 KiB blocks,
@@ -81,8 +87,16 @@ fn bench_allocators(c: &mut Criterion) {
         )
     });
     group.bench_function("bitmap_nth_free", |b| {
-        let bm = make_bitmap();
-        b.iter(|| bm.nth_free(10_000))
+        // The suite's pool size, a third allocated, and `n` drawn
+        // uniformly over the free blocks as random allocation draws it.
+        let mut bm = Bitmap::new(16_384);
+        for i in (0..16_384).step_by(3) {
+            bm.set(i);
+        }
+        let mut rng = ChaCha20Rng::from_u64_seed(11);
+        let draws: Vec<u64> = (0..4096).map(|_| rng.next_below(bm.free())).collect();
+        let mut n = draws.iter().cycle();
+        b.iter(|| bm.nth_free(*n.next().expect("cycle never ends")))
     });
     group.finish();
 }

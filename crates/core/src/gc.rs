@@ -123,22 +123,25 @@ impl MobiCeal {
         // Large-with-high-probability fraction: p = f^(1/4), f ~ U(0,1).
         let fraction = rng.next_f64().powf(0.25);
 
-        let view = self.metadata_view();
         let mut report =
             GcReport { dummy_volumes: 0, blocks_before: 0, blocks_reclaimed: 0, fraction };
         let mut discards = Vec::new();
-        for (&id, vol) in &view.volumes {
+        // Ascending ids, each volume's mapped blocks read under its own
+        // lock: no copy of the other volumes' mapping tables.
+        for id in self.pool().volume_ids() {
             if protected.contains(&id) {
                 continue;
             }
+            let Some(mut indices) = self.pool().mapped_vblocks(id) else {
+                continue;
+            };
             report.dummy_volumes += 1;
             // Keep vblock 0 (the init-time noise header) so the uniform
             // one-block footprint of §IV-C is preserved.
-            let candidates: Vec<u64> = vol.mappings.keys().filter(|&v| v != 0).collect();
-            report.blocks_before += candidates.len() as u64;
-            let reclaim_count = (candidates.len() as f64 * fraction).floor() as usize;
+            indices.retain(|&v| v != 0);
+            report.blocks_before += indices.len() as u64;
+            let reclaim_count = (indices.len() as f64 * fraction).floor() as usize;
             // Reclaim a uniformly random subset of that size.
-            let mut indices: Vec<u64> = candidates;
             for i in (1..indices.len()).rev() {
                 let j = rng.next_below(i as u64 + 1) as usize;
                 indices.swap(i, j);

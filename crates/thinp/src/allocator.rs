@@ -128,11 +128,11 @@ impl Allocator for RandomAllocator {
             }
         }
         // Dense-reservation fallback: pick uniformly among the not-reserved
-        // free blocks by enumeration.
-        let candidates: Vec<u64> = (0..free)
-            .filter_map(|n| bitmap.nth_free(n))
-            .filter(|b| !reserved.contains(b))
-            .collect();
+        // free blocks, enumerated in one ascending pass.
+        let candidates: Vec<u64> =
+            std::iter::successors(bitmap.first_free_from(0), |&b| bitmap.first_free_from(b + 1))
+                .filter(|b| !reserved.contains(b))
+                .collect();
         if candidates.is_empty() {
             None
         } else {
@@ -241,6 +241,43 @@ mod tests {
             seen.insert(alloc.allocate(&bitmap, &reserved).unwrap());
         }
         assert_eq!(seen, [62u64, 63].into_iter().collect());
+    }
+
+    #[test]
+    fn dense_reservation_fallback_picks_equal_the_rank_enumeration() {
+        // 320 blocks over five words, every even block committed and all
+        // but two of the odd ones reserved: most allocations exhaust their
+        // 64 draws and take the fallback. The reference is the fallback's
+        // earlier form, which enumerated candidates by `nth_free` rank.
+        let mut bitmap = Bitmap::new(320);
+        for b in (0..320).step_by(2) {
+            bitmap.set(b);
+        }
+        let reserved: HashSet<u64> = (1..320).step_by(2).filter(|&b| b != 77 && b != 251).collect();
+        let mut fallbacks = 0;
+        let mut reference = |rng: &mut ChaCha20Rng| {
+            let free = bitmap.free();
+            for _ in 0..64 {
+                let block = bitmap.nth_free(rng.next_below(free)).unwrap();
+                if !reserved.contains(&block) {
+                    return block;
+                }
+            }
+            fallbacks += 1;
+            let candidates: Vec<u64> = (0..free)
+                .filter_map(|n| bitmap.nth_free(n))
+                .filter(|b| !reserved.contains(b))
+                .collect();
+            candidates[rng.next_below(candidates.len() as u64) as usize]
+        };
+        for seed in 0..6 {
+            let mut alloc = RandomAllocator::with_seed(seed);
+            let mut rng = ChaCha20Rng::from_u64_seed(seed);
+            for _ in 0..20 {
+                assert_eq!(alloc.allocate(&bitmap, &reserved), Some(reference(&mut rng)));
+            }
+        }
+        assert!(fallbacks >= 30, "only {fallbacks} allocations took the fallback");
     }
 
     #[test]

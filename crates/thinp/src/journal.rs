@@ -26,7 +26,7 @@
 
 use crate::extent::Extent;
 use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
-use mobiceal_crypto::sha256;
+use mobiceal_crypto::Sha256;
 
 /// Magic prefix of every journal record header.
 pub const RECORD_MAGIC: &[u8; 4] = b"MCJR";
@@ -198,17 +198,19 @@ pub struct JournalRecord {
 impl JournalRecord {
     /// Serializes header + payload (unpadded).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(self.ops.len() as u64).to_le_bytes());
-        for op in &self.ops {
-            op.encode_into(&mut payload);
-        }
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(RECORD_MAGIC);
         out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&Self::digest(self.seq, &payload));
-        out.extend_from_slice(&payload);
+        // The payload length and digest are filled in once it is encoded.
+        out.resize(HEADER_LEN, 0);
+        out.extend_from_slice(&(self.ops.len() as u64).to_le_bytes());
+        for op in &self.ops {
+            op.encode_into(&mut out);
+        }
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        out[12..20].copy_from_slice(&payload_len.to_le_bytes());
+        let digest = Self::digest(self.seq, &out[HEADER_LEN..]);
+        out[20..HEADER_LEN].copy_from_slice(&digest);
         out
     }
 
@@ -216,10 +218,10 @@ impl JournalRecord {
     /// corrupted seq is caught by the checksum, not just the replay
     /// sequence check.
     fn digest(seq: u64, payload: &[u8]) -> [u8; 32] {
-        let mut buf = Vec::with_capacity(8 + payload.len());
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(payload);
-        sha256(&buf)
+        let mut h = Sha256::new();
+        h.update(&seq.to_le_bytes());
+        h.update(payload);
+        h.finalize()
     }
 
     /// Parses one record from the head of `data`, returning it together
@@ -316,24 +318,15 @@ impl TransactionManager {
     /// still names the old extent, so a partial append is rolled back by
     /// replay ignoring it.
     pub fn append(&self, used: u64, record: &JournalRecord) -> Result<u64, BlockDeviceError> {
-        let bytes = record.to_bytes();
+        let mut bytes = record.to_bytes();
         let bs = self.meta.block_size();
         let need = bytes.len().div_ceil(bs) as u64;
         if used + need > self.cfg.blocks {
             return Err(BlockDeviceError::NoSpace);
         }
-        let blocks: Vec<Vec<u8>> = (0..need)
-            .map(|i| {
-                let mut block = vec![0u8; bs];
-                let lo = i as usize * bs;
-                let hi = (lo + bs).min(bytes.len());
-                block[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-                block
-            })
-            .collect();
+        bytes.resize(need as usize * bs, 0);
         let start = self.cfg.first_block + used;
-        let writes: Vec<(BlockIndex, &[u8])> =
-            blocks.iter().enumerate().map(|(i, b)| (start + i as u64, b.as_slice())).collect();
+        let writes: Vec<(BlockIndex, &[u8])> = (start..).zip(bytes.chunks_exact(bs)).collect();
         self.meta.write_blocks(&writes)?;
         self.meta.flush()?;
         Ok(used + need)

@@ -72,6 +72,39 @@ fn le_u64(bytes: &[u8]) -> Result<u64, BlockDeviceError> {
     Ok(u64::from_le_bytes(arr))
 }
 
+/// Appends the checkpoint payload for `transaction_id`, `bitmap` and
+/// `(id, virtual_blocks, mappings)` per volume (ascending id) to `out`.
+/// The one encoder behind [`MetadataView::to_bytes`] and the pool's
+/// checkpoint, which hands it the mapping tables it holds locked instead
+/// of cloning them into a view.
+pub(crate) fn encode_payload<'a, I>(
+    transaction_id: u64,
+    bitmap: &Bitmap,
+    volumes: I,
+    out: &mut Vec<u8>,
+) where
+    I: ExactSizeIterator<Item = (u32, u64, &'a ExtentMap)> + Clone,
+{
+    let bm = bitmap.to_bytes();
+    let volume_bytes: usize =
+        volumes.clone().map(|(_, _, mappings)| 4 + 8 + 8 + 24 * mappings.extent_count()).sum();
+    out.reserve(8 + 8 + bm.len() + 4 + volume_bytes);
+    out.extend_from_slice(&transaction_id.to_le_bytes());
+    out.extend_from_slice(&(bm.len() as u64).to_le_bytes());
+    out.extend_from_slice(&bm);
+    out.extend_from_slice(&(volumes.len() as u32).to_le_bytes());
+    for (id, virtual_blocks, mappings) in volumes {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&virtual_blocks.to_le_bytes());
+        out.extend_from_slice(&(mappings.extent_count() as u64).to_le_bytes());
+        for e in mappings.extents() {
+            out.extend_from_slice(&e.virt_begin.to_le_bytes());
+            out.extend_from_slice(&e.data_begin.to_le_bytes());
+            out.extend_from_slice(&e.len.to_le_bytes());
+        }
+    }
+}
+
 impl MetadataView {
     /// Total physical blocks mapped by volume `id` (0 if absent).
     pub fn mapped_blocks(&self, id: u32) -> u64 {
@@ -82,21 +115,12 @@ impl MetadataView {
     /// volume).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&self.transaction_id.to_le_bytes());
-        let bm = self.bitmap.to_bytes();
-        out.extend_from_slice(&(bm.len() as u64).to_le_bytes());
-        out.extend_from_slice(&bm);
-        out.extend_from_slice(&(self.volumes.len() as u32).to_le_bytes());
-        for vol in self.volumes.values() {
-            out.extend_from_slice(&vol.id.to_le_bytes());
-            out.extend_from_slice(&vol.virtual_blocks.to_le_bytes());
-            out.extend_from_slice(&(vol.mappings.extent_count() as u64).to_le_bytes());
-            for e in vol.mappings.extents() {
-                out.extend_from_slice(&e.virt_begin.to_le_bytes());
-                out.extend_from_slice(&e.data_begin.to_le_bytes());
-                out.extend_from_slice(&e.len.to_le_bytes());
-            }
-        }
+        encode_payload(
+            self.transaction_id,
+            &self.bitmap,
+            self.volumes.values().map(|v| (v.id, v.virtual_blocks, &v.mappings)),
+            &mut out,
+        );
         out
     }
 

@@ -4,7 +4,7 @@ use crate::allocator::{AllocStrategy, Allocator, RandomAllocator, SequentialAllo
 use crate::bitmap::Bitmap;
 use crate::extent::{Extent, ExtentMap};
 use crate::journal::{DeltaOp, JournalConfig, JournalRecord, TransactionManager};
-use crate::meta::{MetadataView, Superblock, VolumeMeta};
+use crate::meta::{encode_payload, MetadataView, Superblock, VolumeMeta};
 use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
 use mobiceal_crypto::sha256;
 use mobiceal_sim::{SimClock, SimDuration};
@@ -591,56 +591,33 @@ impl ThinPool {
         volumes: &[(VolumeId, MutexGuard<'_, VolumeState>)],
         alloc: &mut AllocState,
     ) -> Result<(), BlockDeviceError> {
-        let view = MetadataView {
-            transaction_id: alloc.transaction_id + 1,
-            bitmap: alloc.live_bitmap(),
-            volumes: volumes
-                .iter()
-                .map(|(id, v)| {
-                    (
-                        *id,
-                        VolumeMeta {
-                            id: *id,
-                            virtual_blocks: v.virtual_blocks,
-                            mappings: v.mappings.clone(),
-                        },
-                    )
-                })
-                .collect(),
-        };
-        let payload = view.to_bytes();
+        let mut payload = Vec::new();
+        encode_payload(
+            alloc.transaction_id + 1,
+            &alloc.live_bitmap(),
+            volumes.iter().map(|(id, v)| (*id, v.virtual_blocks, &v.mappings)),
+            &mut payload,
+        );
+        let payload_len = payload.len();
         let MetaGeometry { half_first, half_len, .. } = Self::geometry(&self.meta);
         let bs = self.meta.block_size();
         let target_half = 1 - alloc.active_half;
         let start = half_first + target_half as u64 * half_len;
-        let need_blocks = payload.len().div_ceil(bs) as u64;
+        let need_blocks = payload_len.div_ceil(bs) as u64;
         if need_blocks > half_len {
             return Err(BlockDeviceError::NoSpace);
         }
-        // One vectored write for the whole payload half instead of a write
-        // per metadata block.
-        let blocks: Vec<Vec<u8>> = (0..need_blocks)
-            .map(|i| {
-                let mut block = vec![0u8; bs];
-                let lo = i as usize * bs;
-                let hi = (lo + bs).min(payload.len());
-                block[..hi - lo].copy_from_slice(&payload[lo..hi]);
-                block
-            })
-            .collect();
-        let writes: Vec<(BlockIndex, &[u8])> = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, block)| (start + i as u64, block.as_slice()))
-            .collect();
+        let digest = sha256(&payload);
+        // One vectored write of the zero-padded payload, block by block.
+        payload.resize(need_blocks as usize * bs, 0);
+        let writes: Vec<(BlockIndex, &[u8])> = (start..).zip(payload.chunks_exact(bs)).collect();
         self.meta.write_blocks(&writes)?;
         self.meta.flush()?;
         // Superblock last: this is the commit point.
-        let digest = sha256(&payload);
         let sb = Superblock {
             transaction_id: alloc.transaction_id + 1,
             active_half: target_half,
-            payload_len: payload.len() as u64,
+            payload_len: payload_len as u64,
             payload_digest: digest,
             checkpoint_txid: alloc.transaction_id + 1,
             journal_blocks: 0,
@@ -648,7 +625,7 @@ impl ThinPool {
         self.write_superblock(&sb)?;
         alloc.active_half = target_half;
         alloc.checkpoint_txid = alloc.transaction_id + 1;
-        alloc.checkpoint_payload_len = payload.len() as u64;
+        alloc.checkpoint_payload_len = payload_len as u64;
         alloc.checkpoint_digest = digest;
         alloc.journal_used = 0;
         Ok(())
@@ -878,6 +855,14 @@ impl ThinPool {
     /// Ids of existing volumes.
     pub fn volume_ids(&self) -> Vec<VolumeId> {
         self.shared.directory.read().keys().copied().collect()
+    }
+
+    /// The virtual blocks volume `id` maps, ascending, read under that
+    /// volume's lock alone (`None` if the volume does not exist).
+    pub fn mapped_vblocks(&self, id: VolumeId) -> Option<Vec<u64>> {
+        let handle = self.shared.directory.read().get(&id).cloned()?;
+        let vol = handle.lock();
+        (!vol.deleted).then(|| vol.mappings.keys().collect())
     }
 
     /// Physical blocks mapped by volume `id` (0 if absent).
@@ -1795,6 +1780,10 @@ mod tests {
         assert_eq!(view.bitmap.allocated(), 1);
         assert_eq!(p.volume_ids(), vec![1]);
         assert_eq!(p.volume_mapped_blocks(1), 1);
+        v.write_block(42, &vec![2u8; 512]).unwrap();
+        v.write_block(17, &vec![3u8; 512]).unwrap();
+        assert_eq!(p.mapped_vblocks(1), Some(vec![0, 17, 42]));
+        assert_eq!(p.mapped_vblocks(2), None);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Integration: the full stack — file systems over MobiCeal volumes over
 //! thin provisioning over dm-crypt over the simulated eMMC.
 
-use mobiceal::{MobiCeal, MobiCealConfig};
+use mobiceal::{DummyStats, MobiCeal, MobiCealConfig};
 use mobiceal_blockdev::{BlockDevice, MemDisk, SharedDevice};
 use mobiceal_fs::{FatFs, FileSystem, SimFs};
 use mobiceal_sim::SimClock;
+use mobiceal_thinp::Superblock;
 use mobiceal_workloads::{build_stack, StackConfig};
 use std::sync::Arc;
 
@@ -302,4 +303,63 @@ fn dd_public_write_trace_pins_the_medium_outside_public_data() {
         public.mappings.len(),
         mc.dummy_stats()
     );
+}
+
+#[test]
+fn gc_and_checkpoint_trace_pins_the_medium_image() {
+    // Golden pin for the metadata write path: fresh public writes with a
+    // GC session pass every third round, and enough commits to wrap the
+    // 7-block journal region several times. It pins the allocation
+    // stream, the GC victims, every journal record and checkpoint payload
+    // (and their digests) on the raw medium, and the simulated time.
+    let (disk, clock, mc) = fresh(7);
+    let public = mc.unlock_public("decoy").unwrap();
+    let session = mc.begin_gc_session(&["hidden"]).unwrap();
+    let mut reports = Vec::new();
+    let mut checkpoints = 0;
+    for round in 0..24u64 {
+        let data = vec![round as u8 ^ 0x3C; 4096];
+        for i in 0..40 {
+            public.write_block(round * 40 + i, &data).unwrap();
+        }
+        if round % 3 == 2 {
+            reports.push(mc.garbage_collect_in_session(&session, 900 + round).unwrap());
+        } else {
+            mc.commit().unwrap();
+        }
+        // A checkpoint resets the committed journal extent to zero; a
+        // journaled commit always leaves at least one block in it.
+        let sb = Superblock::decode(disk.snapshot().block(0)).unwrap();
+        if sb.journal_blocks == 0 {
+            checkpoints += 1;
+        }
+    }
+    assert!(checkpoints >= 2, "{checkpoints} checkpoints: the journal must wrap twice");
+    let pinned: [(u64, u64, f64); 8] = [
+        (30, 17, 0.5886837766995178),
+        (21, 11, 0.5453216458961208),
+        (27, 25, 0.9546158042424434),
+        (23, 9, 0.41057824479267346),
+        (22, 19, 0.9010464623684022),
+        (16, 15, 0.9941118894935589),
+        (26, 17, 0.6640494741739019),
+        (31, 27, 0.874755082673856),
+    ];
+    let got: Vec<(u64, u64, f64)> =
+        reports.iter().map(|r| (r.blocks_before, r.blocks_reclaimed, r.fraction)).collect();
+    assert_eq!(got, pinned);
+    assert!(reports.iter().all(|r| r.dummy_volumes == 4), "{reports:?}");
+    assert_eq!(
+        mc.dummy_stats(),
+        DummyStats {
+            trigger_checks: 960,
+            bursts: 149,
+            blocks_written: 144,
+            blocks_dropped: 0,
+            refreshes: 0
+        }
+    );
+    assert_eq!(clock.now().as_nanos(), 492_722_848);
+    let digest = mobiceal_crypto::to_hex(&mobiceal_crypto::sha256(disk.snapshot().as_bytes()));
+    assert_eq!(digest, "c84a899763e2f18d598e7cdf310624c660fda576f7076aad8ac2f040e47577f5");
 }
