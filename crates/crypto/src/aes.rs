@@ -1,5 +1,5 @@
-//! AES-128/192/256 (FIPS 197), T-table implementation with an AES-NI
-//! hardware fast path.
+//! AES-128/192/256 (FIPS 197), T-table implementation with AES-NI and
+//! 512-bit VAES hardware fast paths.
 //!
 //! The S-box, its inverse, and the four encrypt/decrypt T-tables are all
 //! *derived at compile time* from the GF(2^8) definition (multiplicative
@@ -11,8 +11,12 @@
 //! hundreds of thousands of GF multiplications. On x86-64 hosts that
 //! report AES-NI at runtime, blocks instead go through the `AESENC` /
 //! `AESDEC` instructions (the same key schedule feeds both backends, like
-//! the kernel's `aesni-intel` vs `aes-generic` split); everything else
-//! falls back to the T-tables.
+//! the kernel's `aesni-intel` vs `aes-generic` split); hosts that also
+//! report AVX-512F and VAES run the two CBC lane entry points on 512-bit
+//! `zmm` registers, four blocks per `VAESENC` / `VAESDEC`, while single
+//! blocks and the independent-block ladders stay on AES-NI. Everything
+//! else falls back to the T-tables. One backend enum, picked once at key
+//! schedule time, decides every dispatch.
 //!
 //! `AESENC` has ~4-cycle latency but 1/cycle throughput, so a single
 //! dependent chain of rounds leaves three quarters of the unit idle.
@@ -27,15 +31,19 @@
 //!
 //! CBC encrypt cannot split a chain: block `i`'s input is block `i - 1`'s
 //! output. [`BlockCipher::cbc_encrypt_lanes`] instead runs 1..=8 whole
-//! chains at once through one AES-NI kernel that loads the round keys
-//! once per call and keeps every chain value in an xmm register from IV
-//! to last block, so a lone sector runs at the `AESENC` latency bound and
-//! eight sectors fill the pipeline (Gueron's AES-NI white paper does the
-//! same). Its portable default is a lane-buffer loop over
-//! [`BlockCipher::encrypt_blocks`]. CBC decrypt has no chain: every block
-//! is `D(C_i) ^ C_{i-1}` over ciphertexts that already exist, so
-//! [`BlockCipher::cbc_decrypt_lanes`] takes the same lanes through one
-//! kernel that decrypts eight blocks at a time and XORs each with the
+//! chains at once through one kernel that loads the round keys once per
+//! call and keeps every chain value in a register from IV to last block.
+//! The AES-NI kernel holds one chain per xmm register, so a lone sector
+//! runs at the `AESENC` latency bound and eight sectors fill the pipeline
+//! (Gueron's AES-NI white paper does the same); the VAES kernel packs 2..=8
+//! chains into two zmm registers, chain `i` in 128-bit lane `i % 4` of
+//! register `i / 4`, so one `VAESENC` advances four chains. Its portable
+//! default is a lane-buffer loop over [`BlockCipher::encrypt_blocks`]. CBC
+//! decrypt has no chain: every block is `D(C_i) ^ C_{i-1}` over
+//! ciphertexts that already exist, so [`BlockCipher::cbc_decrypt_lanes`]
+//! takes the same lanes through one kernel that decrypts many blocks per
+//! ladder (eight xmm registers of one block under AES-NI; eight zmm
+//! registers of four blocks, then one, under VAES) and XORs each with the
 //! previous ciphertext block held in a register (the sector's IV at each
 //! sector boundary); its portable default saves each chunk's ciphertext on
 //! the stack and applies the lagged XOR after
@@ -213,8 +221,10 @@ pub trait BlockCipher: Send + Sync {
     /// sector on the stack, and for each block offset the blocks XOR into
     /// their lanes, one [`BlockCipher::encrypt_blocks`] call encrypts every
     /// lane, and the results are copied back as ciphertext. The AES
-    /// ciphers override it with an AES-NI kernel that keeps the chains in
-    /// registers; every implementation computes the same bytes.
+    /// ciphers override it with a hardware kernel that keeps the chains in
+    /// registers: one chain per xmm register under AES-NI, four chains per
+    /// zmm register under VAES. Every implementation computes the same
+    /// bytes.
     ///
     /// # Panics
     ///
@@ -233,9 +243,10 @@ pub trait BlockCipher: Send + Sync {
     /// block waits on another. The default saves each sector's ciphertext
     /// chunk by chunk to the stack, decrypts the chunk through
     /// [`BlockCipher::decrypt_blocks`] and XORs each block with the saved
-    /// ciphertext one block back. The AES ciphers override it with an
-    /// AES-NI kernel that holds the previous ciphertext in a register;
-    /// every implementation computes the same bytes.
+    /// ciphertext one block back. The AES ciphers override it with a
+    /// hardware kernel that holds the previous ciphertext in a register:
+    /// eight blocks per `AESDEC` ladder under AES-NI, 32 per `VAESDEC`
+    /// ladder under VAES. Every implementation computes the same bytes.
     ///
     /// # Panics
     ///
@@ -251,13 +262,14 @@ pub trait BlockCipher: Send + Sync {
 }
 
 /// The most chains one [`BlockCipher::cbc_encrypt_lanes`] call takes: one
-/// per lane of the 8-wide AES ladder.
+/// per lane of the 8-wide AES-NI ladder, or of two four-lane zmm registers
+/// under VAES.
 pub(crate) const CBC_LANES: usize = 8;
 
 /// Asserts the [`BlockCipher::cbc_encrypt_lanes`] /
 /// [`BlockCipher::cbc_decrypt_lanes`] contract and returns the shared
-/// sector length. The AES-NI kernel's memory safety rests on these
-/// checks, so they are `assert!`, not `debug_assert!`.
+/// sector length. The memory safety of the AES-NI and VAES kernels rests
+/// on these checks, so they are `assert!`, not `debug_assert!`.
 fn check_cbc_lanes(ivs: &[[u8; AES_BLOCK_SIZE]], sectors: &[&mut [u8]]) -> usize {
     assert!(
         ivs.len() == sectors.len(),
@@ -344,21 +356,47 @@ const MAX_RK_WORDS: usize = 60;
 /// Maximum round keys as 16-byte blocks (AES-256: 15).
 const MAX_RK_BLOCKS: usize = 15;
 
-/// Generic T-table AES parameterised by the number of rounds, with an
-/// AES-NI fast path picked once at key-schedule time on x86-64 hosts.
+/// The kernels an [`AesCore`] runs, picked once at key-schedule time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Backend {
+    /// The portable T-table core.
+    TTable,
+    /// 128-bit AES-NI: one block per `AESENC` / `AESDEC`.
+    AesNi,
+    /// AES-NI plus AVX-512F and VAES: the CBC lane kernels run on zmm
+    /// registers, four blocks per `VAESENC` / `VAESDEC`. Single blocks and
+    /// the independent-block ladders stay on AES-NI.
+    Vaes,
+}
+
+impl Backend {
+    /// The widest backend the host CPU reports.
+    fn detect() -> Self {
+        if vaes_available() {
+            Backend::Vaes
+        } else if aesni_available() {
+            Backend::AesNi
+        } else {
+            Backend::TTable
+        }
+    }
+}
+
+/// Generic T-table AES parameterised by the number of rounds, with AES-NI
+/// and VAES fast paths picked once at key-schedule time on x86-64 hosts.
 ///
 /// Encryption round keys come straight from the FIPS 197 key schedule;
 /// decryption uses the *equivalent inverse cipher* (FIPS 197 §5.3.5), whose
 /// round keys are the encryption schedule reversed with InvMixColumns
 /// applied to the inner rounds. That lets decryption share the fused
 /// table-lookup structure of encryption — and it is exactly the key form
-/// `AESDEC` expects, so the same schedule feeds both backends.
+/// `AESDEC` expects, so the same schedule feeds every backend.
 #[derive(Debug, Clone)]
 struct AesCore {
     enc_keys: [u32; MAX_RK_WORDS],
     dec_keys: [u32; MAX_RK_WORDS],
-    /// The schedules again, as the 16-byte blocks the AES-NI round
-    /// instructions consume (identical bytes, pre-serialised).
+    /// The schedules again, as the 16-byte blocks the AES-NI and VAES
+    /// round instructions consume (identical bytes, pre-serialised).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     enc_key_blocks: [[u8; 16]; MAX_RK_BLOCKS],
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
@@ -366,7 +404,7 @@ struct AesCore {
     rounds: usize,
     key_len: usize,
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    use_aesni: bool,
+    backend: Backend,
 }
 
 #[inline]
@@ -429,16 +467,16 @@ impl AesCore {
             dec_key_blocks,
             rounds: nr,
             key_len: key.len(),
-            use_aesni: aesni_available(),
+            backend: Backend::detect(),
         }
     }
 
     #[inline]
     fn encrypt(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
-        if self.use_aesni {
-            // SAFETY: `use_aesni` is only set when the CPU reports AES-NI
-            // and SSE2 support at runtime.
+        if self.backend != Backend::TTable {
+            // SAFETY: both hardware backends are only chosen when the CPU
+            // reports AES-NI and SSE2 support at runtime.
             unsafe { self.encrypt_aesni(block) };
             return;
         }
@@ -486,9 +524,9 @@ impl AesCore {
     #[inline]
     fn decrypt(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
-        if self.use_aesni {
-            // SAFETY: `use_aesni` is only set when the CPU reports AES-NI
-            // and SSE2 support at runtime.
+        if self.backend != Backend::TTable {
+            // SAFETY: both hardware backends are only chosen when the CPU
+            // reports AES-NI and SSE2 support at runtime.
             unsafe { self.decrypt_aesni(block) };
             return;
         }
@@ -593,13 +631,14 @@ impl AesCore {
     }
 
     /// Encrypts a run of independent blocks: the AES-NI pipelined ladders
-    /// when available, otherwise a plain loop over the T-table core.
+    /// on both hardware backends, otherwise a plain loop over the T-table
+    /// core.
     fn encrypt_many(&self, data: &mut [u8]) {
         assert!(data.len().is_multiple_of(16), "block run length {}", data.len());
         #[cfg(target_arch = "x86_64")]
-        if self.use_aesni {
-            // SAFETY: `use_aesni` is only set when the CPU reports AES-NI
-            // and SSE2 support at runtime.
+        if self.backend != Backend::TTable {
+            // SAFETY: both hardware backends are only chosen when the CPU
+            // reports AES-NI and SSE2 support at runtime.
             unsafe { self.encrypt_blocks_aesni(data) };
             return;
         }
@@ -612,9 +651,9 @@ impl AesCore {
     fn decrypt_many(&self, data: &mut [u8]) {
         assert!(data.len().is_multiple_of(16), "block run length {}", data.len());
         #[cfg(target_arch = "x86_64")]
-        if self.use_aesni {
-            // SAFETY: `use_aesni` is only set when the CPU reports AES-NI
-            // and SSE2 support at runtime.
+        if self.backend != Backend::TTable {
+            // SAFETY: both hardware backends are only chosen when the CPU
+            // reports AES-NI and SSE2 support at runtime.
             unsafe { self.decrypt_blocks_aesni(data) };
             return;
         }
@@ -770,6 +809,88 @@ impl AesCore {
             }
         }
     }
+
+    /// CBC-encrypts `sectors.len()` chains with VAES: 2..=8 chains through
+    /// [`cbc_enc_lanes_vaes`], monomorphised per chain count like
+    /// [`AesCore::cbc_encrypt_aesni`]. A lone chain would leave three of
+    /// its register's four lanes idle, so it stays on [`cbc_enc_lanes`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `aes`, `avx512f` and `vaes` feature sets,
+    /// and `ivs` and `sectors` must satisfy [`check_cbc_lanes`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "aes,avx512f,vaes")]
+    unsafe fn cbc_encrypt_vaes(&self, ivs: &[[u8; 16]], sectors: &mut [&mut [u8]]) {
+        let keys = load_round_keys(&self.enc_key_blocks);
+        let r = self.rounds;
+        // SAFETY: the caller guarantees the feature set (a superset of the
+        // AES-NI kernel's) and the `check_cbc_lanes` contract, so each arm
+        // hands its kernel exactly `N == sectors.len() == ivs.len()` lanes
+        // of one shared length.
+        unsafe {
+            match sectors.len() {
+                1 => cbc_enc_lanes::<1>(&keys, r, ivs, sectors),
+                2 => cbc_enc_lanes_vaes::<2>(&keys, r, ivs, sectors),
+                3 => cbc_enc_lanes_vaes::<3>(&keys, r, ivs, sectors),
+                4 => cbc_enc_lanes_vaes::<4>(&keys, r, ivs, sectors),
+                5 => cbc_enc_lanes_vaes::<5>(&keys, r, ivs, sectors),
+                6 => cbc_enc_lanes_vaes::<6>(&keys, r, ivs, sectors),
+                7 => cbc_enc_lanes_vaes::<7>(&keys, r, ivs, sectors),
+                8 => cbc_enc_lanes_vaes::<8>(&keys, r, ivs, sectors),
+                n => unreachable!("check_cbc_lanes admits 1..={CBC_LANES} chains, got {n}"),
+            }
+        }
+    }
+
+    /// CBC-decrypts each sector with VAES: runs of eight zmm registers (32
+    /// blocks, one 512-byte dm-crypt sector) through
+    /// [`cbc_dec_run_vaes`] while the sector has them, then one register
+    /// (4 blocks), then [`cbc_dec_run`]'s single-block tail. The previous
+    /// ciphertext block rides in lane 3 of a zmm register from run to run,
+    /// starting from the sector's IV broadcast to every lane. The round
+    /// keys load once for the whole call.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `aes`, `avx512f` and `vaes` feature sets,
+    /// and `ivs` and `sectors` must satisfy [`check_cbc_lanes`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "aes,avx512f,vaes")]
+    unsafe fn cbc_decrypt_vaes(&self, ivs: &[[u8; 16]], sectors: &mut [&mut [u8]]) {
+        use std::arch::x86_64::*;
+        let keys = load_round_keys(&self.dec_key_blocks);
+        let wide = broadcast_round_keys(&keys);
+        let r = self.rounds;
+        for (iv, sector) in ivs.iter().zip(sectors.iter_mut()) {
+            let blocks = sector.len() / 16;
+            let p = sector.as_mut_ptr() as *mut __m128i;
+            // SAFETY: the caller guarantees the feature set; `iv` is a
+            // 16-byte array and the load is unaligned. The sector holds
+            // `blocks` whole blocks (the `check_cbc_lanes` assert), and each
+            // loop subtracts before comparing, so every run at `p.add(b)`
+            // (32 blocks as eight zmm registers, 4 as one, or 1) ends at or
+            // before `blocks` and stays inside the sector.
+            unsafe {
+                let mut prev =
+                    _mm512_broadcast_i32x4(_mm_loadu_si128(iv.as_ptr() as *const __m128i));
+                let mut b = 0usize;
+                while blocks - b >= 32 {
+                    prev = cbc_dec_run_vaes::<8>(&wide, r, p.add(b) as *mut __m512i, prev);
+                    b += 32;
+                }
+                while blocks - b >= 4 {
+                    prev = cbc_dec_run_vaes::<1>(&wide, r, p.add(b) as *mut __m512i, prev);
+                    b += 4;
+                }
+                let mut prev = _mm512_extracti32x4_epi32::<3>(prev);
+                while b < blocks {
+                    prev = cbc_dec_run::<1>(&keys, r, p.add(b), prev);
+                    b += 1;
+                }
+            }
+        }
+    }
 }
 
 /// The 16-byte round-key blocks as `__m128i` values, loaded once per call
@@ -780,6 +901,56 @@ fn load_round_keys(src: &[[u8; 16]; MAX_RK_BLOCKS]) -> [std::arch::x86_64::__m12
     // SAFETY: SSE2 is part of the x86-64 baseline, `src[i]` is a 16-byte
     // array, and the load is unaligned.
     std::array::from_fn(|i| unsafe { _mm_loadu_si128(src[i].as_ptr() as *const __m128i) })
+}
+
+/// [`load_round_keys`]' keys broadcast to all four 128-bit lanes of a zmm
+/// register: `VAESENC` / `VAESDEC` apply lane `j` of the key to lane `j`
+/// of the state, so every lane gets the same round.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn broadcast_round_keys(
+    keys: &[std::arch::x86_64::__m128i; MAX_RK_BLOCKS],
+) -> [std::arch::x86_64::__m512i; MAX_RK_BLOCKS] {
+    use std::arch::x86_64::*;
+    let mut wide = [_mm512_setzero_si512(); MAX_RK_BLOCKS];
+    for (w, k) in wide.iter_mut().zip(keys) {
+        *w = _mm512_broadcast_i32x4(*k);
+    }
+    wide
+}
+
+/// `v` with 128-bit lane `lane` (0..=3) replaced by `x`. The lane is a
+/// constant once the callers' loops unroll, so the match folds to one
+/// `VINSERTI32X4`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn insert_lane(
+    v: std::arch::x86_64::__m512i,
+    x: std::arch::x86_64::__m128i,
+    lane: usize,
+) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    match lane {
+        0 => _mm512_inserti32x4::<0>(v, x),
+        1 => _mm512_inserti32x4::<1>(v, x),
+        2 => _mm512_inserti32x4::<2>(v, x),
+        _ => _mm512_inserti32x4::<3>(v, x),
+    }
+}
+
+/// 128-bit lane `lane` (0..=3) of `v`; the inverse of [`insert_lane`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn extract_lane(v: std::arch::x86_64::__m512i, lane: usize) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    match lane {
+        0 => _mm512_castsi512_si128(v),
+        1 => _mm512_extracti32x4_epi32::<1>(v),
+        2 => _mm512_extracti32x4_epi32::<2>(v),
+        _ => _mm512_extracti32x4_epi32::<3>(v),
+    }
 }
 
 /// CBC-encrypts `N` equal-length chains in place: chain `i` starts from
@@ -886,6 +1057,123 @@ unsafe fn cbc_dec_run<const W: usize>(
     }
 }
 
+/// CBC-encrypts `N` (2..=8) equal-length chains in place with VAES: chain
+/// `i` lives in 128-bit lane `i % 4` of zmm register `i / 4`, so one
+/// `VAESENC` advances four chains and the two registers' ladders
+/// interleave when `N > 4`. Each block offset gathers the `N` plaintext
+/// blocks into their lanes, whitens them with `K0` off the chain, XORs in
+/// the chain values, runs the ladder and scatters the `N` ciphertexts,
+/// which are the next chain values, back to the caller's buffers. Lanes
+/// `N..8` are padding: they load nothing and are never stored.
+///
+/// # Safety
+///
+/// The CPU must support `aes` + `avx512f` + `vaes`; `ivs` and `sectors`
+/// must each hold exactly `N` entries, and every sector the same length,
+/// a multiple of 16 (what [`check_cbc_lanes`] asserts); `keys[..=rounds]`
+/// must hold the expanded encryption schedule.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes,avx512f,vaes")]
+unsafe fn cbc_enc_lanes_vaes<const N: usize>(
+    keys: &[std::arch::x86_64::__m128i; MAX_RK_BLOCKS],
+    rounds: usize,
+    ivs: &[[u8; 16]],
+    sectors: &mut [&mut [u8]],
+) {
+    use std::arch::x86_64::*;
+    let keys = broadcast_round_keys(keys);
+    let regs = N.div_ceil(4);
+    let blocks = sectors[0].len() / 16;
+    let mut p = [std::ptr::null_mut::<__m128i>(); N];
+    let mut chain = [_mm512_setzero_si512(); 2];
+    for (i, ptr) in p.iter_mut().enumerate() {
+        *ptr = sectors[i].as_mut_ptr() as *mut __m128i;
+        // SAFETY: `ivs[i]` is a 16-byte array and the load is unaligned.
+        let iv = unsafe { _mm_loadu_si128(ivs[i].as_ptr() as *const __m128i) };
+        chain[i / 4] = insert_lane(chain[i / 4], iv, i % 4);
+    }
+    // SAFETY: the caller guarantees the feature set and that all `N`
+    // sectors hold exactly `blocks` 16-byte blocks (the `check_cbc_lanes`
+    // assert), so `p[i].add(b)` for `b < blocks` stays inside sector `i`.
+    // Only the `N` real lanes are loaded or stored, the sectors are
+    // distinct `&mut` borrows, so no two lanes alias, and every load and
+    // store is an unaligned intrinsic.
+    unsafe {
+        for b in 0..blocks {
+            let mut s = [_mm512_setzero_si512(); 2];
+            for (i, ptr) in p.iter().enumerate() {
+                s[i / 4] = insert_lane(s[i / 4], _mm_loadu_si128(ptr.add(b)), i % 4);
+            }
+            for (state, lane) in s.iter_mut().zip(&chain).take(regs) {
+                *state = _mm512_xor_si512(_mm512_xor_si512(*state, keys[0]), *lane);
+            }
+            for key in keys.iter().take(rounds).skip(1) {
+                for state in s.iter_mut().take(regs) {
+                    *state = _mm512_aesenc_epi128(*state, *key);
+                }
+            }
+            for (state, lane) in s.iter().zip(chain.iter_mut()).take(regs) {
+                *lane = _mm512_aesenclast_epi128(*state, keys[rounds]);
+            }
+            for (i, ptr) in p.iter().enumerate() {
+                _mm_storeu_si128(ptr.add(b), extract_lane(chain[i / 4], i % 4));
+            }
+        }
+    }
+}
+
+/// CBC-decrypts `4 * W` consecutive blocks at `p` in place with VAES, four
+/// blocks per zmm register, and returns the last register's ciphertext,
+/// whose lane 3 is the next run's previous block. `prev` carries the
+/// ciphertext block before the first in its lane 3 (at a sector start the
+/// IV, broadcast). Like [`cbc_dec_run`], all `W` registers load, step
+/// through one interleaved `VAESDEC` ladder and fold the CBC XOR into
+/// `VAESDECLAST`'s key; the lagged ciphertext for register `i`, blocks
+/// `4i - 1 ..= 4i + 2`, is `VALIGNQ` of register `i` over register `i - 1`
+/// (over `prev` for `i = 0`), built in registers so no load reaches before
+/// `p`. Every ciphertext is loaded before the first store, so in place is
+/// safe.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` + `vaes`; `p` must be valid for reads
+/// and writes of `W * 64` bytes (any alignment); `keys[..=rounds]` must
+/// hold the equivalent-inverse-cipher schedule, broadcast to every lane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vaes")]
+unsafe fn cbc_dec_run_vaes<const W: usize>(
+    keys: &[std::arch::x86_64::__m512i; MAX_RK_BLOCKS],
+    rounds: usize,
+    p: *mut std::arch::x86_64::__m512i,
+    prev: std::arch::x86_64::__m512i,
+) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    // SAFETY: caller guarantees the feature set, that `p..p+W` is readable
+    // and writable, and an initialised decrypt schedule (see `dec_lanes`).
+    unsafe {
+        let mut ct = [_mm512_setzero_si512(); W];
+        let mut s = [_mm512_setzero_si512(); W];
+        for (i, (c, state)) in ct.iter_mut().zip(s.iter_mut()).enumerate() {
+            *c = _mm512_loadu_si512(p.add(i));
+            *state = _mm512_xor_si512(*c, keys[0]);
+        }
+        for key in keys.iter().take(rounds).skip(1) {
+            for state in s.iter_mut() {
+                *state = _mm512_aesdec_epi128(*state, *key);
+            }
+        }
+        let mut lagged = prev;
+        for (i, (state, c)) in s.iter().zip(&ct).enumerate() {
+            // Qwords 6 and 7 of `lagged` (its last block), then qwords 0..=5
+            // of `c` (its first three blocks).
+            let last = _mm512_xor_si512(keys[rounds], _mm512_alignr_epi64::<6>(*c, lagged));
+            _mm512_storeu_si512(p.add(i), _mm512_aesdeclast_epi128(*state, last));
+            lagged = *c;
+        }
+        lagged
+    }
+}
+
 /// One interleaved `AESENC` ladder over `N` consecutive blocks at `p`:
 /// all `N` states load, whiten and step through each round together, so
 /// between a state's round `r` and its round `r + 1` the other `N - 1`
@@ -974,6 +1262,20 @@ fn aesni_available() -> bool {
     false
 }
 
+/// Whether the host CPU also offers AVX-512F and VAES, the 512-bit AES
+/// round instructions the CBC lane kernels use when present.
+#[cfg(target_arch = "x86_64")]
+fn vaes_available() -> bool {
+    aesni_available()
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("vaes")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn vaes_available() -> bool {
+    false
+}
+
 /// Assembles one final-round word from the four state words feeding it:
 /// `S[a₂₄] ‖ S[b₁₆] ‖ S[c₈] ‖ S[d₀]` (ShiftRows selects a,b,c,d).
 #[inline]
@@ -1024,7 +1326,19 @@ macro_rules! aes_variant {
             /// measured) on hardware hosts.
             #[doc(hidden)]
             pub fn force_software(&mut self) {
-                self.core.use_aesni = false;
+                self.core.backend = Backend::TTable;
+            }
+
+            /// Pins this instance to the 128-bit AES-NI kernels even on
+            /// VAES hosts; does nothing on a host without AES-NI. Output
+            /// is bit-identical either way; tests and benches use this to
+            /// keep the AES-NI kernels covered (and measured) next to the
+            /// VAES ones.
+            #[doc(hidden)]
+            pub fn force_aesni(&mut self) {
+                if aesni_available() {
+                    self.core.backend = Backend::AesNi;
+                }
             }
         }
 
@@ -1051,14 +1365,24 @@ macro_rules! aes_variant {
                 sectors: &mut [&mut [u8]],
             ) {
                 #[cfg(target_arch = "x86_64")]
-                if self.core.use_aesni {
-                    check_cbc_lanes(ivs, sectors);
-                    // SAFETY: `use_aesni` is only set when the CPU reports
-                    // AES-NI and SSE2 support at runtime, and the
-                    // `check_cbc_lanes` assert just above guarantees the
-                    // kernel's lane contract.
-                    unsafe { self.core.cbc_encrypt_aesni(ivs, sectors) };
-                    return;
+                match self.core.backend {
+                    Backend::TTable => {}
+                    Backend::AesNi => {
+                        check_cbc_lanes(ivs, sectors);
+                        // SAFETY: `AesNi` is only chosen when the CPU
+                        // reports AES-NI and SSE2 support at runtime, and
+                        // the `check_cbc_lanes` assert just above
+                        // guarantees the kernel's lane contract.
+                        return unsafe { self.core.cbc_encrypt_aesni(ivs, sectors) };
+                    }
+                    Backend::Vaes => {
+                        check_cbc_lanes(ivs, sectors);
+                        // SAFETY: `Vaes` is only chosen when the CPU reports
+                        // AES-NI, AVX-512F and VAES support at runtime, and
+                        // the `check_cbc_lanes` assert just above
+                        // guarantees the kernel's lane contract.
+                        return unsafe { self.core.cbc_encrypt_vaes(ivs, sectors) };
+                    }
                 }
                 cbc_encrypt_lanes_portable(self, ivs, sectors);
             }
@@ -1069,14 +1393,21 @@ macro_rules! aes_variant {
                 sectors: &mut [&mut [u8]],
             ) {
                 #[cfg(target_arch = "x86_64")]
-                if self.core.use_aesni {
-                    check_cbc_lanes(ivs, sectors);
-                    // SAFETY: `use_aesni` is only set when the CPU reports
-                    // AES-NI and SSE2 support at runtime, and the
-                    // `check_cbc_lanes` assert just above guarantees the
-                    // kernel's lane contract.
-                    unsafe { self.core.cbc_decrypt_aesni(ivs, sectors) };
-                    return;
+                match self.core.backend {
+                    Backend::TTable => {}
+                    Backend::AesNi => {
+                        check_cbc_lanes(ivs, sectors);
+                        // SAFETY: as in `cbc_encrypt_lanes`: AES-NI and
+                        // SSE2 reported at runtime, lane contract asserted.
+                        return unsafe { self.core.cbc_decrypt_aesni(ivs, sectors) };
+                    }
+                    Backend::Vaes => {
+                        check_cbc_lanes(ivs, sectors);
+                        // SAFETY: as in `cbc_encrypt_lanes`: AES-NI,
+                        // AVX-512F and VAES reported at runtime, lane
+                        // contract asserted.
+                        return unsafe { self.core.cbc_decrypt_vaes(ivs, sectors) };
+                    }
                 }
                 cbc_decrypt_lanes_portable(self, ivs, sectors);
             }
@@ -1472,9 +1803,9 @@ mod tests {
     #[test]
     fn both_backends_match_reference() {
         // On AES-NI hosts the public ciphers dispatch to the hardware
-        // path, so pin the T-table path explicitly by clearing the flag —
-        // both backends must match the byte-wise specification on every
-        // host, whichever one the dispatch would pick.
+        // path, so pin the T-table path explicitly by setting the backend —
+        // both paths must match the byte-wise specification on every host,
+        // whichever one the dispatch would pick.
         let mut x: u64 = 0x0ddba11;
         let mut next = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1492,7 +1823,7 @@ mod tests {
             for force_soft in [false, true] {
                 let mut core = AesCore::new(key);
                 if force_soft {
-                    core.use_aesni = false;
+                    core.backend = Backend::TTable;
                 }
                 let mut b = block;
                 core.encrypt(&mut b);
@@ -1522,7 +1853,7 @@ mod tests {
                 for force_soft in [false, true] {
                     let mut core = AesCore::new(&key32[..key_len]);
                     if force_soft {
-                        core.use_aesni = false;
+                        core.backend = Backend::TTable;
                     }
                     let mut expect = data.clone();
                     for chunk in expect.chunks_exact_mut(16) {
@@ -1568,22 +1899,51 @@ mod tests {
         cipher.encrypt_blocks(&mut data);
     }
 
-    /// The AES-NI dispatch (T-tables on hosts without it), the
-    /// forced-software AES and the byte-wise reference core for one key.
-    fn cbc_backends(key: &[u8]) -> [Box<dyn BlockCipher>; 3] {
-        macro_rules! hw_and_soft {
+    /// Index of the byte-wise reference core in [`cbc_backends`].
+    const REFERENCE: usize = 3;
+
+    /// For one key: the dispatched AES (VAES on VAES hosts, AES-NI on
+    /// AES-NI hosts, T-tables elsewhere), the AES pinned to AES-NI, the
+    /// forced-software AES and the byte-wise reference core.
+    fn cbc_backends(key: &[u8]) -> [Box<dyn BlockCipher>; 4] {
+        macro_rules! pinned {
             ($aes:ty) => {{
+                let mut aesni = <$aes>::from_slice(key);
+                aesni.force_aesni();
                 let mut soft = <$aes>::from_slice(key);
                 soft.force_software();
-                [Box::new(<$aes>::from_slice(key)) as Box<dyn BlockCipher>, Box::new(soft)]
+                [
+                    Box::new(<$aes>::from_slice(key)) as Box<dyn BlockCipher>,
+                    Box::new(aesni),
+                    Box::new(soft),
+                ]
             }};
         }
-        let [hw, soft] = match key.len() {
-            16 => hw_and_soft!(Aes128),
-            24 => hw_and_soft!(Aes192),
-            _ => hw_and_soft!(Aes256),
+        let [dispatched, aesni, soft] = match key.len() {
+            16 => pinned!(Aes128),
+            24 => pinned!(Aes192),
+            _ => pinned!(Aes256),
         };
-        [hw, soft, Box::new(ReferenceAes::new(key))]
+        [dispatched, aesni, soft, Box::new(ReferenceAes::new(key))]
+    }
+
+    /// Chain lengths in blocks for the serial-chain sweeps: every length
+    /// of 1..=64 reaches every mix of the VAES decrypt's 32-block and
+    /// 4-block runs, the AES-NI decrypt's 8- and 4-block runs and the
+    /// single-block tails; 256 blocks is a 4 KiB sector.
+    fn sweep_lengths() -> impl Iterator<Item = usize> {
+        (1..=64).chain([256])
+    }
+
+    /// Random IVs and `chains` sectors of `blocks` blocks from `next`.
+    fn random_lanes(
+        next: &mut impl FnMut() -> u8,
+        chains: usize,
+        blocks: usize,
+    ) -> (Vec<[u8; 16]>, Vec<Vec<u8>>) {
+        let ivs = (0..chains).map(|_| std::array::from_fn(|_| next())).collect();
+        let data = (0..chains).map(|_| (0..blocks * 16).map(|_| next()).collect()).collect();
+        (ivs, data)
     }
 
     /// Runs `cbc_encrypt_lanes` over `data.len()` chains and returns them.
@@ -1654,7 +2014,9 @@ mod tests {
     fn sp800_38a_cbc_decrypt_vectors() {
         // NIST SP 800-38A Appendix F.2.2 / F.2.4 / F.2.6 (CBC-AES128/192/
         // 256.Decrypt): the same four blocks back to the plaintext, as one
-        // chain and as eight identical chains, on every backend.
+        // chain and as eight identical chains, on every backend. Four
+        // blocks are one zmm register, so on VAES hosts the vectors run
+        // through the VAES decrypt kernel's one-register run.
         let iv: [u8; 16] = from_hex(SP800_38A_CBC_IV).unwrap().try_into().unwrap();
         for (key_hex, ct_hex) in SP800_38A_CBC {
             let key = from_hex(key_hex).unwrap();
@@ -1677,9 +2039,11 @@ mod tests {
 
     #[test]
     fn cbc_lanes_match_a_serial_chain_at_every_width() {
-        // Every chain count 1..=8 (each its own unrolled AES-NI kernel) at
-        // one-block, short and 512-byte lengths, against CBC written out
-        // one `encrypt_block` at a time, on every backend and key size.
+        // Every chain count 1..=8 (each its own unrolled kernel: eight
+        // AES-NI ones, and VAES ones with one or two zmm registers and
+        // 1..=3 padding lanes) at every sweep length, against CBC written
+        // out one reference `encrypt_block` at a time, on every backend and
+        // key size.
         let mut x: u64 = 0xc0ffee;
         let mut next = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1689,18 +2053,15 @@ mod tests {
             let key: Vec<u8> = (0..key_len).map(|_| next()).collect();
             let backends = cbc_backends(&key);
             for chains in 1..=CBC_LANES {
-                for len in [16usize, 48, 512] {
-                    let ivs: Vec<[u8; 16]> =
-                        (0..chains).map(|_| std::array::from_fn(|_| next())).collect();
-                    let data: Vec<Vec<u8>> =
-                        (0..chains).map(|_| (0..len).map(|_| next()).collect()).collect();
+                for blocks in sweep_lengths() {
+                    let (ivs, data) = random_lanes(&mut next, chains, blocks);
                     let mut expect = data.clone();
                     for (sector, iv) in expect.iter_mut().zip(&ivs) {
                         let mut prev = *iv;
                         for chunk in sector.chunks_exact_mut(16) {
                             let block: &mut [u8; 16] = chunk.try_into().unwrap();
                             block.iter_mut().zip(prev).for_each(|(b, p)| *b ^= p);
-                            backends[2].encrypt_block(block);
+                            backends[REFERENCE].encrypt_block(block);
                             prev = *block;
                         }
                     }
@@ -1708,7 +2069,7 @@ mod tests {
                         assert_eq!(
                             cbc_lanes(&**cipher, &ivs, &data),
                             expect,
-                            "key_len {key_len}, {chains} chains of {len} B, backend {b}"
+                            "key_len {key_len}, {chains} chains of {blocks} blocks, backend {b}"
                         );
                     }
                 }
@@ -1718,10 +2079,12 @@ mod tests {
 
     #[test]
     fn cbc_decrypt_lanes_match_a_serial_chain_at_every_width() {
-        // Every chain count 1..=8 at 1, 7, 32 and 256 blocks: 7 is the
-        // tail below the kernel's eight-block runs (4 + 1 + 1 + 1), 32 is a
-        // 512-byte dm-crypt sector and 256 a 4 KiB one. Each backend must
-        // equal CBC decrypt written out one `decrypt_block` at a time.
+        // Every chain count 1..=8 at every sweep length: 1..=64 blocks
+        // cross every boundary between the VAES kernel's 32-block and
+        // 4-block runs and its single-block tail (and the AES-NI kernel's
+        // 8/4/1 runs), 32 is a 512-byte dm-crypt sector and 256 a 4 KiB
+        // one. Each backend must equal CBC decrypt written out one
+        // reference `decrypt_block` at a time.
         let mut x: u64 = 0xdec0de;
         let mut next = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1731,18 +2094,15 @@ mod tests {
             let key: Vec<u8> = (0..key_len).map(|_| next()).collect();
             let backends = cbc_backends(&key);
             for chains in 1..=CBC_LANES {
-                for blocks in [1usize, 7, 32, 256] {
-                    let ivs: Vec<[u8; 16]> =
-                        (0..chains).map(|_| std::array::from_fn(|_| next())).collect();
-                    let data: Vec<Vec<u8>> =
-                        (0..chains).map(|_| (0..blocks * 16).map(|_| next()).collect()).collect();
+                for blocks in sweep_lengths() {
+                    let (ivs, data) = random_lanes(&mut next, chains, blocks);
                     let mut expect = data.clone();
                     for (sector, iv) in expect.iter_mut().zip(&ivs) {
                         let mut prev = *iv;
                         for chunk in sector.chunks_exact_mut(16) {
                             let block: &mut [u8; 16] = chunk.try_into().unwrap();
                             let ct = *block;
-                            backends[2].decrypt_block(block);
+                            backends[REFERENCE].decrypt_block(block);
                             block.iter_mut().zip(prev).for_each(|(b, p)| *b ^= p);
                             prev = ct;
                         }

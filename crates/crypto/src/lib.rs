@@ -8,12 +8,14 @@
 //!
 //! * [`Sha256`] / [`hmac_sha256`] / [`pbkdf2_hmac_sha256`] — key derivation
 //!   (§II-A, §IV-C of the paper).
-//! * [`Aes128`] / [`Aes256`] block ciphers (T-table cores, pinned by
-//!   property tests to the byte-wise [`reference`] implementation) with
-//!   [`CbcEssiv`] (the dm-crypt `aes-cbc-essiv:sha256` mode used by
-//!   Android FDE) and [`Xts`] (the mode modern dm-crypt deployments use) —
-//!   sector encryption, allocating or in place
-//!   ([`SectorCipher::encrypt_sector_in_place`]).
+//! * [`Aes128`] / [`Aes192`] / [`Aes256`] block ciphers: a T-table core,
+//!   with AES-NI kernels on x86-64 hosts that report AES-NI and 512-bit
+//!   VAES kernels for the CBC lanes on hosts that also report AVX-512F and
+//!   VAES, picked at run time; every backend is pinned by tests to the
+//!   byte-wise [`reference`] implementation. On top sit [`CbcEssiv`] (the
+//!   dm-crypt `aes-cbc-essiv:sha256` mode used by Android FDE) and [`Xts`]
+//!   (the mode modern dm-crypt deployments use) — sector encryption,
+//!   allocating or in place ([`SectorCipher::encrypt_sector_in_place`]).
 //! * [`ChaCha20Rng`] — a deterministic CSPRNG used to produce encryption
 //!   keys and the random payloads of dummy writes; dummy data must be
 //!   computationally indistinguishable from ciphertext (§IV-A Q2).

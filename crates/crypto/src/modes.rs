@@ -21,13 +21,16 @@
 //!   whole sectors to [`BlockCipher::cbc_decrypt_lanes`]. On AES-NI hosts
 //!   that is one kernel that decrypts eight blocks at a time and XORs each
 //!   with the previous ciphertext block held in a register, switching to
-//!   the sector's ESSIV IV at each sector boundary.
+//!   the sector's ESSIV IV at each sector boundary; on VAES hosts the same
+//!   kernel shape runs on zmm registers, a whole 512-byte sector (32
+//!   blocks, four per register) per ladder.
 //! * **CBC encrypt** chains within a sector: block `i`'s input includes
 //!   block `i - 1`'s *output*, so one sector's blocks cannot overlap, but
 //!   every sector has its own ESSIV IV and its own chain. Both encrypt
 //!   entry points hand whole chains to [`BlockCipher::cbc_encrypt_lanes`].
 //!   On AES-NI hosts that is one kernel keeping the round keys and every
-//!   chain value in registers.
+//!   chain value in registers, one chain per xmm register; on VAES hosts
+//!   2..=8 chains share two zmm registers, four chains per `VAESENC`.
 //!
 //! A lone sector is one lane. The batch entry points take runs of up to 8
 //! equal-length sectors, derive their ESSIV IVs in one wide

@@ -62,27 +62,40 @@ fn sector_batches() -> BoxedStrategy<Vec<(u64, Vec<u8>)>> {
     .boxed()
 }
 
-/// CBC-ESSIV under `key` (16, 24 or 32 bytes) on the AES-NI lanes, the
-/// forced-software lanes and the byte-wise reference core, in that order.
-fn essiv_backends(key: &[u8]) -> [Box<dyn SectorCipher>; 3] {
+/// Index of the byte-wise reference core in [`essiv_backends`].
+const REFERENCE: usize = 3;
+
+/// CBC-ESSIV under `key` (16, 24 or 32 bytes) on the dispatched lanes
+/// (VAES on VAES hosts, AES-NI on AES-NI hosts), the lanes pinned to
+/// AES-NI, the forced-software lanes and the byte-wise reference core, in
+/// that order.
+fn essiv_backends(key: &[u8]) -> [Box<dyn SectorCipher>; 4] {
     let essiv_key = sha256(key);
-    macro_rules! lanes_and_software {
+    macro_rules! pinned {
         ($aes:ty) => {{
+            let mut aesni = <$aes>::from_slice(key);
+            aesni.force_aesni();
             let mut soft = <$aes>::from_slice(key);
             soft.force_software();
             [
                 Box::new(CbcEssiv::with_essiv_key(<$aes>::from_slice(key), &essiv_key))
                     as Box<dyn SectorCipher>,
+                Box::new(CbcEssiv::with_essiv_key(aesni, &essiv_key)),
                 Box::new(CbcEssiv::with_essiv_key(soft, &essiv_key)),
             ]
         }};
     }
-    let [lanes, soft] = match key.len() {
-        16 => lanes_and_software!(Aes128),
-        24 => lanes_and_software!(Aes192),
-        _ => lanes_and_software!(Aes256),
+    let [dispatched, aesni, soft] = match key.len() {
+        16 => pinned!(Aes128),
+        24 => pinned!(Aes192),
+        _ => pinned!(Aes256),
     };
-    [lanes, soft, Box::new(CbcEssiv::with_essiv_key(ReferenceAes::new(key), &essiv_key))]
+    [
+        dispatched,
+        aesni,
+        soft,
+        Box::new(CbcEssiv::with_essiv_key(ReferenceAes::new(key), &essiv_key)),
+    ]
 }
 
 /// Runs `batch` through `encrypt_sectors_in_place` and returns the buffers.
@@ -479,7 +492,7 @@ proptest! {
         for key_len in [16usize, 24, 32] {
             let backends = essiv_backends(&key[..key_len]);
             let expect: Vec<Vec<u8>> =
-                batch.iter().map(|(s, d)| backends[2].encrypt_sector(*s, d)).collect();
+                batch.iter().map(|(s, d)| backends[REFERENCE].encrypt_sector(*s, d)).collect();
             for (b, cipher) in backends.iter().enumerate() {
                 prop_assert_eq!(
                     &batch_encrypt(&**cipher, &batch), &expect,
@@ -506,7 +519,7 @@ proptest! {
         for key_len in [16usize, 24, 32] {
             let backends = essiv_backends(&key[..key_len]);
             let expect: Vec<Vec<u8>> =
-                batch.iter().map(|(s, d)| backends[2].decrypt_sector(*s, d)).collect();
+                batch.iter().map(|(s, d)| backends[REFERENCE].decrypt_sector(*s, d)).collect();
             for (b, cipher) in backends.iter().enumerate() {
                 prop_assert_eq!(
                     &batch_decrypt(&**cipher, &batch), &expect,

@@ -94,7 +94,15 @@ impl DmCrypt {
         )
     }
 
-    fn with_cipher(backing: SharedDevice, cipher: Box<dyn SectorCipher>, mode: CipherMode) -> Self {
+    /// Creates a target over any sector cipher, taken as `mode`. The two
+    /// constructors above build theirs from a key; benches use this one
+    /// to pin the AES backend under a `DmCrypt`.
+    #[doc(hidden)]
+    pub fn with_cipher(
+        backing: SharedDevice,
+        cipher: Box<dyn SectorCipher>,
+        mode: CipherMode,
+    ) -> Self {
         let sectors_per_block = backing.block_size().div_ceil(SECTOR_SIZE) as u64;
         DmCrypt { sectors_per_block, backing, cipher, mode, timing: None }
     }

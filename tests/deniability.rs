@@ -285,9 +285,10 @@ fn pipelined_crypto_charges_are_world_independent() {
     // mixes, for both cipher modes, across batch depths that fill the
     // 8-wide, 4-wide and single-block lanes and the interleaved ESSIV
     // encrypt groups differently. A second leg drives the single-block
-    // `write_block`/`read_block` entry points, whose ESSIV encrypt is one
-    // register-resident chain per call: the path every random 4 KiB
-    // overwrite and every foreground write under GC takes.
+    // `write_block`/`read_block` entry points, which take a 4 KiB block as
+    // eight 512-byte sectors in one batch call (under ESSIV, eight CBC
+    // chains in one lane call): the path every random 4 KiB overwrite and
+    // every foreground write under GC takes.
     use mobiceal_blockdev::{BlockDevice, DeviceStats, MemDisk};
     use mobiceal_dm::DmCrypt;
     use mobiceal_sim::{CpuCostModel, SimClock};
@@ -309,9 +310,9 @@ fn pipelined_crypto_charges_are_world_independent() {
         let data = vec![0xC3u8; 4096];
         let t0 = clock.now();
         let mut cursor = base;
-        // 7, 8, 9 and 64 straddle the interleaved ESSIV encrypt's
-        // 8-sector groups: a ragged group, one full group, a full group
-        // plus a lone sector, and eight full groups.
+        // 7, 8, 9 and 64 blocks: every 4 KiB block is eight 512-byte
+        // sectors, one full eight-lane ESSIV group, so these are batches of
+        // 7, 8, 9 and 64 lane calls.
         for &shape in TRACE_SHAPES.iter().chain(&[7, 8, 9, 64]) {
             let batch: Vec<(u64, &[u8])> =
                 (0..shape as u64).map(|i| (cursor + i, data.as_slice())).collect();
