@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the substrate primitives: AES sector
 //! modes, SHA-256/PBKDF2, ChaCha20 noise generation, bitmap allocation and
-//! the two allocators, and WoORAM write amplification.
+//! the two allocators, the thin mapping table, and WoORAM write
+//! amplification.
 //!
 //! These measure *real* CPU time of this implementation (unlike the
 //! table/figure benches, which measure simulated device time).
@@ -9,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use mobiceal_crypto::{
     pbkdf2_hmac_sha256, sha256, Aes256, CbcEssiv, ChaCha20Rng, SectorCipher, Xts,
 };
-use mobiceal_thinp::{Allocator, Bitmap, RandomAllocator, SequentialAllocator};
-use std::collections::HashSet;
+use mobiceal_thinp::{Allocator, Bitmap, ExtentMap, RandomAllocator, SequentialAllocator};
 
 fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
@@ -42,11 +42,13 @@ fn bench_crypto(c: &mut Criterion) {
 
     // Dummy bursts draw their noise as one buffer of `blocks` 4 KiB blocks,
     // right after the trigger's small draws left the generator's 64-byte
-    // buffer partly used.
+    // buffer partly used: an 8-byte draw first, so most fills end in a
+    // tail of part of a group (`crypto/chacha20_noise_4k` above starts on
+    // a block boundary and has none).
     let mut group = c.benchmark_group("chacha20_noise");
     for blocks in [1usize, 4, 16] {
         group.throughput(Throughput::Bytes(4096 * blocks as u64));
-        group.bench_function(&format!("burst_{blocks}x4k"), |b| {
+        group.bench_function(&format!("burst_{blocks}x4k_after_draw"), |b| {
             let mut rng = ChaCha20Rng::from_u64_seed(1);
             let mut buf = vec![0u8; 4096 * blocks];
             b.iter(|| {
@@ -72,19 +74,18 @@ fn bench_allocators(c: &mut Criterion) {
         }
         bm
     };
+    // The pool keeps its committed and reservation bitmaps across
+    // allocations, so both cases draw from one long-lived pair; picks are
+    // not marked, so the state does not drift between iterations.
+    let committed = make_bitmap();
+    let reserved = Bitmap::new(65536);
     group.bench_function("sequential_allocate", |b| {
-        b.iter_batched(
-            || (make_bitmap(), SequentialAllocator::new(), HashSet::new()),
-            |(bm, mut alloc, reserved)| alloc.allocate(&bm, &reserved),
-            BatchSize::SmallInput,
-        )
+        let mut alloc = SequentialAllocator::new();
+        b.iter(|| alloc.allocate(&committed, &reserved))
     });
     group.bench_function("random_allocate", |b| {
-        b.iter_batched(
-            || (make_bitmap(), RandomAllocator::with_seed(5), HashSet::new()),
-            |(bm, mut alloc, reserved)| alloc.allocate(&bm, &reserved),
-            BatchSize::SmallInput,
-        )
+        let mut alloc = RandomAllocator::with_seed(5);
+        b.iter(|| alloc.allocate(&committed, &reserved))
     });
     group.bench_function("bitmap_nth_free", |b| {
         // The suite's pool size, a third allocated, and `n` drawn
@@ -98,6 +99,39 @@ fn bench_allocators(c: &mut Criterion) {
         let mut n = draws.iter().cycle();
         b.iter(|| bm.nth_free(*n.next().expect("cycle never ends")))
     });
+    group.finish();
+}
+
+/// The thin mapping table in MobiCeal's shape: 4096 one-block runs, the
+/// virtual blocks ascending and each backed by a random physical block, as
+/// random allocation leaves a public or dummy volume.
+fn bench_extent_map(c: &mut Criterion) {
+    const RUNS: u64 = 4096;
+    let mut rng = ChaCha20Rng::from_u64_seed(13);
+    let pairs: Vec<(u64, u64)> = (0..RUNS).map(|v| (v, rng.next_below(16_384))).collect();
+    let map: ExtentMap = pairs.iter().copied().collect();
+    let mut group = c.benchmark_group("extent_map");
+    group.throughput(Throughput::Elements(RUNS));
+    group.bench_function("insert_fresh", |b| {
+        b.iter_batched(
+            ExtentMap::new,
+            |mut fresh| {
+                for &(v, p) in &pairs {
+                    fresh.insert(v, p);
+                }
+                fresh
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("get_random", |b| {
+        let draws: Vec<u64> = (0..4096).map(|_| rng.next_below(RUNS)).collect();
+        let mut v = draws.iter().cycle();
+        b.iter(|| map.get(v.next().expect("cycle never ends")))
+    });
+    // A dummy burst's first append walks from block 0 over every mapping.
+    group.bench_function("first_unmapped_from", |b| b.iter(|| map.first_unmapped_from(0)));
     group.finish();
 }
 
@@ -244,6 +278,7 @@ fn bench_baseline_batch(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_crypto, bench_allocators, bench_oram, bench_batched_io, bench_baseline_batch
+    targets = bench_crypto, bench_allocators, bench_extent_map, bench_oram, bench_batched_io,
+        bench_baseline_batch
 }
 criterion_main!(benches);

@@ -16,11 +16,18 @@
 //! eight blocks at once. On store, a 4×4 unpack transpose per quarter of
 //! the state turns the word-major lanes back into block-major bytes.
 //!
-//! The wide loop stops before the 32-bit block counter would wrap: the
+//! A tail of 65 to 511 bytes after the whole groups (two to eight blocks)
+//! comes from one more group, generated into a stack buffer: a dummy
+//! burst's noise starts wherever the trigger's small draws left the
+//! 64-byte buffer, so nearly every burst ends in such a tail. The bytes it
+//! needs are copied out, and its last used block stays in the buffer.
+//!
+//! The wide path stops before the 32-bit block counter would wrap: the
 //! block at `u32::MAX` and the nonce roll after it always come from the
-//! scalar path. The tail (less than one group), small draws (`next_u64`,
-//! keys, salts) and hosts without AVX2 use [`chacha20_block`], which stays
-//! the portable fallback and the executable spec.
+//! scalar path. Tails of one block, small draws (`next_u64`, keys, salts),
+//! whatever lies within eight blocks of the wrap, and hosts without AVX2
+//! use [`chacha20_block`], which stays the portable fallback and the
+//! executable spec.
 //!
 //! The bytes do not depend on the path. Every lane computes exactly the
 //! RFC 8439 block for its counter, groups are stored in counter order, and
@@ -285,7 +292,8 @@ impl ChaCha20Rng {
 
     /// Fills `out` with random bytes: buffered bytes first, then whole
     /// 512-byte groups from the 8-lane keystream where the host has AVX2,
-    /// then the tail block by block. The stream is the same on every path.
+    /// then a tail of two to eight blocks from one more group, and what is
+    /// left block by block. The stream is the same on every path.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let buffered = (64 - self.buf_pos).min(out.len());
         let (head, rest) = out.split_at_mut(buffered);
@@ -300,11 +308,14 @@ impl ChaCha20Rng {
     }
 
     /// Fills the longest prefix of `out` made of whole groups that end
-    /// before the block counter would wrap, returning its length. Called
-    /// with the buffer drained, so the groups continue the stream exactly.
+    /// before the block counter would wrap; then, if the rest is 65 to 511
+    /// bytes and one more group also ends before the wrap, fills the rest
+    /// from that group in a stack buffer and keeps its last used block in
+    /// `buf`, as `refill` would. Returns the length filled. Called with the
+    /// buffer drained, so the blocks continue the stream exactly.
     #[cfg(target_arch = "x86_64")]
     fn fill_wide(&mut self, out: &mut [u8]) -> usize {
-        if out.len() < WIDE_BYTES || !avx2_available() {
+        if out.len() <= 64 || !avx2_available() {
             return 0;
         }
         // The counter after the last group stays at most u32::MAX, so the
@@ -315,7 +326,22 @@ impl ChaCha20Rng {
         // groups, and the last block's counter is below u32::MAX.
         unsafe { keystream_avx2(&self.key, self.counter, &self.nonce, &mut out[..len]) };
         self.counter += (len / 64) as u32;
-        len
+        let tail = &mut out[len..];
+        // A tail of a whole group or more is left only when the wrap
+        // stopped the groups, and then the counter test below fails too.
+        if tail.len() <= 64 || u32::MAX - self.counter < WIDE_BLOCKS {
+            return len;
+        }
+        let mut group = [0u8; WIDE_BYTES];
+        // SAFETY: AVX2 was detected above; `group` is one whole group, and
+        // its last block's counter, `counter + 7`, is below u32::MAX.
+        unsafe { keystream_avx2(&self.key, self.counter, &self.nonce, &mut group) };
+        tail.copy_from_slice(&group[..tail.len()]);
+        let last = 64 * ((tail.len() - 1) / 64);
+        self.buf.copy_from_slice(&group[last..last + 64]);
+        self.buf_pos = tail.len() - last;
+        self.counter += (last / 64) as u32 + 1;
+        out.len()
     }
 
     /// Hosts without the 8-lane keystream generate every block in `refill`.
@@ -505,6 +531,34 @@ mod tests {
         out
     }
 
+    /// For every head offset (0 to 63 bytes drawn first) and every tail of
+    /// 1 to 511 bytes past `groups` whole groups, a fill from block `start`
+    /// equals the block-by-block stream, and so do the next 65 bytes, which
+    /// read the block the fill left buffered and then a fresh one.
+    fn check_every_head_and_tail(key: &[u8; 32], start: u32, groups: &[usize]) {
+        let most = groups.iter().max().map_or(0, |&g| g * WIDE_BYTES);
+        let expected = scalar_stream(key, start, [0u8; 12], 64 + most + WIDE_BYTES + 65);
+        for lead in 0..64 {
+            let mut drawn = ChaCha20Rng::from_seed(*key);
+            drawn.counter = start;
+            drawn.fill_bytes(&mut vec![0u8; lead]);
+            // What the lead left buffered: none after no draw at all.
+            let head = (64 - lead) % 64;
+            for &g in groups {
+                for tail in 1..WIDE_BYTES {
+                    let mut rng = drawn.clone();
+                    let end = lead + head + g * WIDE_BYTES + tail;
+                    let mut got = vec![0u8; end - lead];
+                    rng.fill_bytes(&mut got);
+                    assert_eq!(got, &expected[lead..end], "start {start}, {lead}+{g}g+{tail}");
+                    let mut next = [0u8; 65];
+                    rng.fill_bytes(&mut next);
+                    assert_eq!(next.as_slice(), &expected[end..end + 65], "continuation");
+                }
+            }
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn wide_group_matches_eight_scalar_blocks() {
@@ -554,6 +608,9 @@ mod tests {
                 rolled[0] = 1;
                 assert_eq!(rng.nonce, rolled, "nonce rolled once, k {k}");
             }
+            // Tails near the wrap: the last group that fits, then scalar
+            // blocks across the wrap and the nonce roll.
+            check_every_head_and_tail(&key, u32::MAX - k, &[0, 1]);
         }
     }
 
@@ -575,6 +632,7 @@ mod tests {
                 assert_eq!(next.as_slice(), &cont[lead + len..], "{lead}+{len} continuation");
             }
         }
+        check_every_head_and_tail(&key, 0, &[0, 1, 2]);
     }
 
     #[test]

@@ -13,6 +13,46 @@ const GROUP_WORDS: usize = 8;
 /// Bits per rank group.
 const GROUP_BITS: u64 = GROUP_WORDS as u64 * 64;
 
+/// Indices of the set bits of a word slice, ascending: one step per word
+/// plus one per set bit.
+struct SetBits<'a> {
+    words: &'a [u64],
+    /// Index of the next word to load.
+    word: usize,
+    /// Set bits of word `word - 1` not yet yielded.
+    bits: u64,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        SetBits { words, word: 0, bits: 0 }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.bits == 0 {
+            self.bits = *self.words.get(self.word)?;
+            self.word += 1;
+        }
+        let bit = (self.word as u64 - 1) * 64 + self.bits.trailing_zeros() as u64;
+        self.bits &= self.bits - 1;
+        Some(bit)
+    }
+}
+
+/// Index of the first clear bit of `words` at or after `from`, if any.
+pub(crate) fn first_clear_bit(words: &[u64], from: u64) -> Option<u64> {
+    let first = (from / 64) as usize;
+    words.iter().enumerate().skip(first).find_map(|(word, &bits)| {
+        let mask = if word == first { !0u64 << (from % 64) } else { !0 };
+        let clear = !bits & mask;
+        (clear != 0).then(|| word as u64 * 64 + clear.trailing_zeros() as u64)
+    })
+}
+
 /// A fixed-size bitmap over physical block indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
@@ -104,25 +144,7 @@ impl Bitmap {
 
     /// Index of the first free bit at or after `from`, if any.
     pub fn first_free_from(&self, from: u64) -> Option<u64> {
-        if from >= self.len {
-            return None;
-        }
-        let mut word = (from / 64) as usize;
-        let mut masked = !self.bits[word] & (!0u64 << (from % 64));
-        loop {
-            if masked != 0 {
-                let bit = word as u64 * 64 + masked.trailing_zeros() as u64;
-                if bit < self.len {
-                    return Some(bit);
-                }
-                return None;
-            }
-            word += 1;
-            if word >= self.bits.len() {
-                return None;
-            }
-            masked = !self.bits[word];
-        }
+        first_clear_bit(&self.bits, from).filter(|&bit| bit < self.len)
     }
 
     /// Index of the `n`-th free bit (0-based), if at least `n + 1` bits are
@@ -166,9 +188,10 @@ impl Bitmap {
         None
     }
 
-    /// Iterator over all set (allocated) bit indices.
+    /// Iterator over all set (allocated) bit indices, ascending: one step
+    /// per word plus one per set bit.
     pub fn iter_allocated(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).filter(move |&i| self.get(i))
+        SetBits::new(&self.bits)
     }
 
     /// Serializes to little-endian words.
@@ -349,6 +372,9 @@ mod tests {
             }
             prop_assert_eq!(bm.allocated(), model.len() as u64);
             prop_assert_eq!(bm.free(), 500 - model.len() as u64);
+            let mut sorted: Vec<u64> = model.iter().copied().collect();
+            sorted.sort_unstable();
+            prop_assert_eq!(bm.iter_allocated().collect::<Vec<_>>(), sorted);
             for i in 0..500 {
                 prop_assert_eq!(bm.get(i), model.contains(&i));
             }

@@ -1,17 +1,34 @@
-//! Run-length extent mapping: virtual → physical block runs.
+//! Virtual → physical mapping table with a run-length extent view.
 //!
 //! Real dm-thin maps block ranges, not single blocks: `Map { virt_begin,
 //! data_begin, len }` describes `len` contiguous virtual blocks backed by
-//! `len` contiguous physical blocks. Sequential traffic collapses into a
-//! handful of extents (~64x smaller serialized metadata than per-block
-//! entries), while MobiCeal's random allocator degenerates gracefully to
-//! one-block extents. [`ExtentMap`] keeps the per-block semantics of the
-//! old `BTreeMap<u64, u64>` mapping table — lookup, insert, remove — while
-//! storing runs: inserts merge into adjacent extents when both the virtual
-//! and physical sides are contiguous, and removing a block from the middle
-//! of a run splits it.
+//! `len` contiguous physical blocks, and that is the form the on-disk
+//! format serializes ([`ExtentMap::extents`]). In memory, [`ExtentMap`]
+//! keeps pages of 512 physical block numbers in a `BTreeMap` keyed by
+//! `vblock / 512`, each page with an occupancy mask and a count. MobiCeal
+//! places every fresh block at random, so its mappings are one-block runs;
+//! with pages, `get`, `insert` and `remove` are one small-map lookup plus
+//! an index whatever the runs look like, and `first_unmapped_from` scans
+//! occupancy words.
+//!
+//! The extent view is derived: one ascending scan merges neighbours whose
+//! virtual and physical sides are both contiguous, so the runs always come
+//! out canonical (maximally merged). A page is dropped with its last
+//! mapping and its unmapped slots hold zero, so derived equality is
+//! per-block equality. Memory grows with the pages touched, never with a
+//! volume's virtual size.
 
+use crate::bitmap::first_clear_bit;
 use std::collections::BTreeMap;
+
+/// Mapping slots per page.
+const PAGE_SLOTS: usize = 512;
+
+/// Occupancy words per page.
+const PAGE_WORDS: usize = PAGE_SLOTS / 64;
+
+/// The page holding `u64::MAX`; no page follows it.
+const LAST_PAGE: u64 = u64::MAX / PAGE_SLOTS as u64;
 
 /// One mapping run: `len` virtual blocks starting at `virt_begin`, backed
 /// by `len` physical blocks starting at `data_begin`.
@@ -25,30 +42,93 @@ pub struct Extent {
     pub len: u64,
 }
 
-impl Extent {
-    /// The physical block backing `vblock`, if this run covers it.
-    fn lookup(&self, vblock: u64) -> Option<u64> {
-        if vblock >= self.virt_begin && vblock < self.virt_begin + self.len {
-            Some(self.data_begin + (vblock - self.virt_begin))
-        } else {
-            None
+/// The mappings of [`PAGE_SLOTS`] consecutive virtual blocks.
+#[derive(Clone, PartialEq, Eq)]
+struct Page {
+    /// Bit `i` is set when slot `i` is mapped.
+    occupied: [u64; PAGE_WORDS],
+    /// Set bits in `occupied`; the page is dropped when this reaches 0.
+    count: u32,
+    /// Physical block per slot; 0 in every unmapped slot.
+    physical: Box<[u64; PAGE_SLOTS]>,
+}
+
+impl Page {
+    fn new() -> Self {
+        Page { occupied: [0; PAGE_WORDS], count: 0, physical: Box::new([0; PAGE_SLOTS]) }
+    }
+}
+
+/// `(virtual, physical)` for every mapping of a run of pages, ascending:
+/// one occupancy word at a time within each page.
+struct Blocks<'a, I> {
+    pages: I,
+    /// The page being walked, with its first virtual block.
+    page: Option<(u64, &'a Page)>,
+    /// Index of the next occupancy word to load.
+    word: usize,
+    /// Set bits of word `word - 1` not yet yielded.
+    bits: u64,
+}
+
+impl<'a, I: Iterator<Item = (&'a u64, &'a Page)>> Blocks<'a, I> {
+    fn new(mut pages: I) -> Self {
+        let page = Self::start(pages.next());
+        Blocks { pages, page, word: 0, bits: 0 }
+    }
+
+    fn start(page: Option<(&'a u64, &'a Page)>) -> Option<(u64, &'a Page)> {
+        page.map(|(&key, page)| (key * PAGE_SLOTS as u64, page))
+    }
+}
+
+impl<'a, I: Iterator<Item = (&'a u64, &'a Page)>> Iterator for Blocks<'a, I> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        loop {
+            let (base, page) = self.page?;
+            if self.bits != 0 {
+                let slot = (self.word - 1) * 64 + self.bits.trailing_zeros() as usize;
+                self.bits &= self.bits - 1;
+                return Some((base + slot as u64, page.physical[slot]));
+            }
+            if self.word < PAGE_WORDS {
+                self.bits = page.occupied[self.word];
+                self.word += 1;
+            } else {
+                self.page = Self::start(self.pages.next());
+                self.word = 0;
+            }
         }
     }
 }
 
-/// A virtual → physical mapping table stored as run-length extents.
+/// The page number of `vblock`, its slot in that page, and the slot's
+/// occupancy word and bit.
+fn locate(vblock: u64) -> (u64, usize, usize, u64) {
+    let slot = (vblock % PAGE_SLOTS as u64) as usize;
+    (vblock / PAGE_SLOTS as u64, slot, slot / 64, 1 << (slot % 64))
+}
+
+/// A virtual → physical mapping table: pages of per-block entries in
+/// memory, a canonical run-length extent view for serialization.
 ///
 /// Per-block view (iteration, lookup, equality) is identical to a
 /// `BTreeMap<u64, u64>` of (virtual, physical) pairs; the extent view
 /// ([`ExtentMap::extents`]) is what the on-disk format serializes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct ExtentMap {
-    /// virt_begin → (data_begin, len), non-overlapping, never adjacent
-    /// when mergeable (canonical form: two neighbours are only kept
-    /// separate when their virtual or physical runs do not touch).
-    runs: BTreeMap<u64, (u64, u64)>,
-    /// Total mapped blocks (sum of run lengths), cached.
+    /// Page number (`vblock / PAGE_SLOTS`) → page; no page is empty.
+    pages: BTreeMap<u64, Page>,
+    /// Total mapped blocks (sum of page counts), cached.
     mapped: u64,
+}
+
+impl std::fmt::Debug for ExtentMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.extents()).finish()
+    }
 }
 
 impl ExtentMap {
@@ -67,23 +147,28 @@ impl ExtentMap {
         self.mapped == 0
     }
 
-    /// Number of extents (runs) in canonical form.
+    /// Number of extents (runs) in canonical form. This scans every
+    /// mapping, so a caller that also walks [`ExtentMap::extents`] should
+    /// count the runs as it goes.
     pub fn extent_count(&self) -> usize {
-        self.runs.len()
+        let mut count = 0;
+        self.for_each_extent(|_| count += 1);
+        count
     }
 
-    /// The run covering `vblock`, if any.
-    fn run_over(&self, vblock: u64) -> Option<Extent> {
-        let (&virt_begin, &(data_begin, len)) = self.runs.range(..=vblock).next_back()?;
-        let e = Extent { virt_begin, data_begin, len };
-        e.lookup(vblock).map(|_| e)
+    /// Pages held: the map's memory, in units of one page.
+    #[cfg(test)]
+    pub(crate) fn page_count(&self) -> usize {
+        self.pages.len()
     }
 
     /// The physical block backing `vblock`, if mapped.
     ///
     /// Takes `&u64` (like `BTreeMap::get`) but returns the block by value.
     pub fn get(&self, vblock: &u64) -> Option<u64> {
-        self.run_over(*vblock).and_then(|e| e.lookup(*vblock))
+        let (key, slot, word, bit) = locate(*vblock);
+        let page = self.pages.get(&key)?;
+        (page.occupied[word] & bit != 0).then(|| page.physical[slot])
     }
 
     /// Whether `vblock` is mapped.
@@ -91,68 +176,58 @@ impl ExtentMap {
         self.get(vblock).is_some()
     }
 
-    /// The lowest unmapped virtual block at or above `vblock`. Skips the run
-    /// covering `vblock`, then every run that starts exactly where the last
-    /// one ended, in one ascending range walk.
+    /// The lowest unmapped virtual block at or above `vblock`. Scans the
+    /// occupancy words of consecutive pages and stops at the first clear
+    /// bit or missing page. Saturates at `u64::MAX` when every block from
+    /// `vblock` up is mapped.
     pub fn first_unmapped_from(&self, vblock: u64) -> u64 {
-        let mut v = self.run_over(vblock).map_or(vblock, |e| e.virt_begin + e.len);
-        for (&virt_begin, &(_, len)) in self.runs.range(v..) {
-            if virt_begin != v {
+        let mut key = vblock / PAGE_SLOTS as u64;
+        let mut slot = vblock % PAGE_SLOTS as u64;
+        for (&present, page) in self.pages.range(key..) {
+            if present != key {
+                break; // page `key` is missing: its slots are all unmapped
+            }
+            if let Some(free) = first_clear_bit(&page.occupied, slot) {
+                slot = free;
                 break;
             }
-            v = virt_begin + len;
+            if key == LAST_PAGE {
+                return u64::MAX;
+            }
+            key += 1;
+            slot = 0;
         }
-        v
+        key * PAGE_SLOTS as u64 + slot
     }
 
     /// Maps `vblock` to `physical`, returning the previous backing block if
-    /// one existed. Merges into the left/right neighbouring runs when both
-    /// the virtual and physical sides are contiguous.
+    /// one existed.
     pub fn insert(&mut self, vblock: u64, physical: u64) -> Option<u64> {
-        let old = self.remove(&vblock);
-        // Left neighbour: a run ending exactly at (vblock, physical).
-        let left = self
-            .runs
-            .range(..vblock)
-            .next_back()
-            .map(|(&v, &(d, l))| (v, d, l))
-            .filter(|&(v, d, l)| v + l == vblock && d + l == physical);
-        // Right neighbour: a run starting exactly at (vblock + 1,
-        // physical + 1).
-        let right =
-            self.runs.get(&(vblock + 1)).map(|&(d, l)| (d, l)).filter(|&(d, _)| d == physical + 1);
-        match (left, right) {
-            (Some((lv, _, ll)), Some((_, rl))) => {
-                self.runs.remove(&(vblock + 1));
-                self.runs.get_mut(&lv).expect("left run exists").1 = ll + 1 + rl;
-            }
-            (Some((lv, _, ll)), None) => {
-                self.runs.get_mut(&lv).expect("left run exists").1 = ll + 1;
-            }
-            (None, Some((_, rl))) => {
-                self.runs.remove(&(vblock + 1));
-                self.runs.insert(vblock, (physical, rl + 1));
-            }
-            (None, None) => {
-                self.runs.insert(vblock, (physical, 1));
-            }
+        let (key, slot, word, bit) = locate(vblock);
+        let page = self.pages.entry(key).or_insert_with(Page::new);
+        let previous = std::mem::replace(&mut page.physical[slot], physical);
+        if page.occupied[word] & bit != 0 {
+            return Some(previous);
         }
+        page.occupied[word] |= bit;
+        page.count += 1;
         self.mapped += 1;
-        old
+        None
     }
 
-    /// Unmaps `vblock`, returning the physical block that backed it.
-    /// Removing from the middle of a run splits it in two.
+    /// Unmaps `vblock`, returning the physical block that backed it. The
+    /// page goes with its last mapping.
     pub fn remove(&mut self, vblock: &u64) -> Option<u64> {
-        let e = self.run_over(*vblock)?;
-        let physical = e.lookup(*vblock).expect("run covers vblock");
-        self.runs.remove(&e.virt_begin);
-        let off = *vblock - e.virt_begin;
-        if off > 0 {
-            self.runs.insert(e.virt_begin, (e.data_begin, off));
+        let (key, slot, word, bit) = locate(*vblock);
+        let page = self.pages.get_mut(&key)?;
+        if page.occupied[word] & bit == 0 {
+            return None;
         }
-        if off + 1 < e.len {
-            self.runs.insert(*vblock + 1, (e.data_begin + off + 1, e.len - off - 1));
+        page.occupied[word] &= !bit;
+        page.count -= 1;
+        let physical = std::mem::take(&mut page.physical[slot]);
+        if page.count == 0 {
+            self.pages.remove(&key);
         }
         self.mapped -= 1;
         Some(physical)
@@ -160,7 +235,7 @@ impl ExtentMap {
 
     /// Per-block iteration in ascending virtual order: `(virtual, physical)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.runs.iter().flat_map(|(&v, &(d, len))| (0..len).map(move |i| (v + i, d + i)))
+        Blocks::new(self.pages.iter())
     }
 
     /// Mapped virtual blocks in ascending order.
@@ -173,13 +248,51 @@ impl ExtentMap {
         self.iter().map(|(_, p)| p)
     }
 
-    /// The extents in ascending virtual order (the serialized form).
+    /// The canonical extents in ascending virtual order (the serialized
+    /// form), derived in one scan of the mappings.
     pub fn extents(&self) -> impl Iterator<Item = Extent> + '_ {
-        self.runs.iter().map(|(&virt_begin, &(data_begin, len))| Extent {
-            virt_begin,
-            data_begin,
-            len,
-        })
+        let mut runs = Vec::new();
+        self.for_each_extent(|e| runs.push(e));
+        runs.into_iter()
+    }
+
+    /// Hands each canonical extent to `emit`, in ascending virtual order:
+    /// a run absorbs the next mapping while both its virtual and its
+    /// physical side continue it.
+    pub(crate) fn for_each_extent(&self, mut emit: impl FnMut(Extent)) {
+        // Nested loops rather than `iter()`: the checkpoint encoder runs
+        // this over every mapping, and the loops keep it as fast as walking
+        // stored runs was.
+        let mut run: Option<Extent> = None;
+        for (&key, page) in &self.pages {
+            let base = key * PAGE_SLOTS as u64;
+            for (word, &bits) in page.occupied.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let slot = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (v, p) = (base + slot as u64, page.physical[slot]);
+                    match run.as_mut() {
+                        Some(r)
+                            if r.virt_begin.checked_add(r.len) == Some(v)
+                                && r.data_begin.checked_add(r.len) == Some(p) =>
+                        {
+                            r.len += 1
+                        }
+                        _ => {
+                            if let Some(done) =
+                                run.replace(Extent { virt_begin: v, data_begin: p, len: 1 })
+                            {
+                                emit(done);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(done) = run {
+            emit(done);
+        }
     }
 
     /// Maps a whole run at once (replaying a journaled extent op). Existing
@@ -190,9 +303,19 @@ impl ExtentMap {
         }
     }
 
-    /// Unmaps a whole virtual run (no-op where nothing is mapped).
+    /// Unmaps a whole virtual run (no-op where nothing is mapped). Visits
+    /// only the mapped blocks of the pages the run overlaps, so a huge
+    /// `len` costs no more than the mappings it removes.
     pub fn remove_run(&mut self, virt_begin: u64, len: u64) {
-        for v in virt_begin..virt_begin + len {
+        let Some(last) = len.checked_sub(1).map(|l| virt_begin.saturating_add(l)) else {
+            return;
+        };
+        let pages = self.pages.range(virt_begin / PAGE_SLOTS as u64..=last / PAGE_SLOTS as u64);
+        let doomed: Vec<u64> = Blocks::new(pages)
+            .map(|(v, _)| v)
+            .filter(|v| (virt_begin..=last).contains(v))
+            .collect();
+        for v in doomed {
             self.remove(&v);
         }
     }
@@ -334,5 +457,79 @@ mod tests {
         assert_eq!(m.extent_count(), 2);
         m.remove_run(0, 100); // covers everything + unmapped space
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn runs_merge_across_page_edges() {
+        let mut m = ExtentMap::new();
+        for v in 500..530u64 {
+            m.insert(v, 7000 + v);
+        }
+        m.insert(1023, 5);
+        m.insert(1024, 6);
+        assert_eq!(
+            m.extents().collect::<Vec<_>>(),
+            vec![
+                Extent { virt_begin: 500, data_begin: 7500, len: 30 },
+                Extent { virt_begin: 1023, data_begin: 5, len: 2 },
+            ]
+        );
+        m.remove_run(511, 2);
+        assert_eq!(m.extent_count(), 3, "a removal at the page edge splits the run");
+    }
+
+    #[test]
+    fn removing_a_pages_last_mapping_leaves_the_map_it_never_held() {
+        let mut m = ExtentMap::new();
+        m.insert(3, 10);
+        m.insert(600, 20);
+        m.insert(1_000_000, 30);
+        let mut never: ExtentMap = [(3u64, 10u64)].into_iter().collect();
+        assert_ne!(m, never);
+        assert_eq!(m.remove(&600), Some(20));
+        assert_eq!(m.remove(&1_000_000), Some(30));
+        assert_eq!(m, never);
+        assert_eq!(m.extent_count(), 1);
+        // A slot unmapped from a page that stays, or overwritten, leaves
+        // no trace either.
+        m.insert(7, 70);
+        assert_eq!(m.remove(&7), Some(70));
+        assert_eq!(m, never);
+        m.insert(4, 99);
+        m.insert(4, 11);
+        never.insert(4, 11);
+        assert_eq!(m, never);
+        m.remove(&3);
+        m.remove(&4);
+        assert_eq!(m, ExtentMap::new());
+    }
+
+    #[test]
+    fn first_unmapped_from_scans_across_pages() {
+        let mut m = ExtentMap::new();
+        m.insert_run(Extent { virt_begin: 0, data_begin: 0, len: 1024 });
+        assert_eq!(m.first_unmapped_from(0), 1024, "two full pages, then a missing one");
+        assert_eq!(m.first_unmapped_from(700), 1024);
+        m.insert_run(Extent { virt_begin: 1024, data_begin: 5000, len: 130 });
+        assert_eq!(m.first_unmapped_from(0), 1154, "a clear bit in the third page's third word");
+        m.remove(&511);
+        assert_eq!(m.first_unmapped_from(0), 511);
+        assert_eq!(m.first_unmapped_from(512), 1154);
+        assert_eq!(m.first_unmapped_from(2048), 2048);
+    }
+
+    #[test]
+    fn the_top_of_the_address_space_saturates() {
+        let mut m = ExtentMap::new();
+        m.insert(u64::MAX - 1, 1);
+        assert_eq!(m.first_unmapped_from(u64::MAX - 1), u64::MAX);
+        m.insert(u64::MAX, 2);
+        assert_eq!(m.first_unmapped_from(u64::MAX - 1), u64::MAX, "nothing above is free");
+        assert_eq!(
+            m.extents().collect::<Vec<_>>(),
+            vec![Extent { virt_begin: u64::MAX - 1, data_begin: 1, len: 2 }]
+        );
+        m.remove_run(u64::MAX - 1, u64::MAX);
+        assert!(m.is_empty(), "a run past the top removes what is mapped");
     }
 }

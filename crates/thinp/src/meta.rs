@@ -38,7 +38,7 @@ pub struct VolumeMeta {
     pub id: u32,
     /// Provisioned (virtual) size in blocks.
     pub virtual_blocks: u64,
-    /// virtual block → physical block, stored as run-length extents.
+    /// virtual block → physical block, serialized as run-length extents.
     pub mappings: ExtentMap,
 }
 
@@ -86,8 +86,10 @@ pub(crate) fn encode_payload<'a, I>(
     I: ExactSizeIterator<Item = (u32, u64, &'a ExtentMap)> + Clone,
 {
     let bm = bitmap.to_bytes();
+    // Every run covers at least one mapping, so one triple per mapped
+    // block bounds a volume's extent bytes without deriving its runs.
     let volume_bytes: usize =
-        volumes.clone().map(|(_, _, mappings)| 4 + 8 + 8 + 24 * mappings.extent_count()).sum();
+        volumes.clone().map(|(_, _, mappings)| 4 + 8 + 8 + 24 * mappings.len()).sum();
     out.reserve(8 + 8 + bm.len() + 4 + volume_bytes);
     out.extend_from_slice(&transaction_id.to_le_bytes());
     out.extend_from_slice(&(bm.len() as u64).to_le_bytes());
@@ -96,12 +98,18 @@ pub(crate) fn encode_payload<'a, I>(
     for (id, virtual_blocks, mappings) in volumes {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&virtual_blocks.to_le_bytes());
-        out.extend_from_slice(&(mappings.extent_count() as u64).to_le_bytes());
-        for e in mappings.extents() {
+        // The runs are derived in one scan: write them, counting, then
+        // fill in the count they follow.
+        let count_at = out.len();
+        out.extend_from_slice(&0u64.to_le_bytes());
+        let mut count = 0u64;
+        mappings.for_each_extent(|e| {
             out.extend_from_slice(&e.virt_begin.to_le_bytes());
             out.extend_from_slice(&e.data_begin.to_le_bytes());
             out.extend_from_slice(&e.len.to_le_bytes());
-        }
+            count += 1;
+        });
+        out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
     }
 }
 
@@ -336,6 +344,39 @@ mod tests {
         let per_volume = 4 + 8 + 8 + 24;
         let bm = view.bitmap.to_bytes().len();
         assert_eq!(bytes.len(), 8 + 8 + bm + 4 + per_volume);
+    }
+
+    #[test]
+    fn huge_virtual_size_decodes_to_one_page_or_a_typed_error() {
+        // A corrupt size and one one-block extent at the top of the
+        // address space: the decoder must build the one page that extent
+        // touches, never a table dense over `virtual_blocks`.
+        let mut bitmap = Bitmap::new(128);
+        bitmap.set(5);
+        let mappings: ExtentMap = [(u64::MAX - 3, 5u64)].into_iter().collect();
+        let mut volumes = BTreeMap::new();
+        volumes.insert(1, VolumeMeta { id: 1, virtual_blocks: u64::MAX, mappings });
+        let view = MetadataView { transaction_id: 3, bitmap, volumes };
+        let bytes = view.to_bytes();
+        let back = MetadataView::from_bytes(&bytes).unwrap();
+        assert_eq!(back, view);
+        assert_eq!(back.volumes[&1].mappings.page_count(), 1);
+        assert_eq!(back.volumes[&1].mappings.get(&(u64::MAX - 3)), Some(5));
+
+        // The extent triple is the last 24 bytes, its count the 8 before.
+        let triple = bytes.len() - 24;
+        let mut long = bytes.clone();
+        long[triple + 16..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            MetadataView::from_bytes(&long),
+            Err(BlockDeviceError::CorruptMetadata { .. })
+        ));
+        let mut many = bytes.clone();
+        many[triple - 8..triple].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            MetadataView::from_bytes(&many),
+            Err(BlockDeviceError::CorruptMetadata { .. })
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice}
 use mobiceal_crypto::sha256;
 use mobiceal_sim::{SimClock, SimDuration};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identifier of a thin volume within its pool.
@@ -108,11 +108,13 @@ struct AllocState {
     /// against the committed bitmap plus a record of in-flight allocations.
     bitmap: Bitmap,
     allocator: Box<dyn Allocator>,
-    /// Blocks allocated since the last commit (the open transaction). The
-    /// allocator must not hand these out again (§V-A's transaction fix),
-    /// and a crash before commit releases them. At commit these become the
-    /// record's `Alloc` ops.
-    reserved: HashSet<u64>,
+    /// Blocks the allocator must not hand out although `bitmap` shows them
+    /// free, one bit per data block: those allocated since the last commit
+    /// (the open transaction) and those in `pending_free`. The allocator
+    /// must not hand the first kind out again (§V-A's transaction fix), and
+    /// a crash before commit releases them. At commit they become the
+    /// record's `Alloc` ops, walked in ascending order word by word.
+    reserved: Bitmap,
     transaction_id: u64,
     active_half: u8,
     /// Volume creates/deletes since the last commit, in order.
@@ -122,12 +124,13 @@ struct AllocState {
     /// journaled as allocated.
     journal_free: Vec<u64>,
     /// Committed blocks freed in the open transaction, held out of the
-    /// allocator until the free durably commits. Without this hold-out a
+    /// allocator until the free durably commits; each is also set in
+    /// `reserved`, which is what holds it out. Without this hold-out a
     /// freed block could be reallocated and overwritten *before* the
     /// commit that records the free — a crash in that window would replay
     /// the old mapping against clobbered data (dm-thin defers frees to the
     /// commit boundary for the same reason).
-    pending_free: HashSet<u64>,
+    pending_free: Bitmap,
     /// Committed journal extent in blocks (mirrors the superblock).
     journal_used: u64,
     /// Transaction id of the checkpoint the journal is relative to.
@@ -140,11 +143,39 @@ struct AllocState {
 }
 
 impl AllocState {
+    /// Fresh open-transaction state over `bitmap`, the committed cut.
+    fn new(bitmap: Bitmap, allocator: Box<dyn Allocator>) -> Self {
+        AllocState {
+            reserved: Bitmap::new(bitmap.len()),
+            pending_free: Bitmap::new(bitmap.len()),
+            bitmap,
+            allocator,
+            transaction_id: 0,
+            active_half: 1, // first checkpoint goes to half 0
+            meta_ops: Vec::new(),
+            journal_free: Vec::new(),
+            journal_used: 0,
+            checkpoint_txid: 0,
+            checkpoint_payload_len: 0,
+            checkpoint_digest: [0u8; 32],
+        }
+    }
+
+    /// Blocks allocated in the open transaction, ascending.
+    fn open_allocations(&self) -> impl Iterator<Item = u64> + '_ {
+        self.reserved.iter_allocated().filter(move |&b| !self.pending_free.get(b))
+    }
+
+    /// How many blocks the open transaction has allocated.
+    fn open_allocation_count(&self) -> u64 {
+        self.reserved.allocated() - self.pending_free.allocated()
+    }
+
     /// Committed bitmap with the open transaction folded in — the live
     /// occupancy an adversary reading the device right now would infer.
     fn live_bitmap(&self) -> Bitmap {
         let mut bm = self.bitmap.clone();
-        for &b in &self.reserved {
+        for b in self.open_allocations() {
             bm.set(b);
         }
         bm
@@ -155,13 +186,16 @@ impl AllocState {
     /// event; dropping an open-transaction reservation is not (it was
     /// never persisted as allocated).
     fn release(&mut self, p: u64) {
-        if !self.reserved.remove(&p) {
+        if self.reserved.get(p) && !self.pending_free.get(p) {
+            self.reserved.clear(p);
+        } else {
             self.bitmap.clear(p);
             self.journal_free.push(p);
             // Keep the block unavailable until the free commits: handing it
             // out now would let new data land where a crash-replay still
             // expects the old mapping's contents.
-            self.pending_free.insert(p);
+            self.pending_free.set(p);
+            self.reserved.set(p);
         }
     }
 }
@@ -200,12 +234,11 @@ impl PoolShared {
             .ok_or_else(|| BlockDeviceError::Unsupported { what: format!("no volume {id}") })
     }
 
-    /// Charges the configured thin-lookup cost for `lookups` mapped reads.
+    /// Charges the configured thin-lookup cost for `lookups` volume reads,
+    /// mapped or not, in one clock advance.
     fn charge_read_overhead(&self, lookups: usize) {
         if let Some((clock, cost)) = self.read_overhead.read().as_ref() {
-            for _ in 0..lookups {
-                clock.advance(*cost);
-            }
+            clock.advance(*cost * lookups as u64);
         }
     }
 }
@@ -274,20 +307,10 @@ impl ThinPool {
         let pool = ThinPool {
             shared: Arc::new(PoolShared {
                 directory: RwLock::new(BTreeMap::new()),
-                alloc: Mutex::new(AllocState {
-                    bitmap: Bitmap::new(data.num_blocks()),
-                    allocator: make_allocator(strategy, seed),
-                    reserved: HashSet::new(),
-                    transaction_id: 0,
-                    active_half: 1, // first checkpoint goes to half 0
-                    meta_ops: Vec::new(),
-                    journal_free: Vec::new(),
-                    pending_free: HashSet::new(),
-                    journal_used: 0,
-                    checkpoint_txid: 0,
-                    checkpoint_payload_len: 0,
-                    checkpoint_digest: [0u8; 32],
-                }),
+                alloc: Mutex::new(AllocState::new(
+                    Bitmap::new(data.num_blocks()),
+                    make_allocator(strategy, seed),
+                )),
                 read_overhead: RwLock::new(None),
             }),
             data,
@@ -371,18 +394,13 @@ impl ThinPool {
             shared: Arc::new(PoolShared {
                 directory: RwLock::new(volumes),
                 alloc: Mutex::new(AllocState {
-                    bitmap: view.bitmap,
-                    allocator: make_allocator(strategy, seed),
-                    reserved: HashSet::new(),
                     transaction_id: sb.transaction_id,
                     active_half: sb.active_half,
-                    meta_ops: Vec::new(),
-                    journal_free: Vec::new(),
-                    pending_free: HashSet::new(),
                     journal_used: sb.journal_blocks,
                     checkpoint_txid: sb.checkpoint_txid,
                     checkpoint_payload_len: sb.payload_len,
                     checkpoint_digest: sb.payload_digest,
+                    ..AllocState::new(view.bitmap, make_allocator(strategy, seed))
                 }),
                 read_overhead: RwLock::new(None),
             }),
@@ -530,11 +548,7 @@ impl ThinPool {
         for &b in &alloc.journal_free {
             ops.push(DeltaOp::Free { block: b });
         }
-        let mut fresh: Vec<u64> = alloc.reserved.iter().copied().collect();
-        fresh.sort_unstable();
-        for b in fresh {
-            ops.push(DeltaOp::Alloc { block: b });
-        }
+        ops.extend(alloc.open_allocations().map(|block| DeltaOp::Alloc { block }));
         let record = JournalRecord { seq: alloc.transaction_id + 1, ops };
         let tm = TransactionManager::new(self.meta.clone(), Self::geometry(&self.meta).journal);
         match tm.append(alloc.journal_used, &record) {
@@ -653,13 +667,16 @@ impl ThinPool {
         }
         alloc.meta_ops.clear();
         alloc.journal_free.clear();
+        let AllocState { bitmap, reserved, pending_free, .. } = alloc;
+        for b in reserved.iter_allocated() {
+            if !pending_free.get(b) {
+                bitmap.set(b);
+            }
+        }
         // The frees just became durable: the held-out blocks are now safe
         // to hand out again.
-        alloc.pending_free.clear();
-        let reserved: Vec<u64> = alloc.reserved.drain().collect();
-        for b in reserved {
-            alloc.bitmap.set(b);
-        }
+        *reserved = Bitmap::new(bitmap.len());
+        *pending_free = Bitmap::new(bitmap.len());
     }
 
     /// Coalesces one volume's ordered mapping deltas into extent ops:
@@ -799,13 +816,13 @@ impl ThinPool {
     /// Total physically allocated blocks (committed + open transaction).
     pub fn allocated_blocks(&self) -> u64 {
         let alloc = self.shared.alloc.lock();
-        alloc.bitmap.allocated() + alloc.reserved.len() as u64
+        alloc.bitmap.allocated() + alloc.open_allocation_count()
     }
 
     /// Free physical blocks.
     pub fn free_blocks(&self) -> u64 {
         let alloc = self.shared.alloc.lock();
-        alloc.bitmap.free() - alloc.reserved.len() as u64
+        alloc.bitmap.free() - alloc.open_allocation_count()
     }
 
     /// The pool's volume budget.
@@ -813,8 +830,8 @@ impl ThinPool {
         self.config
     }
 
-    /// Charges `cost` on `clock` for every mapped volume read, modelling
-    /// dm-thin's mapping-btree lookups on the read path.
+    /// Charges `cost` on `clock` for every volume block read, mapped or
+    /// not, modelling dm-thin's mapping-btree lookups on the read path.
     pub fn set_read_overhead(&self, clock: SimClock, cost: SimDuration) {
         *self.shared.read_overhead.write() = Some((clock, cost));
     }
@@ -873,45 +890,7 @@ impl ThinPool {
         }
     }
 
-    /// Allocates a fresh physical block to `id` at its lowest unmapped
-    /// virtual index and fills it with `data`. This is the primitive dummy
-    /// writes use: "m free blocks will be allocated and ... filled with
-    /// random noise" (§IV-B).
-    ///
-    /// # Errors
-    ///
-    /// [`BlockDeviceError::NoSpace`] if the pool or the volume's virtual
-    /// address space is exhausted; fails if the volume does not exist or
-    /// `data` is not block-sized. A data-device failure rolls the fresh
-    /// mapping back, so the virtual block never points at storage whose
-    /// noise did not land.
-    pub fn append_block(&self, id: VolumeId, data: &[u8]) -> Result<u64, BlockDeviceError> {
-        if data.len() != self.data.block_size() {
-            return Err(BlockDeviceError::WrongBufferSize {
-                got: data.len(),
-                expected: self.data.block_size(),
-            });
-        }
-        let handle = self.shared.volume(id)?;
-        let (vblock, p) = {
-            let mut vol = handle.lock();
-            vol.check_live_pool(id)?;
-            let vblock = vol.mappings.first_unmapped_from(0);
-            if vblock >= vol.virtual_blocks {
-                return Err(BlockDeviceError::NoSpace);
-            }
-            let p = Self::allocate_one(&self.shared)?;
-            vol.map(vblock, p);
-            (vblock, p)
-        };
-        if let Err(e) = self.data.write_block(p, data) {
-            Self::rollback_staged(&self.shared, id, &[(vblock, p)]);
-            return Err(e);
-        }
-        Ok(p)
-    }
-
-    /// How many more blocks [`ThinPool::append_block`] can currently land
+    /// How many more blocks [`ThinPool::append_blocks`] can currently land
     /// in volume `id`: the smaller of the pool's free space and the
     /// volume's unmapped virtual space (0 if the volume does not exist).
     pub fn append_headroom(&self, id: VolumeId) -> u64 {
@@ -924,16 +903,16 @@ impl ThinPool {
         }
         let volume_free = vol.virtual_blocks - vol.mappings.len() as u64;
         let alloc = self.shared.alloc.lock();
-        let pool_free = alloc.bitmap.free() - alloc.reserved.len() as u64;
+        let pool_free = alloc.bitmap.free() - alloc.open_allocation_count();
         pool_free.min(volume_free)
     }
 
-    /// Vectored [`ThinPool::append_block`]: allocates up to `blocks.len()`
-    /// fresh physical blocks to `id` (at its lowest unmapped virtual
-    /// indices) under **one** pool-lock acquisition, then lands them with
-    /// **one** vectored data-device write. This is the primitive a dummy
-    /// burst of `m ~ Exp(λ)` blocks rides (§IV-B): one batched pipeline
-    /// crossing instead of `m` single-block crossings.
+    /// Allocates up to `blocks.len()` fresh physical blocks to `id`, at its
+    /// lowest unmapped virtual indices, under **one** pool-lock
+    /// acquisition, then lands them with **one** vectored data-device
+    /// write. This is the primitive dummy writes use: "m free blocks will
+    /// be allocated and ... filled with random noise" (§IV-B). A burst of
+    /// `m ~ Exp(λ)` blocks crosses the pipeline once instead of `m` times.
     ///
     /// Returns the number of blocks appended. Exhaustion of the pool or of
     /// the volume's virtual address space is not an error: allocation stops
@@ -1037,24 +1016,14 @@ impl ThinPool {
     /// concurrently contend only for the duration of this call.
     fn allocate_one(shared: &PoolShared) -> Result<u64, BlockDeviceError> {
         let mut alloc = shared.alloc.lock();
-        let AllocState { bitmap, allocator, reserved, pending_free, .. } = &mut *alloc;
-        // Blocks freed in the open transaction stay off-limits alongside
-        // the open reservations until their free commits (see
-        // `AllocState::pending_free`). The common path — no uncommitted
-        // frees — passes `reserved` through untouched, so allocation
-        // streams (and the calibrated rows built on them) are unchanged.
-        let block = if pending_free.is_empty() {
-            allocator.allocate(bitmap, reserved)
-        } else {
-            let mut unavailable = reserved.clone();
-            unavailable.extend(pending_free.iter().copied());
-            allocator.allocate(bitmap, &unavailable)
-        }
-        .ok_or(BlockDeviceError::NoSpace)?;
+        let AllocState { bitmap, allocator, reserved, .. } = &mut *alloc;
+        // `reserved` also holds the blocks freed in the open transaction
+        // (see `AllocState::pending_free`), so they stay off-limits until
+        // their free commits with no per-allocation union of the two.
+        let block = allocator.allocate(bitmap, reserved).ok_or(BlockDeviceError::NoSpace)?;
         debug_assert!(!bitmap.get(block), "allocator returned a committed block");
-        debug_assert!(!pending_free.contains(&block), "allocator returned a pending free");
-        let newly = reserved.insert(block);
-        debug_assert!(newly, "allocator returned a reserved block");
+        let newly = reserved.set(block);
+        debug_assert!(newly, "allocator returned a reserved block or a pending free");
         Ok(block)
     }
 
@@ -1281,6 +1250,7 @@ impl BlockDevice for ThinVolume {
 mod tests {
     use super::*;
     use mobiceal_blockdev::MemDisk;
+    use std::collections::HashSet;
 
     fn devices(data_blocks: u64, meta_blocks: u64) -> (SharedDevice, SharedDevice) {
         (
@@ -1373,6 +1343,65 @@ mod tests {
         p.commit().unwrap();
         v.write_block(20, &vec![2u8; 512]).unwrap();
         assert_eq!(v.read_block(20).unwrap(), vec![2u8; 512]);
+    }
+
+    #[test]
+    fn pending_frees_leave_the_picks_of_the_reservation_set_union() {
+        // Allocations while committed frees are pending pick what the
+        // `HashSet` allocators pick when fed the open reservations plus the
+        // pending frees, the union the pool once built per allocation:
+        // through rejections, the dense fallback and exhaustion, with
+        // open-transaction discards mixed in.
+        use crate::allocator::reference;
+        use mobiceal_crypto::ChaCha20Rng;
+        for strategy in [AllocStrategy::Sequential, AllocStrategy::Random] {
+            let (data, meta) = devices(256, 128);
+            let p = ThinPool::create_seeded(data, meta, PoolConfig::new(4), strategy, 21).unwrap();
+            let v = p.create_volume(1, 512).unwrap();
+            let mut rng = ChaCha20Rng::from_u64_seed(21);
+            let mut cursor = 0u64;
+            let buf = vec![0x3Cu8; 512];
+            let mut write_and_check = |vblock: u64| {
+                let (bitmap, unavailable) = {
+                    let alloc = p.shared.alloc.lock();
+                    let held: HashSet<u64> = alloc
+                        .open_allocations()
+                        .chain(alloc.pending_free.iter_allocated())
+                        .collect();
+                    (alloc.bitmap.clone(), held)
+                };
+                let expected = match strategy {
+                    AllocStrategy::Sequential => {
+                        reference::sequential(&mut cursor, &bitmap, &unavailable)
+                    }
+                    AllocStrategy::Random => reference::random(&mut rng, &bitmap, &unavailable),
+                };
+                match expected {
+                    Some(_) => v.write_block(vblock, &buf).unwrap(),
+                    None => assert!(matches!(
+                        v.write_block(vblock, &buf),
+                        Err(BlockDeviceError::NoSpace)
+                    )),
+                }
+                assert_eq!(v.mapping(vblock), expected, "{strategy:?}, vblock {vblock}");
+                expected.is_some()
+            };
+            for vblock in 0..120 {
+                assert!(write_and_check(vblock));
+            }
+            p.commit().unwrap();
+            // Free 60 committed blocks: they stay held until the next commit.
+            p.discard_many(1, &(0..120).step_by(2).collect::<Vec<_>>()).unwrap();
+            for vblock in 120..200 {
+                assert!(write_and_check(vblock));
+            }
+            // Open-transaction blocks go straight back to the allocator.
+            p.discard_many(1, &(120..200).step_by(4).collect::<Vec<_>>()).unwrap();
+            let landed = (200..400).take_while(|&vblock| write_and_check(vblock)).count();
+            assert_eq!(landed, 256 - 60 - 60 - 60, "{strategy:?}: fills the unheld space");
+            p.commit().unwrap();
+            assert!(write_and_check(400), "{strategy:?}: the committed frees are free again");
+        }
     }
 
     #[test]
@@ -1548,7 +1577,6 @@ mod tests {
         }
         data_disk.set_faults(faults);
         assert!(p.append_blocks(1, &[buf.as_slice()]).is_err());
-        assert!(p.append_block(1, &buf).is_err());
         assert!(v.write_block(20, &buf).is_err());
         data_disk.set_faults(mobiceal_blockdev::FaultInjection::default());
         assert_eq!(p.allocated_blocks(), 0);
@@ -1654,7 +1682,7 @@ mod tests {
         assert!(v.write_block(0, &vec![1u8; 512]).is_err());
         assert!(v.write_blocks(&[(0, &vec![1u8; 512][..])]).is_err());
         assert!(v.read_block(0).is_err());
-        assert!(p.append_block(1, &vec![1u8; 512]).is_err());
+        assert!(p.append_blocks(1, &[&vec![1u8; 512][..]]).is_err());
         assert_eq!(p.append_headroom(1), 0);
         assert_eq!(p.allocated_blocks(), 0, "nothing may leak past the tombstone");
         p.commit().unwrap();
@@ -1711,19 +1739,22 @@ mod tests {
     }
 
     #[test]
-    fn append_block_maps_lowest_unmapped_index() {
+    fn one_block_appends_map_the_lowest_unmapped_index() {
         let p = pool(AllocStrategy::Random);
         p.create_volume(3, 10).unwrap();
-        p.append_block(3, &vec![0xAB; 512]).unwrap();
-        p.append_block(3, &vec![0xCD; 512]).unwrap();
+        assert_eq!(p.append_blocks(3, &[&[0xAB; 512][..]]).unwrap(), 1);
+        assert_eq!(p.append_blocks(3, &[&[0xCD; 512][..]]).unwrap(), 1);
         let v = p.open_volume(3).unwrap();
         assert_eq!(v.read_block(0).unwrap(), vec![0xAB; 512]);
         assert_eq!(v.read_block(1).unwrap(), vec![0xCD; 512]);
-        // Fill the rest, then expect NoSpace on the 11th append.
+        // Fill the rest; the 11th append finds no virtual space and lands
+        // nothing.
         for _ in 2..10 {
-            p.append_block(3, &vec![0u8; 512]).unwrap();
+            assert_eq!(p.append_blocks(3, &[&[0u8; 512][..]]).unwrap(), 1);
         }
-        assert!(matches!(p.append_block(3, &vec![0u8; 512]), Err(BlockDeviceError::NoSpace)));
+        assert_eq!(p.append_headroom(3), 0);
+        assert_eq!(p.append_blocks(3, &[&[0u8; 512][..]]).unwrap(), 0);
+        assert_eq!(v.mapped_blocks(), 10);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests of the run-length extent map: per-block semantics must
-//! be indistinguishable from the `BTreeMap<u64, u64>` table it replaced,
-//! the stored runs must stay in canonical (maximally merged) form, and the
-//! serialized metadata must realize the size win the extent format exists
-//! for.
+//! Property tests of the mapping table: per-block semantics must be
+//! indistinguishable from a `BTreeMap<u64, u64>` table, the extent view
+//! must stay in canonical (maximally merged) form, and the serialized
+//! metadata must realize the size win the extent format exists for. Keys
+//! span four 512-block pages and cluster at the page edges, where runs
+//! cross from one page into the next.
 
 // Test binary: aborting on an unexpected error is the point.
 #![allow(clippy::unwrap_used)]
@@ -25,15 +26,26 @@ enum MapOp {
     RemoveRun { v: u64, len: u64 },
 }
 
+/// Virtual blocks over four 512-block pages, half of them within eight
+/// blocks of a page edge (511/512, 1023/1024, 1535/1536).
+fn vblock() -> impl Strategy<Value = u64> {
+    prop_oneof![0..2048u64, (1..4u64, 0..16u64).prop_map(|(edge, off)| edge * 512 - 8 + off)]
+}
+
 fn op_strategy() -> impl Strategy<Value = MapOp> {
     prop_oneof![
-        4 => (0..256u64, 0..512u64).prop_map(|(v, p)| MapOp::Insert { v, p }),
-        2 => (0..256u64).prop_map(|v| MapOp::Remove { v }),
-        1 => (0..256u64, 0..512u64, 1..16u64)
+        3 => (vblock(), 0..4096u64).prop_map(|(v, p)| MapOp::Insert { v, p }),
+        // A fixed virtual-to-physical offset: neighbouring inserts merge.
+        2 => vblock().prop_map(|v| MapOp::Insert { v, p: v + 3000 }),
+        2 => vblock().prop_map(|v| MapOp::Remove { v }),
+        1 => (vblock(), 0..4096u64, 1..40u64)
             .prop_map(|(v, p, len)| MapOp::InsertRun { v, p, len }),
-        1 => (0..256u64, 1..16u64).prop_map(|(v, len)| MapOp::RemoveRun { v, len }),
+        1 => (vblock(), 1..40u64).prop_map(|(v, len)| MapOp::RemoveRun { v, len }),
     ]
 }
+
+/// Every virtual block an operation can touch lies below this.
+const PROBE_END: u64 = 2100;
 
 fn apply(map: &mut ExtentMap, reference: &mut BTreeMap<u64, u64>, op: &MapOp) {
     match *op {
@@ -82,7 +94,7 @@ proptest! {
             map.values().collect::<Vec<_>>(),
             reference.values().copied().collect::<Vec<_>>()
         );
-        for v in 0..300u64 {
+        for v in 0..PROBE_END {
             prop_assert_eq!(map.get(&v), reference.get(&v).copied(), "lookup at {}", v);
             prop_assert_eq!(map.contains_key(&v), reference.contains_key(&v));
         }
@@ -122,18 +134,26 @@ proptest! {
         prop_assert_eq!(&expanded, &map, "extents round-trip the map");
     }
 
-    /// `first_unmapped_from` agrees with a per-block `contains_key` walk
-    /// after every operation — probed around the operation's own range,
-    /// where runs were just merged, split or made to touch — and from every
-    /// start at the end. The run-heavy prefix builds long chains of
-    /// touching runs, physically contiguous or not.
+    /// `first_unmapped_from` agrees with a per-block walk of the
+    /// reference after every operation — probed around the operation's own
+    /// range, where runs were just merged, split or made to touch — and
+    /// from every start at the end. The run-heavy prefix fills whole pages
+    /// and builds long chains of touching runs, physically contiguous or
+    /// not, that cross page edges.
     #[test]
     fn first_unmapped_from_matches_per_block_walk(
-        runs in prop::collection::vec((0..256u64, 0..512u64, 1..32u64), 0..24),
+        runs in prop::collection::vec((vblock(), 0..4096u64, 1..1100u64), 0..8),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
         let reference_walk = |reference: &BTreeMap<u64, u64>, v: u64| {
-            (v..).find(|u| !reference.contains_key(u)).unwrap()
+            let mut u = v;
+            for &mapped in reference.range(v..).map(|(k, _)| k) {
+                if mapped != u {
+                    break;
+                }
+                u += 1;
+            }
+            u
         };
         let mut map = ExtentMap::new();
         let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
@@ -152,8 +172,15 @@ proptest! {
                 );
             }
         }
-        for v in 0..300u64 {
-            prop_assert_eq!(map.first_unmapped_from(v), reference_walk(&reference, v), "from {}", v);
+        // Every start at once: one backward walk over the blocks, each
+        // unmapped one the answer for itself and the mapped run below it.
+        let end = PROBE_END + 1100;
+        let mut next_unmapped = end;
+        for v in (0..end).rev() {
+            if !reference.contains_key(&v) {
+                next_unmapped = v;
+            }
+            prop_assert_eq!(map.first_unmapped_from(v), next_unmapped, "from {}", v);
         }
     }
 
@@ -161,7 +188,7 @@ proptest! {
     /// last insert of a duplicate virtual block wins in both).
     #[test]
     fn from_iterator_roundtrip(
-        pairs in prop::collection::vec((0..512u64, 0..1024u64), 0..128),
+        pairs in prop::collection::vec((vblock(), 0..4096u64), 0..128),
     ) {
         let map: ExtentMap = pairs.iter().copied().collect();
         let reference: BTreeMap<u64, u64> = pairs.into_iter().collect();

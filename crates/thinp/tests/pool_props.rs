@@ -224,8 +224,8 @@ proptest! {
         }
     }
 
-    /// A batched append lands exactly the blocks the sequential
-    /// [`ThinPool::append_block`] loop would land — same count, same
+    /// A batched append lands exactly the blocks a loop of one-element
+    /// [`ThinPool::append_blocks`] calls would land — same count, same
     /// virtual indices, same physical placement — including the
     /// partial-append behaviour when the pool or volume fills up.
     #[test]
@@ -262,7 +262,7 @@ proptest! {
             let batched = pool_a.append_blocks(1, &refs).unwrap();
             let mut sequential = 0u64;
             for b in &blocks {
-                if pool_b.append_block(1, b).is_err() {
+                if pool_b.append_blocks(1, &[b.as_slice()]).unwrap() == 0 {
                     break;
                 }
                 sequential += 1;
