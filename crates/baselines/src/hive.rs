@@ -768,4 +768,50 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn mixed_trace_pins_the_medium_image() {
+        // Golden pin for HIVE's cipher and shuffle: a fixed xorshift trace
+        // of single writes, 4-block batches and reads, then a commit, must
+        // leave exactly these bytes on the medium and charge exactly this
+        // much simulated time. Every slot is one 4 KiB XTS sector, so the
+        // digest covers 256-block tweak sequences at scattered sector
+        // numbers. The values were taken while `Xts` still had a
+        // PCLMULQDQ tweak ladder, on a host that ran it, so the portable
+        // ladder is pinned to the bytes that one produced.
+        let clock = SimClock::new();
+        let disk = Arc::new(MemDisk::new(600, 4096, clock.clone()));
+        let oram = HiveWoOram::new(disk.clone(), clock.clone(), 256, [0x5A; 64], 77).unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut shadow = vec![0u8; 256];
+        for _ in 0..600 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let l = (x >> 8) % 256;
+            let fill = (x >> 40) as u8;
+            match x % 3 {
+                0 => {
+                    oram.write_block(l, &vec![fill; 4096]).unwrap();
+                    shadow[l as usize] = fill;
+                }
+                1 => {
+                    let batch: Vec<(u64, Vec<u8>)> = (0..4u8)
+                        .map(|i| ((l + 61 * u64::from(i)) % 256, vec![fill ^ i; 4096]))
+                        .collect();
+                    let writes: Vec<(u64, &[u8])> =
+                        batch.iter().map(|(b, d)| (*b, d.as_slice())).collect();
+                    oram.write_blocks(&writes).unwrap();
+                    for (b, d) in &batch {
+                        shadow[*b as usize] = d[0];
+                    }
+                }
+                _ => assert_eq!(oram.read_block(l).unwrap(), vec![shadow[l as usize]; 4096]),
+            }
+        }
+        oram.commit().unwrap();
+        let digest = mobiceal_crypto::to_hex(&mobiceal_crypto::sha256(disk.snapshot().as_bytes()));
+        assert_eq!(digest, "05caf0d7a5b43ce0c8cfd784bf0c90dcdb388a875a398004064d96630532a74e");
+        assert_eq!(clock.now().as_nanos(), 1_111_299_304);
+    }
 }

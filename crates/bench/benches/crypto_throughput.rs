@@ -1,7 +1,7 @@
 //! Raw sector-cipher throughput: real MB/s of the AES core through the
-//! CBC-ESSIV and XTS sector modes, single-block and batched through
-//! `DmCrypt` (whose 4 KiB blocks are eight 512-byte sectors), plus the
-//! byte-wise reference core for the speedup ratio. The ESSIV cases that
+//! CBC-ESSIV and XTS sector modes, CBC-ESSIV single-block and batched
+//! through `DmCrypt` (whose 4 KiB blocks are eight 512-byte sectors), plus
+//! the byte-wise reference core for the speedup ratio. The ESSIV cases that
 //! carry the dm-crypt hot path have `_aesni` twins whose AES is pinned to
 //! the 128-bit AES-NI kernels, so on a VAES host one run reports the VAES
 //! and AES-NI kernels side by side (on other hosts the twins repeat the
@@ -19,7 +19,7 @@ use mobiceal_blockdev::{BlockDevice, MemDisk};
 use mobiceal_crypto::{
     reference::ReferenceAes, sha256, Aes256, BlockCipher, CbcEssiv, SectorCipher, Xts,
 };
-use mobiceal_dm::{CipherMode, DmCrypt};
+use mobiceal_dm::DmCrypt;
 use mobiceal_sim::SimClock;
 use std::sync::Arc;
 
@@ -39,8 +39,7 @@ fn aes256(key: &[u8; 32], aesni: bool) -> Aes256 {
 /// `DmCrypt::new_essiv` over `disk`, with its AES pinned to AES-NI when
 /// `aesni` is set.
 fn dm_essiv(disk: Arc<MemDisk>, key: &[u8; 32], aesni: bool) -> DmCrypt {
-    let cipher = CbcEssiv::with_essiv_key(aes256(key, aesni), &sha256(key));
-    DmCrypt::with_cipher(disk, Box::new(cipher), CipherMode::CbcEssiv)
+    DmCrypt::with_cipher(disk, CbcEssiv::with_essiv_key(aes256(key, aesni), &sha256(key)))
 }
 
 /// The bench-name suffix of the AES-NI twins.
@@ -143,24 +142,21 @@ fn bench_essiv_batch_depths(c: &mut Criterion) {
 }
 
 /// One 4 KiB `write_block` and `read_block` through `DmCrypt` over a
-/// MemDisk in each mode: the `rand_4k` shape, where a block's eight
-/// 512-byte sectors go through the sector-batch entry points as one group.
-/// The `essiv_*_block_aesni` twins pin the AES to AES-NI.
+/// MemDisk: the `rand_4k` shape, where a block's eight 512-byte sectors go
+/// through the sector-batch entry points as one group. The
+/// `essiv_*_block_aesni` twins pin the AES to AES-NI.
 fn bench_dm_single_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("dm_crypt_block_4k");
     group.throughput(Throughput::Bytes(SECTOR as u64));
     let data = vec![0x5Au8; SECTOR];
-    for (mode, aesni) in [("essiv", false), ("essiv", true), ("xts", false)] {
+    for aesni in [false, true] {
         let disk = Arc::new(MemDisk::new(16, SECTOR, SimClock::new()));
-        let dm = match mode {
-            "essiv" => dm_essiv(disk, &[9u8; 32], aesni),
-            _ => DmCrypt::new_xts(disk, &[9u8; 64]),
-        };
+        let dm = dm_essiv(disk, &[9u8; 32], aesni);
         let suffix = twin(aesni);
-        group.bench_function(format!("{mode}_write_block{suffix}").as_str(), |b| {
+        group.bench_function(format!("essiv_write_block{suffix}").as_str(), |b| {
             b.iter(|| dm.write_block(7, &data).expect("write block"))
         });
-        group.bench_function(format!("{mode}_read_block{suffix}").as_str(), |b| {
+        group.bench_function(format!("essiv_read_block{suffix}").as_str(), |b| {
             b.iter(|| dm.read_block(7).expect("read block"))
         });
     }
@@ -168,8 +164,8 @@ fn bench_dm_single_block(c: &mut Criterion) {
 }
 
 /// A 64×4 KiB batch through `DmCrypt` over a MemDisk: one `write_blocks`
-/// and one `read_blocks` call, each a single sector-batch job list; the
-/// `_aesni` twins pin the AES to AES-NI.
+/// and one `read_blocks` call, each 64 eight-sector groups; the `_aesni`
+/// twins pin the AES to AES-NI.
 fn bench_batched(c: &mut Criterion) {
     let data = vec![0x5Au8; SECTOR];
     let writes: Vec<(u64, &[u8])> = (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();

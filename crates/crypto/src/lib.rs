@@ -14,8 +14,8 @@
 //!   VAES, picked at run time; every backend is pinned by tests to the
 //!   byte-wise [`reference`] implementation. On top sit [`CbcEssiv`] (the
 //!   dm-crypt `aes-cbc-essiv:sha256` mode used by Android FDE) and [`Xts`]
-//!   (the mode modern dm-crypt deployments use) — sector encryption,
-//!   allocating or in place ([`SectorCipher::encrypt_sector_in_place`]).
+//!   (the mode of the HIVE baseline) — sector encryption, allocating or in
+//!   place ([`SectorCipher::encrypt_sector_in_place`]).
 //! * [`ChaCha20Rng`] — a deterministic CSPRNG used to produce encryption
 //!   keys and the random payloads of dummy writes; dummy data must be
 //!   computationally indistinguishable from ciphertext (§IV-A Q2).

@@ -1,9 +1,10 @@
-//! Sector encryption modes: CBC-ESSIV and XTS.
+//! Sector encryption modes: CBC-ESSIV, the paper's dm-crypt mode, and XTS,
+//! HIVE's.
 //!
 //! `dm-crypt` encrypts each 512-byte (or 4096-byte) sector independently so
 //! that random block I/O stays random. Android 4.2's FDE used
-//! `aes-cbc-essiv:sha256`; modern deployments use `aes-xts-plain64`. Both are
-//! provided so the reproduction can model either stack.
+//! `aes-cbc-essiv:sha256`, which `mobiceal-dm`'s crypt target runs; the
+//! HIVE baseline encrypts its 4 KiB slots with XTS (IEEE 1619).
 //!
 //! Both modes feed the cipher through its wide entry points, with all
 //! per-sector scratch on the stack so the sector paths stay
@@ -11,11 +12,9 @@
 //!
 //! * **XTS** is independent per block in both directions once the tweak
 //!   sequence is known, so each [`LANE_CHUNK`]-block chunk's tweaks are
-//!   precomputed (a PCLMULQDQ carry-less ladder on hosts that report it,
-//!   the serial shift/xor double otherwise — see [`Xts::fill_tweaks`]),
-//!   XORed in, run through [`BlockCipher::encrypt_blocks`] /
-//!   [`BlockCipher::decrypt_blocks`], and XORed out. The batch entry points
-//!   derive up to 8 sectors' initial tweaks in one wide call.
+//!   computed first with the serial shift/xor double, XORed in, run
+//!   through [`BlockCipher::encrypt_blocks`] /
+//!   [`BlockCipher::decrypt_blocks`], and XORed out.
 //! * **CBC decrypt** has no chain — every block is `D(C_i) ^ C_{i-1}` over
 //!   *ciphertexts that already exist* — so both decrypt entry points hand
 //!   whole sectors to [`BlockCipher::cbc_decrypt_lanes`]. On AES-NI hosts
@@ -32,22 +31,18 @@
 //!   chain value in registers, one chain per xmm register; on VAES hosts
 //!   2..=8 chains share two zmm registers, four chains per `VAESENC`.
 //!
-//! A lone sector is one lane. The batch entry points take runs of up to 8
+//! A lone sector is one lane. The CBC-ESSIV batch entry points
+//! ([`SectorCipher::encrypt_sectors_in_place`] /
+//! [`SectorCipher::decrypt_sectors_in_place`]) take runs of up to 8
 //! equal-length sectors, derive their ESSIV IVs in one wide
 //! `encrypt_blocks` call, and run them through one lanes call, so dm-crypt's
 //! eight 512-byte sectors of a 4 KiB block fill the AES pipeline together.
-//!
-//! [`SectorCipher::encrypt_sectors_in_place`] /
-//! [`SectorCipher::decrypt_sectors_in_place`] are the batch entry points the
-//! dm layer drives, so a whole batch crosses the cipher's virtual dispatch
-//! once.
 
 use crate::aes::{BlockCipher, AES_BLOCK_SIZE, CBC_LANES, LANE_CHUNK};
 use crate::sha256::sha256;
 
-/// Sectors whose ESSIV IVs or XTS initial tweaks one wide `encrypt_blocks`
-/// call derives, and the most CBC lanes one kernel call takes: one pass of
-/// the 8-wide AES ladder.
+/// Sectors whose ESSIV IVs one wide `encrypt_blocks` call derives, and the
+/// most CBC lanes one kernel call takes: one pass of the 8-wide AES ladder.
 const SECTOR_GROUP: usize = CBC_LANES;
 
 /// A length-preserving cipher over whole device sectors, keyed by sector
@@ -96,11 +91,10 @@ pub trait SectorCipher: Send + Sync {
     }
 
     /// Encrypts every `(sector_index, buffer)` job in place — the batch
-    /// entry point the dm layer feeds whole write batches through, so a
-    /// 64-sector batch crosses the cipher's virtual dispatch once instead
-    /// of 64 times (the calls inside this default are statically
-    /// dispatched in the concrete impl the vtable selects). Jobs are
-    /// independent sectors; order does not matter.
+    /// entry point the dm layer feeds its sectors through, eight at a time,
+    /// so a mode can run a group's sectors side by side (the default is
+    /// the per-sector loop). Jobs are independent sectors; order does not
+    /// matter.
     ///
     /// # Panics
     ///
@@ -267,36 +261,22 @@ impl<C: BlockCipher> std::fmt::Debug for CbcEssiv<C> {
     }
 }
 
-/// XTS mode (IEEE 1619-2007), the `aes-xts-plain64` dm-crypt mode.
+/// XTS mode (IEEE 1619-2007), the `aes-xts-plain64` dm-crypt mode and the
+/// cipher of the HIVE baseline's slots.
 ///
 /// Uses two independent keys: one for data, one for the tweak. Both
-/// directions precompute each chunk's tweak sequence (PCLMULQDQ carry-less
-/// ladder when the host reports it, serial shift/xor otherwise) and drive
-/// the data cipher through the wide-lane entry points. The batch entry
-/// points encrypt up to 8 sectors' initial tweaks in one wide call, so the
-/// eight 512-byte sectors of a dm-crypt 4 KiB block pay one tweak-key pass
-/// rather than eight serial ones.
+/// directions compute each chunk's tweak sequence with the serial
+/// shift/xor double and drive the data cipher through the wide-lane entry
+/// points. The batch entry points are the trait's per-sector loop.
 pub struct Xts<C: BlockCipher> {
     data_cipher: C,
     tweak_cipher: C,
-    /// Whether the tweak ladder may use the PCLMULQDQ path (host support,
-    /// detected once at construction; clearable for tests/benches).
-    clmul_tweaks: bool,
 }
 
 impl<C: BlockCipher> Xts<C> {
     /// Creates an XTS cipher from the data-key cipher and tweak-key cipher.
     pub fn new(data_cipher: C, tweak_cipher: C) -> Self {
-        Xts { data_cipher, tweak_cipher, clmul_tweaks: clmul_available() }
-    }
-
-    /// Pins the tweak ladder to the portable shift/xor path even on
-    /// PCLMULQDQ hosts. Tweak values are bit-identical either way; tests
-    /// and benches use this to keep the portable ladder covered (and
-    /// measured) on hardware hosts.
-    #[doc(hidden)]
-    pub fn force_portable_tweaks(&mut self) {
-        self.clmul_tweaks = false;
+        Xts { data_cipher, tweak_cipher }
     }
 
     fn initial_tweak(&self, sector_index: u64) -> [u8; 16] {
@@ -315,61 +295,21 @@ impl<C: BlockCipher> Xts<C> {
         (v << 1) ^ reduce as u128
     }
 
-    /// Fills `out` with the consecutive tweak sequence starting at `t0`
-    /// (`out[i] = t0 · x^i`, little-endian u128 view).
-    ///
-    /// The portable ladder is the serial double: each tweak depends on the
-    /// one before it. The PCLMULQDQ ladder breaks that chain four ways —
-    /// `out[1..4]` come straight off `t0` as `t0 · x^k`, and from there
-    /// `out[i] = out[i-4] · x^4`, four independent multiply chains whose
-    /// carry-less folds overlap — so tweak generation stays off the
-    /// critical path of the wide AES lanes it feeds.
-    fn fill_tweaks(&self, t0: u128, out: &mut [u128]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.clmul_tweaks {
-            // SAFETY: `clmul_tweaks` is only set when the CPU reports
-            // PCLMULQDQ and SSE2 support at runtime.
-            unsafe { fill_tweaks_clmul(t0, out) };
-            return;
-        }
-        let mut t = t0;
-        for slot in out.iter_mut() {
-            *slot = t;
-            t = Self::gf_double(t);
-        }
-    }
-
+    /// XTS over one sector: the serial double carries the sector's
+    /// encrypted initial tweak `t` on as `t · x^i` (little-endian u128
+    /// view), one [`LANE_CHUNK`]-block chunk of tweaks at a time into a
+    /// stack array, and each chunk is whitened, run through the wide lanes
+    /// and whitened again.
     fn process_in_place(&self, sector_index: u64, data: &mut [u8], encrypt: bool) {
         check_len(data.len());
-        self.process_from_tweak(self.initial_tweak(sector_index), data, encrypt);
-    }
-
-    /// Runs `jobs` in groups of up to 8 sectors: one wide
-    /// `tweak_cipher.encrypt_blocks` call derives a group's initial tweaks,
-    /// then each sector runs from its own. A length the mode rejects
-    /// panics before its group is touched.
-    fn process_batch(&self, jobs: &mut [(u64, &mut [u8])], encrypt: bool) {
-        for group in jobs.chunks_mut(SECTOR_GROUP) {
-            let mut tweaks = [[0u8; AES_BLOCK_SIZE]; SECTOR_GROUP];
-            let tweaks = &mut tweaks[..group.len()];
-            for (t, (index, buf)) in tweaks.iter_mut().zip(group.iter()) {
-                check_len(buf.len());
-                t[..8].copy_from_slice(&index.to_le_bytes());
-            }
-            self.tweak_cipher.encrypt_blocks(tweaks.as_flattened_mut());
-            for (t, (_, buf)) in tweaks.iter().zip(group.iter_mut()) {
-                self.process_from_tweak(*t, buf, encrypt);
-            }
-        }
-    }
-
-    /// XTS over one sector whose initial (encrypted) tweak is `t0`.
-    fn process_from_tweak(&self, t0: [u8; AES_BLOCK_SIZE], data: &mut [u8], encrypt: bool) {
-        let mut t0 = u128::from_le_bytes(t0);
+        let mut t = u128::from_le_bytes(self.initial_tweak(sector_index));
         let mut tweaks = [0u128; LANE_CHUNK];
         for chunk in data.chunks_mut(LANE_CHUNK * AES_BLOCK_SIZE) {
             let tweaks = &mut tweaks[..chunk.len() / AES_BLOCK_SIZE];
-            self.fill_tweaks(t0, tweaks);
+            for slot in tweaks.iter_mut() {
+                *slot = t;
+                t = Self::gf_double(t);
+            }
             xor_tweaks(chunk, tweaks);
             if encrypt {
                 self.data_cipher.encrypt_blocks(chunk);
@@ -377,7 +317,6 @@ impl<C: BlockCipher> Xts<C> {
                 self.data_cipher.decrypt_blocks(chunk);
             }
             xor_tweaks(chunk, tweaks);
-            t0 = Self::gf_double(tweaks[tweaks.len() - 1]);
         }
     }
 }
@@ -390,94 +329,6 @@ fn xor_tweaks(chunk: &mut [u8], tweaks: &[u128]) {
         let block: &mut [u8; AES_BLOCK_SIZE] = block.try_into().expect("exact chunk");
         *block = (u128::from_le_bytes(*block) ^ t).to_le_bytes();
     }
-}
-
-/// Whether the host offers carry-less multiply for the XTS tweak ladder
-/// (checked once per [`Xts`] construction).
-#[cfg(target_arch = "x86_64")]
-fn clmul_available() -> bool {
-    std::arch::is_x86_feature_detected!("pclmulqdq") && std::arch::is_x86_feature_detected!("sse2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn clmul_available() -> bool {
-    false
-}
-
-/// The PCLMULQDQ tweak ladder: `out[i] = t0 · x^i` in GF(2^128) with the
-/// XTS reduction polynomial `x^128 + x^7 + x^2 + x + 1`.
-///
-/// Four multiply-by-`x^4` chains run interleaved (chain `j` produces
-/// `out[j]`, `out[j+4]`, `out[j+8]`, …), so consecutive tweaks never wait
-/// on each other — the serial shift/xor double's loop-carried dependency
-/// is the thing this ladder deletes.
-///
-/// # Safety
-///
-/// The CPU must support the `pclmulqdq` and `sse2` feature sets.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "pclmulqdq,sse2")]
-unsafe fn fill_tweaks_clmul(t0: u128, out: &mut [u128]) {
-    use std::arch::x86_64::*;
-    if out.is_empty() {
-        return;
-    }
-    // SAFETY: caller guarantees PCLMULQDQ + SSE2 (this fn's contract).
-    // `u128` and `__m128i` have identical 16-byte layouts on this
-    // little-endian target, all stores go through unaligned intrinsics,
-    // and every `p.add(i)` stays inside `out` (`i < n` throughout).
-    unsafe {
-        let n = out.len();
-        let p = out.as_mut_ptr() as *mut __m128i;
-        // Prologue: out[0..4] come straight off t0 as t0 · x^k — all
-        // independent, no chain yet.
-        let mut chain = [_mm_loadu_si128(&t0 as *const u128 as *const __m128i); 4];
-        _mm_storeu_si128(p, chain[0]);
-        for k in 1..4.min(n) {
-            chain[k] = gf_mul_xk(chain[0], k as i64);
-            _mm_storeu_si128(p.add(k), chain[k]);
-        }
-        // Steady state: four independent ·x^4 chains, interleaved.
-        let mut i = 4;
-        while i < n {
-            for (j, lane) in chain.iter_mut().enumerate().take((n - i).min(4)) {
-                *lane = gf_mul_xk(*lane, 4);
-                _mm_storeu_si128(p.add(i + j), *lane);
-            }
-            i += 4;
-        }
-    }
-}
-
-/// One GF(2^128) multiply of `t` by `x^k` (1 ≤ k ≤ 63) with a carry-less
-/// fold: the 128-bit polynomial shifts left `k` bits, and the `k` bits
-/// that overflow degree 127 reduce in a single `PCLMULQDQ` against the
-/// low terms `0x87` of the XTS polynomial (their product has degree
-/// < k + 7 < 128, so one fold suffices — no shift/xor carry chain).
-///
-/// # Safety
-///
-/// The CPU must support the `pclmulqdq` and `sse2` feature sets.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "pclmulqdq,sse2")]
-unsafe fn gf_mul_xk(t: std::arch::x86_64::__m128i, k: i64) -> std::arch::x86_64::__m128i {
-    use std::arch::x86_64::*;
-    // Register arithmetic only — with the target features statically
-    // enabled every intrinsic here is a safe operation, so no inner
-    // `unsafe` block is needed; the `unsafe fn` carries the feature
-    // contract for callers.
-    let shl = _mm_set_epi64x(0, k);
-    let shr = _mm_set_epi64x(0, 64 - k);
-    // 128-bit shift left by k out of 64-bit limb shifts: each limb
-    // shifts, the low limb's spilled top bits re-enter the high limb,
-    // and the high limb's spilled bits are the degree-≥128 overflow.
-    let limbs = _mm_sll_epi64(t, shl);
-    let spill = _mm_srl_epi64(t, shr);
-    let shifted = _mm_or_si128(limbs, _mm_slli_si128::<8>(spill));
-    let overflow = _mm_srli_si128::<8>(spill);
-    let fold = _mm_clmulepi64_si128::<0x00>(overflow, _mm_set_epi64x(0, 0x87));
-    _mm_xor_si128(shifted, fold)
 }
 
 impl<C: BlockCipher> SectorCipher for Xts<C> {
@@ -499,14 +350,6 @@ impl<C: BlockCipher> SectorCipher for Xts<C> {
 
     fn decrypt_sector_in_place(&self, sector_index: u64, sector_data: &mut [u8]) {
         self.process_in_place(sector_index, sector_data, false);
-    }
-
-    fn encrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
-        self.process_batch(jobs, true);
-    }
-
-    fn decrypt_sectors_in_place(&self, jobs: &mut [(u64, &mut [u8])]) {
-        self.process_batch(jobs, false);
     }
 }
 
@@ -546,6 +389,31 @@ mod tests {
         let ct = xts.encrypt_sector(0x3333333333, &pt);
         assert_eq!(to_hex(&ct), "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0");
         assert_eq!(xts.decrypt_sector(0x3333333333, &ct), pt);
+    }
+
+    #[test]
+    fn xts_known_answer_across_sector_numbers_and_lengths() {
+        // Pins XTS's bytes at the tweak ladder's edges: sector numbers at
+        // 0, the 32-bit boundary and the top of u64, and lengths of one to
+        // three blocks, one 512-byte sector and one 4 KiB sector (four
+        // 64-block chunks, each starting from the last tweak of the one
+        // before). The digest was taken while `Xts` still had a PCLMULQDQ
+        // tweak ladder, on a host that ran it, so the portable ladder is
+        // pinned to the bytes that one produced.
+        let xts = Xts::new(Aes256::new(&[0x3C; 32]), Aes256::new(&[0xC3; 32]));
+        let plain: Vec<u8> = (0..4096).map(|i| (i * 31 % 251) as u8).collect();
+        let mut all = Vec::new();
+        for sector in [0, 1, (1 << 32) - 1, 1 << 32, u64::MAX] {
+            for len in [16, 32, 48, 512, 4096] {
+                let ct = xts.encrypt_sector(sector, &plain[..len]);
+                assert_eq!(xts.decrypt_sector(sector, &ct), &plain[..len]);
+                all.extend(ct);
+            }
+        }
+        assert_eq!(
+            to_hex(&crate::sha256::sha256(&all)),
+            "064fd844c773a5d45bf9175789af533e331e918478c70bad48ea5ab0a8f603ce"
+        );
     }
 
     #[test]
@@ -611,35 +479,6 @@ mod tests {
         let b = CbcEssiv::new(Aes256::new(&[8u8; 32]));
         let pt = vec![1u8; 64];
         assert_eq!(a.encrypt_sector(3, &pt), b.encrypt_sector(3, &pt));
-    }
-
-    #[test]
-    fn clmul_tweak_ladder_matches_serial_double() {
-        // The PCLMULQDQ ladder and the portable shift/xor double must
-        // produce identical tweak sequences for every run length that
-        // exercises the prologue (< 4), the interleaved chains and a full
-        // 4 KiB sector's worth of doublings.
-        let mut fast = Xts::new(Aes128::new(&[0x31u8; 16]), Aes128::new(&[0x32u8; 16]));
-        let mut t0: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 64, 256] {
-            let mut expect = vec![0u128; n];
-            let mut t = t0;
-            for slot in expect.iter_mut() {
-                *slot = t;
-                t = Xts::<Aes128>::gf_double(t);
-            }
-            let mut got = vec![0u128; n];
-            fast.fill_tweaks(t0, &mut got);
-            assert_eq!(got, expect, "ladder diverges at n = {n}");
-            t0 = t0.rotate_left(17) ^ n as u128;
-        }
-        // And the forced-portable instance takes the serial path (a no-op
-        // check on non-PCLMULQDQ hosts, where both already did).
-        fast.force_portable_tweaks();
-        let mut got = vec![0u128; 9];
-        fast.fill_tweaks(7, &mut got);
-        assert_eq!(got[0], 7);
-        assert_eq!(got[1], 14);
     }
 
     #[test]
@@ -750,21 +589,18 @@ mod tests {
 
     #[test]
     fn xts_batch_matches_per_sector_at_every_depth() {
-        // The batch entry points derive up to eight initial tweaks in one
-        // wide call; at depths 0..=24 and 64 (full groups, ragged tails)
-        // they must equal per-sector calls in both directions, on the
-        // hardware lanes and on the forced-software lanes with the portable
-        // tweak ladder. A mixed-length batch shows a group need not share a
-        // length.
+        // At depths 0..=24 and 64 the batch entry points must equal
+        // per-sector calls in both directions, and the hardware lanes must
+        // equal the forced-software lanes. A mixed-length batch shows the
+        // sectors of a batch need not share a length.
         let hw = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
-        let mut soft = {
+        let soft = {
             let mut k1 = Aes256::new(&[3u8; 32]);
             let mut k2 = Aes256::new(&[9u8; 32]);
             k1.force_software();
             k2.force_software();
             Xts::new(k1, k2)
         };
-        soft.force_portable_tweaks();
         let mixed: Vec<(u64, Vec<u8>)> = [512, 16, 4096, 512, 48, 512, 512, 512, 4096, 16]
             .into_iter()
             .enumerate()
@@ -817,23 +653,18 @@ mod tests {
 
     #[test]
     fn wide_and_forced_portable_sector_paths_agree() {
-        // Every (cipher backend, tweak ladder) combination must produce
-        // the same bytes: hardware lanes + clmul tweaks, hardware lanes +
-        // portable tweaks, software lanes + portable tweaks.
+        // The hardware lanes and the forced-software lanes must produce
+        // the same bytes in both modes.
         let pt: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
         let fast = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
-        let mut portable_tweaks = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
-        portable_tweaks.force_portable_tweaks();
-        let mut soft = {
+        let soft = {
             let mut k1 = Aes256::new(&[3u8; 32]);
             let mut k2 = Aes256::new(&[9u8; 32]);
             k1.force_software();
             k2.force_software();
             Xts::new(k1, k2)
         };
-        soft.force_portable_tweaks();
         let ct = fast.encrypt_sector(77, &pt);
-        assert_eq!(portable_tweaks.encrypt_sector(77, &pt), ct);
         assert_eq!(soft.encrypt_sector(77, &pt), ct);
         assert_eq!(fast.decrypt_sector(77, &ct), pt);
         assert_eq!(soft.decrypt_sector(77, &ct), pt);

@@ -401,18 +401,15 @@ proptest! {
         sector in any::<u64>(),
         data in prop::collection::vec(any::<u8>(), 1..700),
     ) {
-        // XTS through the pipelined lanes + tweak ladder must equal XTS
-        // over the byte-wise reference core (which takes the default
-        // per-block trait path and, composed with forced-portable tweaks,
-        // the pure software route) — lane width and ladder backend are
-        // not allowed to exist in the bytes.
+        // XTS through the pipelined lanes must equal XTS over the
+        // byte-wise reference core (which takes the default per-block
+        // trait path) — lane width is not allowed to exist in the bytes.
         let plain = pad_sector(data);
         let fast = Xts::new(Aes256::new(&key), Aes256::new(&tweak_key));
-        let mut soft = Xts::new(
+        let soft = Xts::new(
             ReferenceAes::new(&key[..]),
             ReferenceAes::new(&tweak_key[..]),
         );
-        soft.force_portable_tweaks();
         let ct = fast.encrypt_sector(sector, &plain);
         prop_assert_eq!(
             &soft.encrypt_sector(sector, &plain), &ct,

@@ -2,40 +2,34 @@
 //!
 //! Creates an "encrypted block device" over a raw one, exactly like the
 //! kernel module Android FDE is built on (§II-A of the paper). Each block is
-//! encrypted independently with a sector cipher (CBC-ESSIV for the Android
-//! 4.2 stack the paper used, XTS optionally), and the AES work is charged to
-//! the simulated clock via a CPU cost model so throughput experiments see
+//! encrypted independently with `aes-cbc-essiv:sha256`, the cipher of the
+//! Android 4.2 stack the paper used, and the AES work is charged to the
+//! simulated clock via a CPU cost model so throughput experiments see
 //! realistic encryption overhead.
 //!
 //! The unit of encryption is the 512-byte sector, as in the paper's Android
 //! 4.2 kernel (dm-crypt's `sector_size` option only arrived in Linux 4.12):
 //! a block of `block_size` bytes is `block_size / 512` sectors, and sector
 //! `i` of block `b` is numbered `b · (block_size / 512) + i`, so the ESSIV
-//! IV (or the XTS tweak) comes from the 512-byte sector number. A block
-//! smaller than 512 bytes is one sector numbered by its index. A 4 KiB
-//! block is therefore eight independent CBC chains of 32 AES blocks, which
-//! the cipher runs side by side in one AES-NI kernel call instead of one
-//! 256-block chain.
+//! IV comes from the 512-byte sector number. A block smaller than 512 bytes
+//! is one sector numbered by its index. A 4 KiB block is therefore eight
+//! independent CBC chains of 32 AES blocks, which the cipher runs side by
+//! side in one AES-NI kernel call instead of one 256-block chain.
 
 use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
-use mobiceal_crypto::{Aes256, CbcEssiv, SectorCipher, Xts};
+use mobiceal_crypto::{Aes256, CbcEssiv, SectorCipher};
 use mobiceal_sim::{CpuCostModel, SimClock};
-
-/// Which sector cipher a [`DmCrypt`] instance uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CipherMode {
-    /// `aes-cbc-essiv:sha256` — Android 4.2 FDE default.
-    CbcEssiv,
-    /// `aes-xts-plain64` — modern dm-crypt default.
-    XtsPlain64,
-}
 
 /// The dm-crypt sector: every block is encrypted as `block_size / 512`
 /// sectors of this many bytes, numbered from the block index (see the
 /// module docs).
 const SECTOR_SIZE: usize = 512;
 
-/// A transparent encryption layer over a block device.
+/// Sectors per stack group handed to the cipher: the most lanes one CBC
+/// kernel call takes, and exactly one 4 KiB block.
+const GROUP: usize = 8;
+
+/// A transparent AES-256-CBC-ESSIV layer over a block device.
 ///
 /// Reads decrypt; writes encrypt; the backing device only ever sees
 /// ciphertext. Without the key, backing blocks are indistinguishable from
@@ -43,21 +37,20 @@ const SECTOR_SIZE: usize = 512;
 ///
 /// Every block is encrypted as its 512-byte sectors, sector `i` of block
 /// `b` numbered `b · (block_size / 512) + i`. All four block operations
-/// hand each block's sector jobs to the cipher's sector-batch entry
-/// points, in place, on the calling thread: a single-block read or write
-/// in stack groups of at most eight sectors (one group for a 4 KiB block,
-/// so its eight CBC chains run in one kernel call), a batch as one job
-/// list (one ciphertext arena per write batch, zero extra allocation per
-/// read batch) — one virtual dispatch per batch, wide AES lanes inside.
-/// The simulated-clock charge is computed from byte counts — one
-/// `aes_cost(total bytes)` per call, never one per sector — and sector
-/// ciphers are deterministic per `(key, sector, data)`, so a batch lands
-/// the same ciphertext as per-block writes (pinned by
-/// `tests/batch_props.rs`).
+/// take one path, in place, on the calling thread: the sectors of every
+/// block in the call go to the cipher's sector-batch entry points in stack
+/// groups of at most eight, and a group may span block boundaries (one
+/// group per 4 KiB block, eight 512-byte blocks per group). The cipher is
+/// a concrete type, so no call dispatches virtually, and no job list is
+/// built: a read decrypts the backing device's buffers in place, and a
+/// write encrypts one copy of its data (one arena per batch). The
+/// simulated-clock charge is computed from byte counts — one
+/// `aes_cost(total bytes)` per call, never one per sector — and the sector
+/// cipher is deterministic per `(key, sector, data)`, so a batch lands the
+/// same ciphertext as per-block writes (pinned by `tests/batch_props.rs`).
 pub struct DmCrypt {
     backing: SharedDevice,
-    cipher: Box<dyn SectorCipher>,
-    mode: CipherMode,
+    cipher: CbcEssiv<Aes256>,
     timing: Option<(SimClock, CpuCostModel)>,
     /// 512-byte sectors per block (`block_size / 512`, rounded up).
     sectors_per_block: u64,
@@ -65,7 +58,7 @@ pub struct DmCrypt {
 
 impl std::fmt::Debug for DmCrypt {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DmCrypt").field("mode", &self.mode).finish_non_exhaustive()
+        f.debug_struct("DmCrypt").finish_non_exhaustive()
     }
 }
 
@@ -73,38 +66,16 @@ impl DmCrypt {
     /// Creates an AES-256-CBC-ESSIV target (the Android FDE configuration).
     pub fn new_essiv(backing: SharedDevice, key: &[u8; 32]) -> Self {
         let essiv_key = mobiceal_crypto::sha256(key);
-        Self::with_cipher(
-            backing,
-            Box::new(CbcEssiv::with_essiv_key(Aes256::new(key), &essiv_key)),
-            CipherMode::CbcEssiv,
-        )
+        Self::with_cipher(backing, CbcEssiv::with_essiv_key(Aes256::new(key), &essiv_key))
     }
 
-    /// Creates an AES-256-XTS target from a 64-byte key (data key ‖ tweak
-    /// key).
-    pub fn new_xts(backing: SharedDevice, key: &[u8; 64]) -> Self {
-        let mut k1 = [0u8; 32];
-        let mut k2 = [0u8; 32];
-        k1.copy_from_slice(&key[..32]);
-        k2.copy_from_slice(&key[32..]);
-        Self::with_cipher(
-            backing,
-            Box::new(Xts::new(Aes256::new(&k1), Aes256::new(&k2))),
-            CipherMode::XtsPlain64,
-        )
-    }
-
-    /// Creates a target over any sector cipher, taken as `mode`. The two
-    /// constructors above build theirs from a key; benches use this one
-    /// to pin the AES backend under a `DmCrypt`.
+    /// Creates a target over a prepared cipher. [`DmCrypt::new_essiv`]
+    /// builds its cipher from a key; benches use this one to pin the AES
+    /// backend under a `DmCrypt`.
     #[doc(hidden)]
-    pub fn with_cipher(
-        backing: SharedDevice,
-        cipher: Box<dyn SectorCipher>,
-        mode: CipherMode,
-    ) -> Self {
+    pub fn with_cipher(backing: SharedDevice, cipher: CbcEssiv<Aes256>) -> Self {
         let sectors_per_block = backing.block_size().div_ceil(SECTOR_SIZE) as u64;
-        DmCrypt { sectors_per_block, backing, cipher, mode, timing: None }
+        DmCrypt { sectors_per_block, backing, cipher, timing: None }
     }
 
     /// Attaches CPU timing: AES work will advance `clock` per `model`.
@@ -113,71 +84,42 @@ impl DmCrypt {
         self
     }
 
-    /// The cipher mode in use.
-    pub fn mode(&self) -> CipherMode {
-        self.mode
-    }
-
     fn charge_aes(&self, bytes: usize) {
         if let Some((clock, model)) = &self.timing {
             clock.advance(model.aes_cost(bytes));
         }
     }
 
-    /// The `(sector number, 512-byte slice)` jobs of block `index`:
-    /// sector `i` is numbered `index · sectors_per_block + i`. The
-    /// numbering wraps rather than panics on an index no device has; the
-    /// backing device rejects such an index anyway.
-    fn block_sectors<'a>(
-        &self,
-        index: BlockIndex,
-        block: &'a mut [u8],
-    ) -> impl Iterator<Item = (u64, &'a mut [u8])> {
-        let first = index.wrapping_mul(self.sectors_per_block);
-        block.chunks_mut(SECTOR_SIZE).zip(0u64..).map(move |(s, i)| (first.wrapping_add(i), s))
-    }
-
-    /// Every sector job of the blocks in `blocks`, in one allocation.
-    fn batch_sectors<'a>(
-        &self,
-        blocks: impl ExactSizeIterator<Item = (BlockIndex, &'a mut [u8])>,
-    ) -> Vec<(u64, &'a mut [u8])> {
-        let mut jobs = Vec::with_capacity(blocks.len() * self.sectors_per_block as usize);
-        for (index, block) in blocks {
-            jobs.extend(self.block_sectors(index, block));
-        }
-        jobs
-    }
-
-    /// Runs the cipher's sector-batch entry point over `jobs`.
-    fn crypt_jobs(&self, jobs: &mut [(u64, &mut [u8])], encrypt: bool) {
-        if encrypt {
-            self.cipher.encrypt_sectors_in_place(jobs);
-        } else {
-            self.cipher.decrypt_sectors_in_place(jobs);
-        }
-    }
-
-    /// En- or decrypts one block in place through the sector-batch entry
-    /// point, in stack groups of at most eight sectors: one call for a
-    /// 4 KiB block, and no heap allocation at any block size.
-    fn crypt_block(&self, index: BlockIndex, block: &mut [u8], encrypt: bool) {
-        let mut sectors = self.block_sectors(index, block).peekable();
-        while sectors.peek().is_some() {
-            let mut group: [(u64, &mut [u8]); BLOCK_GROUP] = Default::default();
+    /// En- or decrypts `blocks` in place: sector `i` of block `index` is
+    /// numbered `index · sectors_per_block + i`, and the sectors of all the
+    /// blocks go to the cipher in stack groups of at most [`GROUP`], with
+    /// no heap allocation at any block size. The numbering wraps rather
+    /// than panics on an index no device has; the backing device rejects
+    /// such an index anyway.
+    fn crypt<'a>(&self, blocks: impl Iterator<Item = (BlockIndex, &'a mut [u8])>, encrypt: bool) {
+        let per_block = self.sectors_per_block;
+        let mut sectors = blocks.flat_map(|(index, block)| {
+            let first = index.wrapping_mul(per_block);
+            block.chunks_mut(SECTOR_SIZE).zip(0u64..).map(move |(s, i)| (first.wrapping_add(i), s))
+        });
+        loop {
+            let mut group: [(u64, &mut [u8]); GROUP] = Default::default();
             let mut n = 0;
             for (slot, job) in group.iter_mut().zip(&mut sectors) {
                 *slot = job;
                 n += 1;
             }
-            self.crypt_jobs(&mut group[..n], encrypt);
+            if n == 0 {
+                return;
+            }
+            if encrypt {
+                self.cipher.encrypt_sectors_in_place(&mut group[..n]);
+            } else {
+                self.cipher.decrypt_sectors_in_place(&mut group[..n]);
+            }
         }
     }
 }
-
-/// Sectors per stack group on the single-block paths: the most lanes one
-/// CBC kernel call takes, and exactly one 4 KiB block.
-const BLOCK_GROUP: usize = 8;
 
 impl BlockDevice for DmCrypt {
     fn num_blocks(&self) -> u64 {
@@ -191,7 +133,7 @@ impl BlockDevice for DmCrypt {
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
         let mut buf = self.backing.read_block(index)?;
         self.charge_aes(buf.len());
-        self.crypt_block(index, &mut buf, false);
+        self.crypt(std::iter::once((index, buf.as_mut_slice())), false);
         Ok(buf)
     }
 
@@ -199,7 +141,7 @@ impl BlockDevice for DmCrypt {
         self.check_buffer(data)?;
         self.charge_aes(data.len());
         let mut ct = data.to_vec();
-        self.crypt_block(index, &mut ct, true);
+        self.crypt(std::iter::once((index, ct.as_mut_slice())), true);
         self.backing.write_block(index, &ct)
     }
 
@@ -209,10 +151,7 @@ impl BlockDevice for DmCrypt {
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         let mut bufs = self.backing.read_blocks(indices)?;
         self.charge_aes(bufs.iter().map(Vec::len).sum());
-        let mut jobs = self.batch_sectors(
-            indices.iter().zip(bufs.iter_mut()).map(|(&index, buf)| (index, buf.as_mut_slice())),
-        );
-        self.crypt_jobs(&mut jobs, false);
+        self.crypt(indices.iter().copied().zip(bufs.iter_mut().map(Vec::as_mut_slice)), false);
         Ok(bufs)
     }
 
@@ -220,27 +159,28 @@ impl BlockDevice for DmCrypt {
     /// arena (a single allocation, not one per sector), encrypts every
     /// sector in place, then issues one vectored write on the backing
     /// device. A wrong-sized buffer mid-batch writes the valid prefix
-    /// first, preserving sequential fail-fast semantics. AES time for the
-    /// whole valid batch is charged even when the backing write then fails
-    /// mid-batch — the encryption work really was done up front, which is
-    /// where the batched path's cost deliberately differs from the
-    /// sequential loop's on failure.
+    /// first, preserving sequential fail-fast semantics; a batch with no
+    /// valid prefix (empty, or wrong-sized from its first buffer) charges
+    /// nothing and never reaches the backing device, like a rejected
+    /// `write_block`. AES time for the whole valid prefix is charged even
+    /// when the backing write then fails mid-batch — the encryption work
+    /// really was done up front, which is where the batched path's cost
+    /// deliberately differs from the sequential loop's on failure.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
         let bs = self.block_size();
         let bad = writes.iter().position(|&(_, d)| d.len() != bs);
         let valid = &writes[..bad.unwrap_or(writes.len())];
-        self.charge_aes(valid.iter().map(|(_, d)| d.len()).sum());
-        let mut arena = Vec::with_capacity(valid.len() * bs);
-        for &(_, data) in valid {
-            arena.extend_from_slice(data);
+        if !valid.is_empty() {
+            self.charge_aes(valid.len() * bs);
+            let mut arena = Vec::with_capacity(valid.len() * bs);
+            for &(_, data) in valid {
+                arena.extend_from_slice(data);
+            }
+            self.crypt(valid.iter().map(|&(index, _)| index).zip(arena.chunks_mut(bs)), true);
+            let refs: Vec<(BlockIndex, &[u8])> =
+                valid.iter().zip(arena.chunks(bs)).map(|(&(index, _), ct)| (index, ct)).collect();
+            self.backing.write_blocks(&refs)?;
         }
-        let mut jobs = self.batch_sectors(
-            valid.iter().zip(arena.chunks_mut(bs)).map(|(&(index, _), slot)| (index, slot)),
-        );
-        self.crypt_jobs(&mut jobs, true);
-        let refs: Vec<(BlockIndex, &[u8])> =
-            valid.iter().zip(arena.chunks(bs)).map(|(&(index, _), ct)| (index, ct)).collect();
-        self.backing.write_blocks(&refs)?;
         match bad {
             Some(pos) => {
                 Err(BlockDeviceError::WrongBufferSize { got: writes[pos].1.len(), expected: bs })
@@ -268,34 +208,28 @@ mod tests {
     use mobiceal_blockdev::MemDisk;
     use std::sync::Arc;
 
-    fn setup(mode: CipherMode) -> (Arc<MemDisk>, DmCrypt) {
-        let raw = Arc::new(MemDisk::with_default_timing(32, 4096));
-        let enc = match mode {
-            CipherMode::CbcEssiv => DmCrypt::new_essiv(raw.clone(), &[0x11; 32]),
-            CipherMode::XtsPlain64 => DmCrypt::new_xts(raw.clone(), &[0x22; 64]),
-        };
+    /// An ESSIV target over 32 blocks of `block_size` bytes.
+    fn setup_sized(block_size: usize) -> (Arc<MemDisk>, DmCrypt) {
+        let raw = Arc::new(MemDisk::with_default_timing(32, block_size));
+        let enc = DmCrypt::new_essiv(raw.clone(), &[0x11; 32]);
         (raw, enc)
+    }
+
+    fn setup() -> (Arc<MemDisk>, DmCrypt) {
+        setup_sized(4096)
     }
 
     #[test]
     fn transparent_roundtrip_essiv() {
-        let (_, enc) = setup(CipherMode::CbcEssiv);
+        let (_, enc) = setup();
         let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
         enc.write_block(5, &data).unwrap();
         assert_eq!(enc.read_block(5).unwrap(), data);
     }
 
     #[test]
-    fn transparent_roundtrip_xts() {
-        let (_, enc) = setup(CipherMode::XtsPlain64);
-        let data: Vec<u8> = (0..4096).map(|i| (i % 13) as u8).collect();
-        enc.write_block(9, &data).unwrap();
-        assert_eq!(enc.read_block(9).unwrap(), data);
-    }
-
-    #[test]
     fn backing_sees_only_ciphertext() {
-        let (raw, enc) = setup(CipherMode::CbcEssiv);
+        let (raw, enc) = setup();
         let data = vec![0u8; 4096];
         enc.write_block(0, &data).unwrap();
         let at_rest = raw.read_block(0).unwrap();
@@ -317,7 +251,7 @@ mod tests {
 
     #[test]
     fn same_plaintext_different_blocks_differs_at_rest() {
-        let (raw, enc) = setup(CipherMode::CbcEssiv);
+        let (raw, enc) = setup();
         let data = vec![0x77u8; 4096];
         enc.write_block(0, &data).unwrap();
         enc.write_block(1, &data).unwrap();
@@ -345,7 +279,7 @@ mod tests {
 
     #[test]
     fn geometry_passthrough() {
-        let (raw, enc) = setup(CipherMode::XtsPlain64);
+        let (raw, enc) = setup();
         assert_eq!(enc.num_blocks(), raw.num_blocks());
         assert_eq!(enc.block_size(), raw.block_size());
         assert!(enc.flush().is_ok());
@@ -353,7 +287,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_buffer() {
-        let (_, enc) = setup(CipherMode::CbcEssiv);
+        let (_, enc) = setup();
         assert!(matches!(
             enc.write_block(0, &[0u8; 100]),
             Err(BlockDeviceError::WrongBufferSize { .. })
@@ -362,68 +296,77 @@ mod tests {
 
     #[test]
     fn batched_ops_produce_identical_ciphertext_to_sequential() {
-        for mode in [CipherMode::CbcEssiv, CipherMode::XtsPlain64] {
-            let (raw_a, enc_a) = setup(mode);
-            let (raw_b, enc_b) = setup(mode);
-            let blocks: Vec<(u64, Vec<u8>)> = (0..8)
-                .map(|i| (i * 3 % 32, (0..4096).map(|j| ((i + j) % 251) as u8).collect()))
-                .collect();
-            let batch: Vec<(u64, &[u8])> = blocks.iter().map(|(b, d)| (*b, d.as_slice())).collect();
-            enc_a.write_blocks(&batch).unwrap();
-            for (b, d) in &blocks {
-                enc_b.write_block(*b, d).unwrap();
-            }
-            // Sector ciphers are deterministic per (key, sector): batched
-            // and sequential writes must produce identical media.
-            assert_eq!(raw_a.snapshot().as_bytes(), raw_b.snapshot().as_bytes());
-            let indices: Vec<u64> = blocks.iter().map(|(b, _)| *b).collect();
-            let plain = enc_a.read_blocks(&indices).unwrap();
-            for ((_, expect), got) in blocks.iter().zip(&plain) {
-                assert_eq!(expect, got, "batched read decrypts to the written plaintext");
-            }
+        let (raw_a, enc_a) = setup();
+        let (raw_b, enc_b) = setup();
+        let blocks: Vec<(u64, Vec<u8>)> = (0..8)
+            .map(|i| (i * 3 % 32, (0..4096).map(|j| ((i + j) % 251) as u8).collect()))
+            .collect();
+        let batch: Vec<(u64, &[u8])> = blocks.iter().map(|(b, d)| (*b, d.as_slice())).collect();
+        enc_a.write_blocks(&batch).unwrap();
+        for (b, d) in &blocks {
+            enc_b.write_block(*b, d).unwrap();
+        }
+        // Sector ciphers are deterministic per (key, sector): batched
+        // and sequential writes must produce identical media.
+        assert_eq!(raw_a.snapshot().as_bytes(), raw_b.snapshot().as_bytes());
+        let indices: Vec<u64> = blocks.iter().map(|(b, _)| *b).collect();
+        let plain = enc_a.read_blocks(&indices).unwrap();
+        for ((_, expect), got) in blocks.iter().zip(&plain) {
+            assert_eq!(expect, got, "batched read decrypts to the written plaintext");
         }
     }
 
-    /// The sector cipher `DmCrypt` builds for `mode` from `setup`'s keys.
-    fn sector_cipher(mode: CipherMode) -> Box<dyn SectorCipher> {
-        match mode {
-            CipherMode::CbcEssiv => Box::new(CbcEssiv::with_essiv_key(
-                Aes256::new(&[0x11; 32]),
-                &mobiceal_crypto::sha256(&[0x11; 32]),
-            )),
-            CipherMode::XtsPlain64 => {
-                Box::new(Xts::new(Aes256::new(&[0x22; 32]), Aes256::new(&[0x22; 32])))
-            }
-        }
+    /// The sector cipher `DmCrypt` builds from `setup`'s key.
+    fn sector_cipher() -> CbcEssiv<Aes256> {
+        CbcEssiv::with_essiv_key(Aes256::new(&[0x11; 32]), &mobiceal_crypto::sha256(&[0x11; 32]))
     }
 
     #[test]
     fn a_4k_block_is_eight_512_byte_sectors_numbered_from_its_index() {
-        // Known answer for the dm-crypt layout: block k's raw bytes are the
-        // sector cipher's outputs for sectors 8k..8k+7, one per 512-byte
-        // slice. The sector modes themselves are pinned to SP 800-38A and
-        // IEEE 1619, so this pins the on-disk bytes end to end, through
-        // both the single-block and the batch write path, and both read
+        // Known answer for the dm-crypt layout at every block size: block
+        // b's raw bytes are the sector cipher's outputs for sectors
+        // b · (block_size / 512) + i, one per 512-byte slice, so a 4 KiB
+        // block k holds sectors 8k..8k+7 and a block below 512 bytes is one
+        // sector numbered by its index. CBC-ESSIV itself is pinned to SP
+        // 800-38A, so this pins the on-disk bytes end to end. Batches of 1,
+        // 3, 8 and 9 scattered blocks make the eight-sector groups split
+        // blocks and span block boundaries (1536-byte blocks are three
+        // sectors); both write paths must land these bytes, and both read
         // paths invert them.
-        let k = 5u64;
-        let plain: Vec<u8> = (0..4096).map(|i| (i * 7 % 251) as u8).collect();
-        let other = vec![0x33u8; 4096];
-        for mode in [CipherMode::CbcEssiv, CipherMode::XtsPlain64] {
-            let cipher = sector_cipher(mode);
-            let expect: Vec<u8> = plain
-                .chunks(SECTOR_SIZE)
-                .zip(8 * k..)
-                .flat_map(|(sector, n)| cipher.encrypt_sector(n, sector))
-                .collect();
-            let (raw, enc) = setup(mode);
-            enc.write_block(k, &plain).unwrap();
-            assert_eq!(raw.read_block(k).unwrap(), expect, "{mode:?} write_block");
-            assert_eq!(enc.read_block(k).unwrap(), plain, "{mode:?} read_block");
-            let (raw, enc) = setup(mode);
-            enc.write_blocks(&[(k + 1, &other), (k, &plain), (k - 1, &other)]).unwrap();
-            assert_eq!(raw.read_block(k).unwrap(), expect, "{mode:?} write_blocks");
-            let back = enc.read_blocks(&[k - 1, k, k + 1]).unwrap();
-            assert_eq!(back, [other.clone(), plain.clone(), other.clone()], "{mode:?} read_blocks");
+        let cipher = sector_cipher();
+        for block_size in [256usize, 512, 1024, 1536, 2048, 4096] {
+            let first_sector = |index: u64| index * block_size.div_ceil(SECTOR_SIZE) as u64;
+            for depth in [1u64, 3, 8, 9] {
+                let ctx = format!("{block_size}-byte blocks, depth {depth}");
+                let blocks: Vec<(u64, Vec<u8>)> = (0..depth)
+                    .map(|j| {
+                        let plain = (0..block_size as u64).map(|i| ((i * 7 + j * 13) % 251) as u8);
+                        ((j * 7 + 5) % 32, plain.collect())
+                    })
+                    .collect();
+                let writes: Vec<(u64, &[u8])> =
+                    blocks.iter().map(|(b, d)| (*b, d.as_slice())).collect();
+                let (raw_single, single) = setup_sized(block_size);
+                for &(b, d) in &writes {
+                    single.write_block(b, d).unwrap();
+                }
+                let (raw_batch, batched) = setup_sized(block_size);
+                batched.write_blocks(&writes).unwrap();
+                for &(b, plain) in &writes {
+                    let expect: Vec<u8> = plain
+                        .chunks(SECTOR_SIZE)
+                        .zip(first_sector(b)..)
+                        .flat_map(|(sector, n)| cipher.encrypt_sector(n, sector))
+                        .collect();
+                    assert_eq!(raw_single.read_block(b).unwrap(), expect, "write_block, {ctx}");
+                    assert_eq!(raw_batch.read_block(b).unwrap(), expect, "write_blocks, {ctx}");
+                    assert_eq!(single.read_block(b).unwrap(), plain, "read_block, {ctx}");
+                }
+                let indices: Vec<u64> = blocks.iter().map(|(b, _)| *b).collect();
+                let back = batched.read_blocks(&indices).unwrap();
+                let plain: Vec<Vec<u8>> = blocks.into_iter().map(|(_, d)| d).collect();
+                assert_eq!(back, plain, "read_blocks, {ctx}");
+            }
         }
     }
 
@@ -433,29 +376,24 @@ mod tests {
         // its number is the block index.
         let k = 11u64;
         let plain: Vec<u8> = (0..512).map(|i| (i * 3 % 256) as u8).collect();
-        for mode in [CipherMode::CbcEssiv, CipherMode::XtsPlain64] {
-            let expect = sector_cipher(mode).encrypt_sector(k, &plain);
-            for batched in [false, true] {
-                let raw = Arc::new(MemDisk::with_default_timing(16, 512));
-                let enc = match mode {
-                    CipherMode::CbcEssiv => DmCrypt::new_essiv(raw.clone(), &[0x11; 32]),
-                    CipherMode::XtsPlain64 => DmCrypt::new_xts(raw.clone(), &[0x22; 64]),
-                };
-                if batched {
-                    enc.write_blocks(&[(k, &plain)]).unwrap();
-                    assert_eq!(enc.read_blocks(&[k]).unwrap(), std::slice::from_ref(&plain));
-                } else {
-                    enc.write_block(k, &plain).unwrap();
-                    assert_eq!(enc.read_block(k).unwrap(), plain);
-                }
-                assert_eq!(raw.read_block(k).unwrap(), expect, "{mode:?}, batched {batched}");
+        let expect = sector_cipher().encrypt_sector(k, &plain);
+        for batched in [false, true] {
+            let raw = Arc::new(MemDisk::with_default_timing(16, 512));
+            let enc = DmCrypt::new_essiv(raw.clone(), &[0x11; 32]);
+            if batched {
+                enc.write_blocks(&[(k, &plain)]).unwrap();
+                assert_eq!(enc.read_blocks(&[k]).unwrap(), std::slice::from_ref(&plain));
+            } else {
+                enc.write_block(k, &plain).unwrap();
+                assert_eq!(enc.read_block(k).unwrap(), plain);
             }
+            assert_eq!(raw.read_block(k).unwrap(), expect, "batched {batched}");
         }
     }
 
     #[test]
     fn batched_write_bad_buffer_persists_prefix() {
-        let (raw, enc) = setup(CipherMode::CbcEssiv);
+        let (raw, enc) = setup();
         let good = vec![7u8; 4096];
         let short = vec![0u8; 100];
         let err = enc.write_blocks(&[(0, good.as_slice()), (1, short.as_slice())]).unwrap_err();
@@ -463,5 +401,26 @@ mod tests {
         assert_eq!(enc.read_block(0).unwrap(), good, "valid prefix landed");
         assert!(!raw.snapshot().is_zero_block(0));
         assert!(raw.snapshot().is_zero_block(1), "failing block never written");
+    }
+
+    #[test]
+    fn a_write_batch_with_no_valid_prefix_charges_nothing() {
+        // An empty batch, or one whose first buffer has the wrong size,
+        // does no AES work and reaches no device, so like a rejected
+        // `write_block` it must charge 0 ns and leave the medium's
+        // statistics as they were.
+        let clock = SimClock::new();
+        let raw = Arc::new(MemDisk::new(8, 4096, clock.clone()));
+        let enc = DmCrypt::new_essiv(raw.clone(), &[1; 32])
+            .with_timing(clock.clone(), CpuCostModel::nexus4());
+        let good = vec![7u8; 4096];
+        enc.write_block(0, &good).unwrap();
+        let (t0, stats) = (clock.now(), raw.stats());
+        enc.write_blocks(&[]).unwrap();
+        let err = enc.write_blocks(&[(1, &[0u8; 100]), (2, good.as_slice())]).unwrap_err();
+        assert!(matches!(err, BlockDeviceError::WrongBufferSize { got: 100, expected: 4096 }));
+        assert_eq!(clock.now(), t0, "a rejected batch charges nothing");
+        assert_eq!(raw.stats(), stats, "and never reaches the medium");
+        assert!(raw.snapshot().is_zero_block(2));
     }
 }

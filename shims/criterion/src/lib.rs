@@ -159,26 +159,25 @@ impl Bencher {
         }
     }
 
-    /// Measures `routine` with fresh input from `setup` each iteration;
-    /// setup time is excluded from the measurement.
+    /// Measures `routine` with fresh input from `setup` each iteration.
+    /// As in criterion, neither the setup nor the drop of the routine's
+    /// output is timed: a routine that returns its input keeps that drop
+    /// out of the measurement too.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
         let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
         while warm_start.elapsed() < self.config.warm_up {
-            let input = setup();
-            black_box(routine(input));
-            warm_iters += 1;
+            black_box(routine(setup()));
         }
-        let _ = warm_iters;
         for _ in 0..self.config.sample_size {
             let input = setup();
             let t0 = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             self.samples.ns_per_iter.push(t0.elapsed().as_nanos() as f64);
+            drop(output);
         }
     }
 
@@ -277,6 +276,25 @@ mod tests {
             b.iter_batched(|| vec![0u8; 16], |v| v.len(), BatchSize::SmallInput)
         });
         group.finish();
+    }
+
+    #[test]
+    fn iter_batched_stops_the_clock_before_dropping_the_output() {
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let config = Criterion::default()
+            .sample_size(3)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(2));
+        let mut bencher = Bencher::new(config);
+        bencher.iter_batched(|| (), |()| SlowDrop, BatchSize::SmallInput);
+        let samples = &bencher.samples.ns_per_iter;
+        assert_eq!(samples.len(), 3);
+        assert!(samples.iter().all(|&ns| ns < 10e6), "a sample timed the 20 ms drop: {samples:?}");
     }
 
     criterion_group! {

@@ -274,19 +274,17 @@ fn batch_amortization_opens_no_timing_channel() {
 
 #[test]
 fn pipelined_crypto_charges_are_world_independent() {
-    // PR 10 rebuilt the crypto hot path around pipelined AES lanes and a
-    // precomputed carry-less tweak ladder — all *real-time* machinery. The
-    // virtual clock must not notice: `DmCrypt` charges `aes_cost(bytes)`
-    // from byte counts alone, before any real crypto runs. Two traces with
-    // identical batch shapes but disjoint physical placements — a hidden
-    // volume's sectors sit at different indices, so every XTS tweak
-    // sequence and ESSIV IV the ladder precomputes is a different value —
-    // must charge identical simulated time and leave identical device op
-    // mixes, for both cipher modes, across batch depths that fill the
-    // 8-wide, 4-wide and single-block lanes and the interleaved ESSIV
-    // encrypt groups differently. A second leg drives the single-block
-    // `write_block`/`read_block` entry points, which take a 4 KiB block as
-    // eight 512-byte sectors in one batch call (under ESSIV, eight CBC
+    // The crypto hot path runs on pipelined AES lanes — all *real-time*
+    // machinery. The virtual clock must not notice: `DmCrypt` charges
+    // `aes_cost(bytes)` from byte counts alone, before any real crypto
+    // runs. Two traces with identical batch shapes but disjoint physical
+    // placements — a hidden volume's sectors sit at different indices, so
+    // every ESSIV IV is a different value — must charge identical
+    // simulated time and leave identical device op mixes, across batch
+    // depths that fill the 8-wide, 4-wide and single-block lanes and the
+    // interleaved ESSIV encrypt groups differently. A second leg drives
+    // the single-block `write_block`/`read_block` entry points, which take
+    // a 4 KiB block as eight 512-byte sectors in one batch call (eight CBC
     // chains in one lane call): the path every random 4 KiB overwrite and
     // every foreground write under GC takes.
     use mobiceal_blockdev::{BlockDevice, DeviceStats, MemDisk};
@@ -294,19 +292,15 @@ fn pipelined_crypto_charges_are_world_independent() {
     use mobiceal_sim::{CpuCostModel, SimClock};
     use std::sync::Arc;
 
-    let stack = |xts: bool| {
+    let stack = || {
         let clock = SimClock::new();
         let disk = Arc::new(MemDisk::new(4096, 4096, clock.clone()));
-        let crypt = if xts {
-            DmCrypt::new_xts(disk.clone(), &[0x42; 64])
-        } else {
-            DmCrypt::new_essiv(disk.clone(), &[0x42; 32])
-        }
-        .with_timing(clock.clone(), CpuCostModel::nexus4());
+        let crypt = DmCrypt::new_essiv(disk.clone(), &[0x42; 32])
+            .with_timing(clock.clone(), CpuCostModel::nexus4());
         (clock, disk, crypt)
     };
-    let run_trace = |base: u64, xts: bool| -> (u64, DeviceStats) {
-        let (clock, disk, crypt) = stack(xts);
+    let run_trace = |base: u64| -> (u64, DeviceStats) {
+        let (clock, disk, crypt) = stack();
         let data = vec![0xC3u8; 4096];
         let t0 = clock.now();
         let mut cursor = base;
@@ -319,16 +313,16 @@ fn pipelined_crypto_charges_are_world_independent() {
             crypt.write_blocks(&batch).unwrap();
             cursor += shape as u64;
         }
-        // Read the trace back so the decrypt ladders (the pipelined
-        // CBC-ESSIV path and the XTS decrypt lanes) are in the window too.
+        // Read the trace back so the pipelined CBC-ESSIV decrypt path is
+        // in the window too.
         let indices: Vec<u64> = (base..cursor).collect();
         crypt.read_blocks(&indices).unwrap();
         ((clock.now() - t0).as_nanos(), disk.stats())
     };
     // Scattered single-block overwrites with a read-back after every third
     // write, the rand_4k mix, at the same offsets from each world's base.
-    let run_singles = |base: u64, xts: bool| -> (u64, DeviceStats) {
-        let (clock, disk, crypt) = stack(xts);
+    let run_singles = |base: u64| -> (u64, DeviceStats) {
+        let (clock, disk, crypt) = stack();
         let data = vec![0x3Cu8; 4096];
         let t0 = clock.now();
         for i in 0..96u64 {
@@ -341,23 +335,17 @@ fn pipelined_crypto_charges_are_world_independent() {
         ((clock.now() - t0).as_nanos(), disk.stats())
     };
 
-    for xts in [false, true] {
-        for (leg, run) in
-            [("batched", &run_trace as &dyn Fn(u64, bool) -> _), ("single", &run_singles)]
-        {
-            let (public_time, public_stats) = run(0, xts);
-            let (hidden_time, hidden_stats) = run(2048, xts);
-            assert_eq!(
-                public_time, hidden_time,
-                "identical shapes must charge identical time wherever the sectors live \
-                 ({leg}, xts={xts})"
-            );
-            assert_eq!(
-                public_stats, hidden_stats,
-                "identical shapes must leave identical op mixes wherever the sectors live \
-                 ({leg}, xts={xts})"
-            );
-        }
+    for (leg, run) in [("batched", &run_trace as &dyn Fn(u64) -> _), ("single", &run_singles)] {
+        let (public_time, public_stats) = run(0);
+        let (hidden_time, hidden_stats) = run(2048);
+        assert_eq!(
+            public_time, hidden_time,
+            "identical shapes must charge identical time wherever the sectors live ({leg})"
+        );
+        assert_eq!(
+            public_stats, hidden_stats,
+            "identical shapes must leave identical op mixes wherever the sectors live ({leg})"
+        );
     }
 }
 
