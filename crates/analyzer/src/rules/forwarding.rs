@@ -2,12 +2,16 @@
 //!
 //! Every production `impl BlockDevice for ...` must explicitly implement
 //! (or explicitly forward) the vectored batch methods and the host-queue
-//! hooks. The trait default-implements all five, which is exactly the
+//! hooks. The trait default-implements all six, which is exactly the
 //! trap: a new wrapper that forgets them still compiles, silently breaks
 //! batch amortization (`read_blocks`/`write_blocks` fall back to
-//! per-block loops) or the engine's queue-depth signal
-//! (`host_queue_enter`/`leave` stop reaching the medium — the regression
-//! PR 8 caught at runtime, now caught here).
+//! per-block loops), the caller-owned read (`read_blocks_to` falls back to
+//! reading into fresh buffers and copying them out) or the engine's
+//! queue-depth signal (`host_queue_enter`/`leave` stop reaching the medium,
+//! a regression once caught only at runtime). A wrapper
+//! that really does read through a batch of its own forwards
+//! `read_blocks_to` to `mobiceal_blockdev::read_blocks_via_batch`, the
+//! default's body, so the choice is written down.
 //!
 //! Escape: `// analyzer: allow(default_forwarding, reason = "...")` on
 //! the impl, for devices that genuinely want per-block defaults.
@@ -17,9 +21,15 @@ use crate::workspace::Workspace;
 
 /// The methods a wrapper must pin down. `read_block`/`write_block` and
 /// the geometry methods are required by the compiler (no defaults), so
-/// only the silently-defaultable five need auditing.
-pub const REQUIRED: [&str; 5] =
-    ["read_blocks", "write_blocks", "flush", "host_queue_enter", "host_queue_leave"];
+/// only the silently-defaultable six need auditing.
+pub const REQUIRED: [&str; 6] = [
+    "read_blocks",
+    "read_blocks_to",
+    "write_blocks",
+    "flush",
+    "host_queue_enter",
+    "host_queue_leave",
+];
 
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {

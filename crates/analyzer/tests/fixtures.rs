@@ -42,14 +42,14 @@ fn a1_fires_on_wrapper_missing_forwards() {
     let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", A1_BAD)]);
     let hits = denies(&findings, "A1/default_forwarding");
     assert_eq!(hits.len(), 1, "{findings:?}");
-    for m in ["read_blocks", "write_blocks", "flush", "host_queue_enter", "host_queue_leave"] {
+    for m in forwarding::REQUIRED {
         assert!(hits[0].message.contains(m), "missing `{m}` in: {}", hits[0].message);
     }
 }
 
-#[test]
-fn a1_passes_once_all_five_are_forwarded() {
-    let fixed = r#"
+/// A wrapper forwarding everything A1 audits but the caller-owned read;
+/// `{read_to}` is spliced in where that forward goes.
+const A1_ALL_BUT_READ_TO: &str = r#"
 impl BlockDevice for Passthrough {
     fn num_blocks(&self) -> u64 { self.inner.num_blocks() }
     fn block_size(&self) -> usize { self.inner.block_size() }
@@ -62,6 +62,7 @@ impl BlockDevice for Passthrough {
     fn read_blocks(&self, ix: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         self.inner.read_blocks(ix)
     }
+    {read_to}
     fn write_blocks(&self, w: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
         self.inner.write_blocks(w)
     }
@@ -70,8 +71,36 @@ impl BlockDevice for Passthrough {
     fn host_queue_leave(&self) { self.inner.host_queue_leave() }
 }
 "#;
-    let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", fixed)]);
-    assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");
+
+#[test]
+fn a1_passes_once_all_six_are_forwarded() {
+    for read_to in [
+        // Native: straight through to the layer below.
+        "fn read_blocks_to(&self, ix: &[BlockIndex], dest: ReadDest<'_>) \
+         -> Result<(), BlockDeviceError> { self.inner.read_blocks_to(ix, dest) }",
+        // A wrapper that reads through a batch of its own says so.
+        "fn read_blocks_to(&self, ix: &[BlockIndex], dest: ReadDest<'_>) \
+         -> Result<(), BlockDeviceError> { read_blocks_via_batch(self, ix, dest) }",
+    ] {
+        let fixed = A1_ALL_BUT_READ_TO.replace("{read_to}", read_to);
+        let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &fixed)]);
+        assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");
+    }
+}
+
+#[test]
+fn a1_fires_on_a_wrapper_that_forgets_only_the_caller_owned_read() {
+    // Without the forward, a read into caller memory would silently read
+    // into fresh buffers and copy them out.
+    let bad = A1_ALL_BUT_READ_TO.replace("{read_to}", "");
+    let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &bad)]);
+    let hits = denies(&findings, "A1/default_forwarding");
+    assert_eq!(hits.len(), 1, "{findings:?}");
+    assert!(
+        hits[0].message.contains("relies on default bodies for read_blocks_to;"),
+        "{}",
+        hits[0].message
+    );
 }
 
 #[test]

@@ -24,7 +24,7 @@
 //! advances the head past what is on the medium.
 
 use crate::persist::{map_to_ops, StateJournal};
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::{sha256, Aes256, CbcEssiv, SectorCipher};
 use mobiceal_sim::{CpuCostModel, SimClock};
 use mobiceal_thinp::DeltaOp;
@@ -397,6 +397,16 @@ impl BlockDevice for DefyLite {
             }),
             None => Ok(out),
         }
+    }
+
+    /// Off the public read path: one batch of its own, moved or copied
+    /// into `dest`.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        mobiceal_blockdev::read_blocks_via_batch(self, indices, dest)
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {

@@ -1,7 +1,7 @@
 //! Stock Android full-disk encryption (§II-A): the no-deniability baseline.
 
 use mobiceal::{EncryptionFooter, MobiCealError, FOOTER_BYTES};
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::ChaCha20Rng;
 use mobiceal_dm::{DmCrypt, DmLinear};
 use mobiceal_sim::{CpuCostModel, SimClock};
@@ -116,9 +116,7 @@ impl AndroidFde {
         let (data_blocks, footer_blocks) = Self::footer_geometry(&disk);
         let indices: Vec<u64> = (0..footer_blocks).map(|i| data_blocks + i).collect();
         let mut bytes = Vec::with_capacity(footer_blocks as usize * disk.block_size());
-        for block in disk.read_blocks(&indices)? {
-            bytes.extend_from_slice(&block);
-        }
+        disk.read_blocks_to(&indices, ReadDest::Append(&mut bytes))?;
         let footer = EncryptionFooter::from_bytes(&bytes)?;
         Ok(AndroidFde { disk, clock, footer, cpu: CpuCostModel::nexus4(), data_blocks })
     }
@@ -183,10 +181,24 @@ impl BlockDevice for OffsetDevice {
         self.inner.write_block(index + self.offset, data)
     }
 
-    /// Batched read: shifts the batch past the header and forwards it as
-    /// one vectored read to the dm-crypt layer below.
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_remapped(&self.inner, indices, self.len, |i| i + self.offset)
+        mobiceal_blockdev::read_blocks_owned(self, indices)
+    }
+
+    /// Batched read: shifts the batch past the header and forwards it as
+    /// one vectored read to the dm-crypt layer below, into `dest`.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        mobiceal_blockdev::read_blocks_remapped(
+            &self.inner,
+            indices,
+            self.len,
+            |i| i + self.offset,
+            dest,
+        )
     }
 
     /// Batched write: shifts the batch past the header and forwards it as

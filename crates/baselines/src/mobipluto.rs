@@ -14,7 +14,7 @@
 //! dummy writes remove (§IV-A).
 
 use mobiceal::{EncryptionFooter, MobiCealError, FOOTER_BYTES};
-use mobiceal_blockdev::{BlockDevice, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, ReadDest, SharedDevice};
 use mobiceal_crypto::{Aes256, CbcEssiv, ChaCha20Rng, SectorCipher};
 use mobiceal_dm::{DmCrypt, DmLinear};
 use mobiceal_sim::{CpuCostModel, SimClock};
@@ -316,7 +316,8 @@ impl MobiPluto {
 
         let footer_indices: Vec<u64> =
             (0..footer_blocks).map(|i| metadata_blocks + data_blocks + i).collect();
-        let mut footer_bytes: Vec<u8> = disk.read_blocks(&footer_indices)?.concat();
+        let mut footer_bytes = Vec::with_capacity(footer_blocks as usize * disk.block_size());
+        disk.read_blocks_to(&footer_indices, ReadDest::Append(&mut footer_bytes))?;
         footer_bytes.truncate(FOOTER_BYTES);
         let footer = EncryptionFooter::from_bytes(&footer_bytes)?;
 

@@ -14,7 +14,7 @@
 //! multi-command charging, statistics and classification are identical to
 //! running on the bare [`MemDisk`].
 
-use crate::device::{BlockDevice, BlockDeviceError, BlockIndex};
+use crate::device::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use crate::memdisk::MemDisk;
 use crate::snapshot::DiskSnapshot;
 use parking_lot::Mutex;
@@ -153,6 +153,14 @@ impl BlockDevice for CrashDisk {
 
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         self.inner.read_blocks(indices)
+    }
+
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        self.inner.read_blocks_to(indices, dest)
     }
 
     /// Delegates the whole batch (keeping amortized charging), then logs

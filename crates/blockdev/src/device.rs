@@ -111,6 +111,34 @@ pub trait BlockDevice: Send + Sync {
         indices.iter().map(|&index| self.read_block(index)).collect()
     }
 
+    /// Reads every block in `indices` into memory the caller owns, after
+    /// whatever `dest` already holds, in order.
+    ///
+    /// Same batch, bytes, simulated charges and statistics as
+    /// [`BlockDevice::read_blocks`]. The layers of the public read path
+    /// implement it natively: the medium copies each block once, straight
+    /// into `dest`, and dm-crypt decrypts it there, so a
+    /// [`ReadDest::Append`] read allocates nothing per block. Those layers'
+    /// `read_blocks` is this method with a [`ReadDest::Owned`] destination
+    /// ([`read_blocks_owned`]).
+    ///
+    /// The default issues one `self.read_blocks` batch and moves or copies
+    /// its buffers into `dest` ([`read_blocks_via_batch`]), so a wrapper
+    /// that overrides only `read_blocks` charges exactly what it charges
+    /// there.
+    ///
+    /// # Errors
+    ///
+    /// The error `read_blocks` would return. `dest` then holds what it held
+    /// before the call.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        read_blocks_via_batch(self, indices, dest)
+    }
+
     /// Writes each `(index, data)` pair, in order.
     ///
     /// Semantically identical to calling [`BlockDevice::write_block`] once
@@ -198,28 +226,191 @@ pub trait BlockDevice: Send + Sync {
     fn host_queue_leave(&self) {}
 }
 
-/// Forwards a vectored read through an index-remapping layer (dm-linear,
-/// header-shifting volume views): the whole valid prefix goes down as one
-/// batch; an out-of-range index mid-batch reads the prefix first and then
-/// surfaces [`BlockDeviceError::OutOfRange`], preserving sequential
-/// fail-fast semantics.
+/// Where [`BlockDevice::read_blocks_to`] puts the blocks it reads: after
+/// whatever the destination already holds, in batch order.
+#[derive(Debug)]
+pub enum ReadDest<'a> {
+    /// Every block's bytes, back to back, appended to one buffer. The
+    /// buffer is never zero-filled first.
+    Append(&'a mut Vec<u8>),
+    /// One buffer per block, pushed in order: [`BlockDevice::read_blocks`]'s
+    /// shape.
+    Owned(&'a mut Vec<Vec<u8>>),
+}
+
+impl ReadDest<'_> {
+    /// A shorter-lived handle on the same destination, so a layer can pass
+    /// it down and still work on the blocks that come back.
+    pub fn reborrow(&mut self) -> ReadDest<'_> {
+        match self {
+            ReadDest::Append(buf) => ReadDest::Append(buf),
+            ReadDest::Owned(bufs) => ReadDest::Owned(bufs),
+        }
+    }
+
+    /// Where the destination ends now, for [`ReadDest::truncate`] and
+    /// [`ReadDest::fill_holes`]: bytes for `Append`, buffers for `Owned`.
+    pub fn mark(&self) -> usize {
+        match self {
+            ReadDest::Append(buf) => buf.len(),
+            ReadDest::Owned(bufs) => bufs.len(),
+        }
+    }
+
+    /// Drops everything after `mark`: how a failed read leaves the
+    /// destination as it found it.
+    pub fn truncate(&mut self, mark: usize) {
+        match self {
+            ReadDest::Append(buf) => buf.truncate(mark),
+            ReadDest::Owned(bufs) => bufs.truncate(mark),
+        }
+    }
+
+    /// Makes room for `blocks` more blocks of `block_size` bytes.
+    pub fn reserve(&mut self, blocks: usize, block_size: usize) {
+        match self {
+            ReadDest::Append(buf) => buf.reserve(blocks * block_size),
+            ReadDest::Owned(bufs) => bufs.reserve(blocks),
+        }
+    }
+
+    /// Appends one block: the only copy of its bytes.
+    pub fn push(&mut self, block: &[u8]) {
+        match self {
+            ReadDest::Append(buf) => buf.extend_from_slice(block),
+            ReadDest::Owned(bufs) => bufs.push(block.to_vec()),
+        }
+    }
+
+    /// Spreads the blocks after `mark` over one slot per item of
+    /// `present`, in order: a `true` slot takes the next block, a `false`
+    /// slot becomes a block of zeros. This is how a layer that reads only
+    /// some of a batch's blocks from below (a thin volume's mapped ones)
+    /// fills its holes around the one call it made.
+    ///
+    /// # Errors
+    ///
+    /// [`BlockDeviceError::Io`], with the destination truncated to `mark`,
+    /// if the number of blocks after `mark` is not the number of `true`
+    /// slots.
+    pub fn fill_holes(
+        &mut self,
+        mark: usize,
+        block_size: usize,
+        present: impl DoubleEndedIterator<Item = bool> + ExactSizeIterator + Clone,
+    ) -> Result<(), BlockDeviceError> {
+        let slots = present.len();
+        let mut read = match self {
+            ReadDest::Append(buf) => (buf.len() - mark) / block_size,
+            ReadDest::Owned(bufs) => bufs.len() - mark,
+        };
+        if read != present.clone().filter(|&p| p).count() {
+            self.truncate(mark);
+            return Err(BlockDeviceError::Io {
+                reason: "device returned a different number of blocks than it was asked for"
+                    .to_string(),
+            });
+        }
+        if read == slots {
+            return Ok(());
+        }
+        // Back to front, each block moves to its slot at or after where it
+        // landed, so no block is overwritten before it has moved.
+        match self {
+            ReadDest::Append(buf) => {
+                buf.resize(mark + slots * block_size, 0);
+                for (slot, present) in present.enumerate().rev() {
+                    let at = mark + slot * block_size;
+                    if present {
+                        read -= 1;
+                        let from = mark + read * block_size;
+                        buf.copy_within(from..from + block_size, at);
+                    } else {
+                        buf[at..at + block_size].fill(0);
+                    }
+                }
+            }
+            ReadDest::Owned(bufs) => {
+                bufs.resize_with(mark + slots, Vec::new);
+                for (slot, present) in present.enumerate().rev() {
+                    if present {
+                        read -= 1;
+                        bufs.swap(mark + read, mark + slot);
+                    } else {
+                        bufs[mark + slot] = vec![0u8; block_size];
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`BlockDevice::read_blocks`] as one [`ReadDest::Owned`] call of
+/// `dev.read_blocks_to`: the `read_blocks` of every layer that reads
+/// natively into a destination, so both entry points run one body.
 ///
 /// # Errors
 ///
-/// The backing device's error, or `OutOfRange` against `num_blocks`.
+/// `dev.read_blocks_to`'s error.
+pub fn read_blocks_owned<D: BlockDevice + ?Sized>(
+    dev: &D,
+    indices: &[BlockIndex],
+) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+    let mut out = Vec::with_capacity(indices.len());
+    dev.read_blocks_to(indices, ReadDest::Owned(&mut out))?;
+    Ok(out)
+}
+
+/// [`BlockDevice::read_blocks_to`] as one `dev.read_blocks` batch whose
+/// buffers are then moved (`Owned`) or copied (`Append`) into `dest`: the
+/// trait default, and the explicit forward of wrappers off the public read
+/// path that read through a batch of their own.
+///
+/// # Errors
+///
+/// `dev.read_blocks`'s error; `dest` is then untouched.
+pub fn read_blocks_via_batch<D: BlockDevice + ?Sized>(
+    dev: &D,
+    indices: &[BlockIndex],
+    dest: ReadDest<'_>,
+) -> Result<(), BlockDeviceError> {
+    let mut blocks = dev.read_blocks(indices)?;
+    match dest {
+        ReadDest::Append(buf) => blocks.iter().for_each(|b| buf.extend_from_slice(b)),
+        ReadDest::Owned(bufs) => bufs.append(&mut blocks),
+    }
+    Ok(())
+}
+
+/// Forwards a vectored read through an index-remapping layer (dm-linear,
+/// header-shifting volume views): the whole valid prefix goes down as one
+/// batch into `dest`; an out-of-range index mid-batch reads the prefix
+/// first and then surfaces [`BlockDeviceError::OutOfRange`], preserving
+/// sequential fail-fast semantics.
+///
+/// # Errors
+///
+/// The backing device's error, or `OutOfRange` against `num_blocks`;
+/// `dest` then holds what it held before the call.
 pub fn read_blocks_remapped<D: BlockDevice + ?Sized>(
     backing: &D,
     indices: &[BlockIndex],
     num_blocks: u64,
     map: impl Fn(BlockIndex) -> BlockIndex,
-) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+    mut dest: ReadDest<'_>,
+) -> Result<(), BlockDeviceError> {
     let bad = indices.iter().position(|&i| i >= num_blocks);
     let valid = &indices[..bad.unwrap_or(indices.len())];
     let mapped: Vec<BlockIndex> = valid.iter().map(|&i| map(i)).collect();
-    let bufs = backing.read_blocks(&mapped)?;
+    let mark = dest.mark();
+    backing.read_blocks_to(&mapped, dest.reborrow())?;
     match bad {
-        Some(pos) => Err(BlockDeviceError::OutOfRange { index: indices[pos], num_blocks }),
-        None => Ok(bufs),
+        Some(pos) => {
+            dest.truncate(mark);
+            Err(BlockDeviceError::OutOfRange { index: indices[pos], num_blocks })
+        }
+        None => Ok(()),
     }
 }
 
@@ -268,6 +459,14 @@ impl<T: BlockDevice + ?Sized> BlockDevice for Arc<T> {
 
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         (**self).read_blocks(indices)
+    }
+
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        (**self).read_blocks_to(indices, dest)
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
@@ -359,6 +558,43 @@ mod tests {
             dev.write_blocks(&[(0, &[1u8; 7])]),
             Err(BlockDeviceError::WrongBufferSize { got: 7, expected: 8 })
         );
+    }
+
+    #[test]
+    fn default_read_into_destinations_follows_what_they_hold() {
+        let dev = TinyDev;
+        let mut buf = vec![9u8; 3];
+        dev.read_blocks_to(&[2, 0], ReadDest::Append(&mut buf)).unwrap();
+        assert_eq!(buf, [&[9u8; 3][..], &[2; 8], &[0; 8]].concat());
+        let mut bufs = vec![vec![9u8]];
+        dev.read_blocks_to(&[1], ReadDest::Owned(&mut bufs)).unwrap();
+        assert_eq!(bufs, vec![vec![9u8], vec![1; 8]]);
+        // A failed batch leaves either destination as it was.
+        assert!(dev.read_blocks_to(&[3, 4], ReadDest::Append(&mut buf)).is_err());
+        assert_eq!(buf.len(), 19);
+        assert!(dev.read_blocks_to(&[3, 4], ReadDest::Owned(&mut bufs)).is_err());
+        assert_eq!(bufs.len(), 2);
+    }
+
+    #[test]
+    fn fill_holes_spreads_blocks_around_zero_blocks() {
+        let present = [false, true, true, false, true, false];
+        let spread = |b: u8| if b == 0 { vec![0u8; 4] } else { vec![b; 4] };
+        let expect: Vec<Vec<u8>> = [0u8, 1, 2, 0, 3, 0].into_iter().map(spread).collect();
+        let mut buf = vec![7u8; 2];
+        buf.extend([1u8; 4].iter().chain(&[2; 4]).chain(&[3; 4]));
+        let mut dest = ReadDest::Append(&mut buf);
+        dest.fill_holes(2, 4, present.iter().copied()).unwrap();
+        assert_eq!(buf, [vec![7u8; 2], expect.concat()].concat());
+        let mut bufs = vec![vec![7u8], vec![1; 4], vec![2; 4], vec![3; 4]];
+        ReadDest::Owned(&mut bufs).fill_holes(1, 4, present.iter().copied()).unwrap();
+        assert_eq!(bufs, [vec![vec![7u8]], expect].concat());
+        // A count that does not match the present slots is an error that
+        // drops the blocks, never a panic.
+        let mut short = vec![1u8; 4];
+        let err = ReadDest::Append(&mut short).fill_holes(0, 4, present.iter().copied());
+        assert!(matches!(err, Err(BlockDeviceError::Io { .. })));
+        assert!(short.is_empty());
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! # Ok::<(), mobiceal_blockdev::BlockDeviceError>(())
 //! ```
 
-use crate::device::{BlockDevice, BlockDeviceError, BlockIndex};
+use crate::device::{read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -487,6 +487,16 @@ impl<D: BlockDevice> BlockDevice for EngineDevice<D> {
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         let ticket = self.0.submit_read_blocks(indices);
         self.reap_read(ticket)
+    }
+
+    /// The ring's completions own their buffers, so these are moved or
+    /// copied out of one ring read.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        read_blocks_via_batch(self, indices, dest)
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {

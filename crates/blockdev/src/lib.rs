@@ -42,8 +42,8 @@ mod stats;
 
 pub use crash::CrashDisk;
 pub use device::{
-    read_blocks_remapped, write_blocks_remapped, BlockDevice, BlockDeviceError, BlockIndex,
-    SharedDevice,
+    read_blocks_owned, read_blocks_remapped, read_blocks_via_batch, write_blocks_remapped,
+    BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice,
 };
 pub use engine::{Completion, EngineDevice, IoEngine, IoOutput, Ticket, WouldBlock};
 pub use memdisk::{FaultInjection, MemDisk, TornWrite};

@@ -34,7 +34,7 @@
 //!   with. A lone command — every single-threaded caller without a ring —
 //!   observes depth 1 and charges the pre-CQE cost bit for bit.
 
-use crate::device::{BlockDevice, BlockDeviceError, BlockIndex};
+use crate::device::{read_blocks_owned, BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use crate::snapshot::DiskSnapshot;
 use crate::stats::{AtomicDeviceStats, DeviceStats};
 use mobiceal_sim::{CostModel, EmmcCostModel, OpKind, SimClock, SimDuration};
@@ -575,6 +575,10 @@ impl BlockDevice for MemDisk {
         }
     }
 
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+        read_blocks_owned(self, indices)
+    }
+
     /// Batched read: one command-lock acquisition, one clock advance, and
     /// *amortized multi-command* costing for the whole batch — command
     /// setup is charged once per simulated multi-block command (see
@@ -584,18 +588,28 @@ impl BlockDevice for MemDisk {
     /// checks and sequential/random classification are identical to
     /// issuing the reads one by one; charged time is less than or equal
     /// to the sequential loop's, with equality for single-block batches
-    /// and for cost models without amortization. The copies run under the
-    /// shard locks, concurrently with other threads' batches.
-    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+    /// and for cost models without amortization. Each block is copied
+    /// once, under its shard lock, straight into `dest`, concurrently with
+    /// other threads' batches. A failed batch charges its planned prefix
+    /// and copies nothing.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        mut dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
         let _io = self.begin_command();
         let depth = self.observed_depth();
-        let (planned, _, error) =
+        let (_, _, error) =
             self.plan_batch(indices.iter().map(|&index| (index, None)), false, depth);
-        let out = indices[..planned].iter().map(|&index| self.load_block(index)).collect();
-        match error {
-            Some(e) => Err(e),
-            None => Ok(out),
+        if let Some(e) = error {
+            return Err(e);
         }
+        dest.reserve(indices.len(), self.block_size);
+        for &index in indices {
+            let (shard, offset) = self.locate(index);
+            dest.push(&self.shared.shards[shard].lock()[offset..offset + self.block_size]);
+        }
+        Ok(())
     }
 
     /// Batched write: one command-lock acquisition, one clock advance, and

@@ -5,7 +5,7 @@ use crate::dummy::{DummyStats, DummyWriter};
 use crate::error::MobiCealError;
 use crate::footer::{EncryptionFooter, FOOTER_BYTES};
 use crate::pde_volume::PdeVolume;
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::{Aes256, CbcEssiv, ChaCha20Rng, SectorCipher};
 use mobiceal_dm::DmLinear;
 use mobiceal_sim::{CpuCostModel, SimClock};
@@ -440,12 +440,26 @@ impl BlockDevice for UnlockedVolume {
         self.inner.write_block(index + 1, data)
     }
 
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+        mobiceal_blockdev::read_blocks_owned(self, indices)
+    }
+
     /// Batched read: shifts the whole batch past the header block and
     /// forwards it as one vectored read down the dm-crypt → PDE → thin
-    /// pipeline (prefix-then-error on a bad index, like the sequential
-    /// loop).
-    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_remapped(&self.inner, indices, self.data_blocks, |i| i + 1)
+    /// pipeline into `dest` (prefix-then-error on a bad index, like the
+    /// sequential loop).
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        mobiceal_blockdev::read_blocks_remapped(
+            &self.inner,
+            indices,
+            self.data_blocks,
+            |i| i + 1,
+            dest,
+        )
     }
 
     /// Batched write: shifts the whole batch past the header block and
@@ -533,9 +547,7 @@ fn read_footer(
     let indices: Vec<BlockIndex> =
         (0..layout.footer_blocks).map(|i| layout.footer_start() + i).collect();
     let mut bytes = Vec::with_capacity((layout.footer_blocks as usize) * layout.block_size);
-    for block in disk.read_blocks(&indices)? {
-        bytes.extend_from_slice(&block);
-    }
+    disk.read_blocks_to(&indices, ReadDest::Append(&mut bytes))?;
     EncryptionFooter::from_bytes(&bytes)
 }
 

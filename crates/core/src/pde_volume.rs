@@ -8,7 +8,7 @@
 //! to the chosen dummy/hidden-indexed volume through the shared pool.
 
 use crate::dummy::DummyWriter;
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use mobiceal_sim::{CpuCostModel, SimClock};
 use mobiceal_thinp::{ThinPool, ThinVolume};
 use parking_lot::Mutex;
@@ -105,6 +105,14 @@ impl BlockDevice for PdeVolume {
 
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         self.inner.read_blocks(indices)
+    }
+
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        self.inner.read_blocks_to(indices, dest)
     }
 
     /// Batched write with the dummy-write hook: the public data lands via

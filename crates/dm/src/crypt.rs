@@ -16,7 +16,7 @@
 //! independent CBC chains of 32 AES blocks, which the cipher runs side by
 //! side in one AES-NI kernel call instead of one 256-block chain.
 
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::{Aes256, CbcEssiv, SectorCipher};
 use mobiceal_sim::{CpuCostModel, SimClock};
 
@@ -24,6 +24,10 @@ use mobiceal_sim::{CpuCostModel, SimClock};
 /// sectors of this many bytes, numbered from the block index (see the
 /// module docs).
 const SECTOR_SIZE: usize = 512;
+
+/// CBC works in whole AES blocks, so every sector, the last one of a block
+/// included, must be a multiple of this many bytes.
+const AES_BLOCK: usize = 16;
 
 /// Sectors per stack group handed to the cipher: the most lanes one CBC
 /// kernel call takes, and exactly one 4 KiB block.
@@ -42,18 +46,27 @@ const GROUP: usize = 8;
 /// groups of at most eight, and a group may span block boundaries (one
 /// group per 4 KiB block, eight 512-byte blocks per group). The cipher is
 /// a concrete type, so no call dispatches virtually, and no job list is
-/// built: a read decrypts the backing device's buffers in place, and a
-/// write encrypts one copy of its data (one arena per batch). The
+/// built: a read decrypts in place wherever the backing device put the
+/// blocks (the caller's memory, for `read_blocks_to`), and a write
+/// encrypts one copy of its data (one arena per batch). The
 /// simulated-clock charge is computed from byte counts — one
 /// `aes_cost(total bytes)` per call, never one per sector — and the sector
 /// cipher is deterministic per `(key, sector, data)`, so a batch lands the
 /// same ciphertext as per-block writes (pinned by `tests/batch_props.rs`).
+///
+/// A backing block size whose last 512-byte sector is not a whole number
+/// of AES blocks (a 1000-byte block ends in a 488-byte sector) cannot be
+/// CBC-encrypted: every read and write then fails with
+/// [`BlockDeviceError::Unsupported`] before touching the backing device or
+/// the clock.
 pub struct DmCrypt {
     backing: SharedDevice,
     cipher: CbcEssiv<Aes256>,
     timing: Option<(SimClock, CpuCostModel)>,
     /// 512-byte sectors per block (`block_size / 512`, rounded up).
     sectors_per_block: u64,
+    /// The last sector's length when it is not a multiple of [`AES_BLOCK`].
+    ragged_sector: Option<usize>,
 }
 
 impl std::fmt::Debug for DmCrypt {
@@ -74,14 +87,32 @@ impl DmCrypt {
     /// backend under a `DmCrypt`.
     #[doc(hidden)]
     pub fn with_cipher(backing: SharedDevice, cipher: CbcEssiv<Aes256>) -> Self {
-        let sectors_per_block = backing.block_size().div_ceil(SECTOR_SIZE) as u64;
-        DmCrypt { sectors_per_block, backing, cipher, timing: None }
+        let block_size = backing.block_size();
+        let sectors_per_block = block_size.div_ceil(SECTOR_SIZE) as u64;
+        let last = block_size - (sectors_per_block as usize).saturating_sub(1) * SECTOR_SIZE;
+        let ragged_sector = (!last.is_multiple_of(AES_BLOCK)).then_some(last);
+        DmCrypt { sectors_per_block, backing, cipher, timing: None, ragged_sector }
     }
 
     /// Attaches CPU timing: AES work will advance `clock` per `model`.
     pub fn with_timing(mut self, clock: SimClock, model: CpuCostModel) -> Self {
         self.timing = Some((clock, model));
         self
+    }
+
+    /// Refuses every block operation on a geometry CBC cannot encrypt (see
+    /// the type docs).
+    fn check_sectors(&self) -> Result<(), BlockDeviceError> {
+        match self.ragged_sector {
+            Some(last) => Err(BlockDeviceError::Unsupported {
+                what: format!(
+                    "dm-crypt over {}-byte blocks: the last sector is {last} bytes, not a \
+                     multiple of the {AES_BLOCK}-byte AES block",
+                    self.backing.block_size()
+                ),
+            }),
+            None => Ok(()),
+        }
     }
 
     fn charge_aes(&self, bytes: usize) {
@@ -131,6 +162,7 @@ impl BlockDevice for DmCrypt {
     }
 
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
+        self.check_sectors()?;
         let mut buf = self.backing.read_block(index)?;
         self.charge_aes(buf.len());
         self.crypt(std::iter::once((index, buf.as_mut_slice())), false);
@@ -138,6 +170,7 @@ impl BlockDevice for DmCrypt {
     }
 
     fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
+        self.check_sectors()?;
         self.check_buffer(data)?;
         self.charge_aes(data.len());
         let mut ct = data.to_vec();
@@ -145,14 +178,32 @@ impl BlockDevice for DmCrypt {
         self.backing.write_block(index, &ct)
     }
 
-    /// Batched read: one vectored read on the backing device, then in-place
-    /// decryption of every sector — no extra allocation. AES time for the
-    /// whole batch is charged in one clock advance.
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        let mut bufs = self.backing.read_blocks(indices)?;
-        self.charge_aes(bufs.iter().map(Vec::len).sum());
-        self.crypt(indices.iter().copied().zip(bufs.iter_mut().map(Vec::as_mut_slice)), false);
-        Ok(bufs)
+        mobiceal_blockdev::read_blocks_owned(self, indices)
+    }
+
+    /// Batched read: one vectored read on the backing device into `dest`,
+    /// then in-place decryption of every sector there — no extra
+    /// allocation or copy. AES time for the whole batch is charged in one
+    /// clock advance, an empty batch included.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        mut dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        self.check_sectors()?;
+        let mark = dest.mark();
+        self.backing.read_blocks_to(indices, dest.reborrow())?;
+        let bs = self.block_size();
+        self.charge_aes(indices.len() * bs);
+        let indices = indices.iter().copied();
+        match dest {
+            ReadDest::Append(buf) => self.crypt(indices.zip(buf[mark..].chunks_mut(bs)), false),
+            ReadDest::Owned(bufs) => {
+                self.crypt(indices.zip(bufs[mark..].iter_mut().map(Vec::as_mut_slice)), false);
+            }
+        }
+        Ok(())
     }
 
     /// Batched write: copies the batch into one contiguous ciphertext
@@ -167,6 +218,7 @@ impl BlockDevice for DmCrypt {
     /// really was done up front, which is where the batched path's cost
     /// deliberately differs from the sequential loop's on failure.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
+        self.check_sectors()?;
         let bs = self.block_size();
         let bad = writes.iter().position(|&(_, d)| d.len() != bs);
         let valid = &writes[..bad.unwrap_or(writes.len())];
@@ -388,6 +440,55 @@ mod tests {
                 assert_eq!(enc.read_block(k).unwrap(), plain);
             }
             assert_eq!(raw.read_block(k).unwrap(), expect, "batched {batched}");
+        }
+    }
+
+    #[test]
+    fn a_ragged_last_sector_is_refused_by_every_op_not_a_panic() {
+        // CBC encrypts whole 16-byte AES blocks, so a block size whose last
+        // 512-byte sector is not a multiple of 16 bytes (520 ends in an
+        // 8-byte sector, 1000 in a 488-byte one, and 100 is one 100-byte
+        // sector) cannot be encrypted. Every block operation must refuse
+        // it with a typed error, charging nothing and leaving the medium
+        // alone, while the sizes CBC can take keep round-tripping.
+        for (block_size, ok) in [
+            (256, true),
+            (512, true),
+            (1536, true),
+            (4096, true),
+            (100, false),
+            (520, false),
+            (1000, false),
+        ] {
+            let clock = SimClock::new();
+            let raw = Arc::new(MemDisk::new(8, block_size, clock.clone()));
+            let enc = DmCrypt::new_essiv(raw.clone(), &[0x11; 32])
+                .with_timing(clock.clone(), CpuCostModel::nexus4());
+            let data = vec![0x5Au8; block_size];
+            let mut appended = Vec::new();
+            let results = [
+                enc.write_block(1, &data),
+                enc.write_blocks(&[(2, data.as_slice())]),
+                enc.read_block(1).map(|b| assert_eq!(b, data)),
+                enc.read_blocks(&[2]).map(|b| assert_eq!(b, std::slice::from_ref(&data))),
+                enc.read_blocks_to(&[1, 2], ReadDest::Append(&mut appended)),
+            ];
+            for (op, result) in results.into_iter().enumerate() {
+                match result {
+                    Ok(()) => assert!(ok, "{block_size}-byte blocks, op {op}: must be refused"),
+                    Err(BlockDeviceError::Unsupported { what }) => {
+                        assert!(!ok, "{block_size}-byte blocks, op {op}: refused: {what}");
+                    }
+                    Err(e) => panic!("{block_size}-byte blocks, op {op}: {e}"),
+                }
+            }
+            if ok {
+                assert_eq!(appended, [data.as_slice(), data.as_slice()].concat());
+            } else {
+                assert!(appended.is_empty());
+                assert_eq!(clock.now().as_nanos(), 0, "{block_size}: a refused op charges nothing");
+                assert_eq!(raw.stats(), Default::default(), "{block_size}: nor reaches the medium");
+            }
         }
     }
 

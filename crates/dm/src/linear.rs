@@ -1,6 +1,6 @@
 //! `dm-linear`: expose a contiguous sub-range of a device as a device.
 
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 
 /// A linear remapping target: blocks `[offset, offset+len)` of the backing
 /// device appear as blocks `[0, len)`.
@@ -83,13 +83,25 @@ impl BlockDevice for DmLinear {
         self.backing.write_block(self.offset + index, data)
     }
 
-    /// Batched read: remaps the whole batch and issues one vectored read on
-    /// the backing device (prefix-then-error on a bad index, like the
-    /// sequential loop).
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_remapped(&self.backing, indices, self.len, |i| {
-            self.offset + i
-        })
+        mobiceal_blockdev::read_blocks_owned(self, indices)
+    }
+
+    /// Batched read: remaps the whole batch and issues one vectored read on
+    /// the backing device into `dest` (prefix-then-error on a bad index,
+    /// like the sequential loop).
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        mobiceal_blockdev::read_blocks_remapped(
+            &self.backing,
+            indices,
+            self.len,
+            |i| self.offset + i,
+            dest,
+        )
     }
 
     /// Batched write: remaps the whole batch and issues one vectored write

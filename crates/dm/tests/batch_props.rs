@@ -6,7 +6,7 @@
 // Test binary: aborting on an unexpected error is the point.
 #![allow(clippy::unwrap_used)]
 
-use mobiceal_blockdev::{BlockDevice, MemDisk};
+use mobiceal_blockdev::{BlockDevice, MemDisk, ReadDest};
 use mobiceal_dm::DmCrypt;
 use mobiceal_sim::{CpuCostModel, SimClock, SimDuration};
 use proptest::prelude::*;
@@ -52,7 +52,8 @@ fn essiv_batch_depth_sweep_matches_per_block_writes() {
             single.write_block(*b, d).unwrap();
         }
         let raw_clock = SimClock::new();
-        MemDisk::new(DISK, BS, raw_clock.clone()).write_blocks(&writes).unwrap();
+        let raw = MemDisk::new(DISK, BS, raw_clock.clone());
+        raw.write_blocks(&writes).unwrap();
 
         let clock = SimClock::new();
         let (disk, crypt) = essiv(&clock);
@@ -67,9 +68,28 @@ fn essiv_batch_depth_sweep_matches_per_block_writes() {
             model.aes_cost(depth as usize * BS),
             "depth {depth}: batch charges aes_cost(total bytes)"
         );
+        // Both read entry points decrypt to the written plaintext and charge
+        // exactly `aes_cost(total bytes)` over the cipherless twin's read.
         let indices: Vec<u64> = data.iter().map(|(b, _)| *b).collect();
-        let plain = crypt.read_blocks(&indices).unwrap();
-        assert!(plain.iter().zip(&data).all(|(p, (_, d))| p == d), "depth {depth} read-back");
+        let expect: Vec<u8> = data.iter().flat_map(|(_, d)| d.iter().copied()).collect();
+        let mut appended = Vec::new();
+        for append in [false, true] {
+            let (t0, raw_t0) = (clock.now(), raw_clock.now());
+            let plain = if append {
+                crypt.read_blocks_to(&indices, ReadDest::Append(&mut appended)).unwrap();
+                std::mem::take(&mut appended)
+            } else {
+                crypt.read_blocks(&indices).unwrap().concat()
+            };
+            raw.read_blocks(&indices).unwrap();
+            let raw_read = raw_clock.now() - raw_t0;
+            assert_eq!(plain, expect, "depth {depth} read-back, append {append}");
+            assert_eq!(
+                clock.now() - t0,
+                raw_read + model.aes_cost(depth as usize * BS),
+                "depth {depth}: a read charges aes_cost(total bytes), append {append}"
+            );
+        }
     }
 }
 

@@ -20,10 +20,13 @@
 //! Data writes and the metadata write-back each land as one vectored
 //! `write_blocks` batch, so when the device below is a `DmCrypt` target the
 //! whole batch is encrypted in place with no per-sector allocation — the
-//! file system itself never re-buffers full-block writes.
+//! file system itself never re-buffers full-block writes. Reads go the
+//! other way as one `read_blocks_to` batch straight into the buffer the
+//! read returns, where dm-crypt decrypts them; the file's pieces are then
+//! slid into place and its holes zeroed in that buffer.
 
 use crate::fs_trait::{FileSystem, FsError};
-use mobiceal_blockdev::SharedDevice;
+use mobiceal_blockdev::{ReadDest, SharedDevice};
 
 const MAGIC: &[u8; 8] = b"SIMFS001";
 const INODE_SIZE: usize = 256;
@@ -216,15 +219,17 @@ impl SimFs {
         // Load bitmap and inode table with one vectored read each.
         let bitmap_indices: Vec<u64> =
             (0..bitmap_blocks as u64).map(|i| bitmap_start + i).collect();
-        let mut bitmap = Vec::with_capacity(bitmap_blocks as usize * block_size);
-        for block in dev.read_blocks(&bitmap_indices)? {
-            bitmap.extend_from_slice(&block);
-        }
+        // The device sizes both buffers once the batch is known to be in
+        // range, so a corrupt superblock cannot ask for a huge allocation.
+        let mut bitmap = Vec::new();
+        dev.read_blocks_to(&bitmap_indices, ReadDest::Append(&mut bitmap))?;
         let inodes_per_block = block_size / INODE_SIZE;
         let itable_indices: Vec<u64> =
             (0..itable_blocks as u64).map(|i| itable_start + i).collect();
+        let mut itable = Vec::new();
+        dev.read_blocks_to(&itable_indices, ReadDest::Append(&mut itable))?;
         let mut inodes = Vec::with_capacity(inode_count as usize);
-        'outer: for block in dev.read_blocks(&itable_indices)? {
+        'outer: for block in itable.chunks(block_size) {
             for j in 0..inodes_per_block {
                 if inodes.len() == inode_count as usize {
                     break 'outer;
@@ -446,6 +451,43 @@ impl SimFs {
     }
 }
 
+/// Turns `out`, which holds the whole blocks of `pieces`' mapped pieces
+/// back to back, into the `len` bytes the pieces describe in order: each
+/// mapped piece's `take` bytes from `in_block` into its block, each hole
+/// (`phys == 0`) as `take` zeros. Pieces that move toward the front go
+/// first, front to back, and the rest back to front, so no piece is
+/// overwritten before it has moved. An aligned read with no holes moves
+/// nothing.
+fn place_pieces(out: &mut Vec<u8>, pieces: &[(u64, usize, usize)], block_size: usize, len: usize) {
+    if out.len() < len {
+        out.resize(len, 0); // only holes push the file's bytes past the blocks read
+    }
+    let (mut at, mut block) = (0usize, 0usize);
+    for &(phys, in_block, take) in pieces {
+        if phys != 0 {
+            let from = block * block_size + in_block;
+            if at < from {
+                out.copy_within(from..from + take, at);
+            }
+            block += 1;
+        }
+        at += take;
+    }
+    for &(phys, in_block, take) in pieces.iter().rev() {
+        at -= take;
+        if phys == 0 {
+            out[at..at + take].fill(0);
+        } else {
+            block -= 1;
+            let from = block * block_size + in_block;
+            if at > from {
+                out.copy_within(from..from + take, at);
+            }
+        }
+    }
+    out.truncate(len);
+}
+
 impl FileSystem for SimFs {
     fn create(&mut self, name: &str) -> Result<(), FsError> {
         if name.len() > NAME_MAX {
@@ -571,18 +613,13 @@ impl FileSystem for SimFs {
             pieces.push((phys, in_block, take));
             resolved += take;
         }
-        // Pass 2: one vectored read for all mapped pieces; holes are zeros.
+        // Pass 2: one vectored read puts every mapped piece's whole block
+        // in `out`, back to back.
         let mapped: Vec<u64> = pieces.iter().filter(|p| p.0 != 0).map(|p| p.0).collect();
-        let mut bufs = self.dev.read_blocks(&mapped)?.into_iter();
-        let mut out = Vec::with_capacity(len);
-        for (phys, in_block, take) in pieces {
-            if phys == 0 {
-                out.extend(std::iter::repeat_n(0u8, take)); // hole
-            } else {
-                let block = bufs.next().expect("one buffer per mapped piece");
-                out.extend_from_slice(&block[in_block..in_block + take]);
-            }
-        }
+        let mut out = Vec::with_capacity(len.max(mapped.len() * self.block_size));
+        self.dev.read_blocks_to(&mapped, ReadDest::Append(&mut out))?;
+        // Pass 3: slide the pieces into place and zero the holes.
+        place_pieces(&mut out, &pieces, self.block_size, len);
         Ok(out)
     }
 

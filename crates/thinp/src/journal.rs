@@ -25,7 +25,7 @@
 //! ```
 
 use crate::extent::Extent;
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::Sha256;
 
 /// Magic prefix of every journal record header.
@@ -364,9 +364,7 @@ impl TransactionManager {
         let bs = self.meta.block_size();
         let indices: Vec<u64> = (0..used).map(|i| self.cfg.first_block + i).collect();
         let mut data = Vec::with_capacity(used as usize * bs);
-        for block in self.meta.read_blocks(&indices)? {
-            data.extend_from_slice(&block);
-        }
+        self.meta.read_blocks_to(&indices, ReadDest::Append(&mut data))?;
         let mut records = Vec::with_capacity(expected as usize);
         let mut offset = 0usize;
         for seq in first_seq..=last_seq {

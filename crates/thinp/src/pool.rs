@@ -5,7 +5,7 @@ use crate::bitmap::Bitmap;
 use crate::extent::{Extent, ExtentMap};
 use crate::journal::{DeltaOp, JournalConfig, JournalRecord, TransactionManager};
 use crate::meta::{encode_payload, MetadataView, Superblock, VolumeMeta};
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::sha256;
 use mobiceal_sim::{SimClock, SimDuration};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -169,6 +169,13 @@ impl AllocState {
     /// How many blocks the open transaction has allocated.
     fn open_allocation_count(&self) -> u64 {
         self.reserved.allocated() - self.pending_free.allocated()
+    }
+
+    /// Blocks the allocator can hand out now: free in the committed bitmap
+    /// and not reserved, so neither allocated in the open transaction nor
+    /// freed in it (a pending free is allocatable only once it commits).
+    fn allocatable(&self) -> u64 {
+        self.bitmap.free() - self.reserved.allocated()
     }
 
     /// Committed bitmap with the open transaction folded in — the live
@@ -499,11 +506,8 @@ impl ThinPool {
             });
         }
         let indices: Vec<u64> = (0..need_blocks).map(|i| start + i).collect();
-        let blocks = meta.read_blocks(&indices)?;
         let mut payload = Vec::with_capacity(need_blocks as usize * bs);
-        for block in blocks {
-            payload.extend_from_slice(&block);
-        }
+        meta.read_blocks_to(&indices, ReadDest::Append(&mut payload))?;
         payload.truncate(sb.payload_len as usize);
         if sha256(&payload) != sb.payload_digest {
             return Err(BlockDeviceError::CorruptMetadata {
@@ -819,10 +823,10 @@ impl ThinPool {
         alloc.bitmap.allocated() + alloc.open_allocation_count()
     }
 
-    /// Free physical blocks.
+    /// Free physical blocks: those an allocation can take now. Blocks
+    /// freed in the open transaction count only once their free commits.
     pub fn free_blocks(&self) -> u64 {
-        let alloc = self.shared.alloc.lock();
-        alloc.bitmap.free() - alloc.open_allocation_count()
+        self.shared.alloc.lock().allocatable()
     }
 
     /// The pool's volume budget.
@@ -902,9 +906,7 @@ impl ThinPool {
             return 0;
         }
         let volume_free = vol.virtual_blocks - vol.mappings.len() as u64;
-        let alloc = self.shared.alloc.lock();
-        let pool_free = alloc.bitmap.free() - alloc.open_allocation_count();
-        pool_free.min(volume_free)
+        self.shared.alloc.lock().allocatable().min(volume_free)
     }
 
     /// Allocates up to `blocks.len()` fresh physical blocks to `id`, at its
@@ -1149,12 +1151,21 @@ impl BlockDevice for ThinVolume {
         Ok(())
     }
 
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+        mobiceal_blockdev::read_blocks_owned(self, indices)
+    }
+
     /// Batched read: resolves every mapping under **one** acquisition of
     /// this volume's mapping lock (charging the per-lookup read overhead
     /// exactly as the single-block path does), then issues one vectored
-    /// read on the data device for the mapped blocks. Unmapped blocks read
-    /// as zeros. Other volumes' batches resolve concurrently.
-    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+    /// read on the data device for the mapped blocks, into `dest`, and
+    /// spreads them out around zero blocks for the unmapped ones. Other
+    /// volumes' batches resolve concurrently.
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        mut dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
         let bad = indices.iter().position(|&i| i >= self.virtual_blocks);
         let valid = &indices[..bad.unwrap_or(indices.len())];
         let handle = self.handle()?;
@@ -1165,22 +1176,16 @@ impl BlockDevice for ThinVolume {
         };
         self.shared.charge_read_overhead(valid.len());
         let physical: Vec<u64> = mappings.iter().filter_map(|m| *m).collect();
-        let mut mapped_bufs = self.data.read_blocks(&physical)?.into_iter();
+        let mark = dest.mark();
+        self.data.read_blocks_to(&physical, dest.reborrow())?;
         if let Some(pos) = bad {
+            dest.truncate(mark);
             return Err(BlockDeviceError::OutOfRange {
                 index: indices[pos],
                 num_blocks: self.virtual_blocks,
             });
         }
-        mappings
-            .iter()
-            .map(|m| match m {
-                Some(_) => mapped_bufs.next().ok_or_else(|| BlockDeviceError::Io {
-                    reason: "data device returned fewer buffers than mapped blocks".to_string(),
-                }),
-                None => Ok(vec![0u8; self.data.block_size()]),
-            })
-            .collect()
+        dest.fill_holes(mark, self.data.block_size(), mappings.iter().map(Option::is_some))
     }
 
     /// Batched write: resolves or allocates every mapping under **one**
@@ -1343,6 +1348,35 @@ mod tests {
         p.commit().unwrap();
         v.write_block(20, &vec![2u8; 512]).unwrap();
         assert_eq!(v.read_block(20).unwrap(), vec![2u8; 512]);
+    }
+
+    #[test]
+    fn pending_frees_count_as_free_only_once_they_commit() {
+        // The space queries must agree with the allocator: on a full pool
+        // whose only free blocks are frees still pending in the open
+        // transaction, nothing can be allocated, so there is no headroom
+        // for a dummy burst to generate noise for.
+        let (data, meta) = devices(16, 64);
+        let p =
+            ThinPool::create(data, meta, PoolConfig::new(4), AllocStrategy::Sequential).unwrap();
+        let v = p.create_volume(1, 32).unwrap();
+        p.create_volume(2, 32).unwrap();
+        for i in 0..16 {
+            v.write_block(i, &vec![1u8; 512]).unwrap();
+        }
+        p.commit().unwrap();
+        p.discard_many(1, &[3, 7]).unwrap();
+        assert_eq!(p.free_blocks(), 0);
+        assert_eq!(p.append_headroom(2), 0);
+        let noise = vec![9u8; 512];
+        assert_eq!(p.append_blocks(2, &[noise.as_slice(), noise.as_slice()]).unwrap(), 0);
+        assert_eq!(p.allocated_blocks(), 14, "pending frees are no longer allocated either");
+        // Once the frees commit, both queries and the allocator see them.
+        p.commit().unwrap();
+        assert_eq!(p.free_blocks(), 2);
+        assert_eq!(p.append_headroom(2), 2);
+        assert_eq!(p.append_blocks(2, &[noise.as_slice(), noise.as_slice()]).unwrap(), 2);
+        assert_eq!(p.free_blocks(), 0);
     }
 
     #[test]

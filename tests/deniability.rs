@@ -350,6 +350,92 @@ fn pipelined_crypto_charges_are_world_independent() {
 }
 
 #[test]
+fn caller_owned_reads_are_world_independent() {
+    // `read_blocks_to` reads straight into caller memory: the medium copies
+    // each block into the destination and dm-crypt decrypts it there, and
+    // a file system read lands in the buffer it returns. That is wall-time
+    // machinery only. On twin devices with the trigger quiesced (x = 1), a
+    // public and a hidden world that write the same shapes and read them
+    // back — both destinations, thin holes included, and file reads at
+    // aligned and unaligned offsets — must charge identical simulated time
+    // and leave identical medium statistics.
+    use mobiceal::{MobiCeal, MobiCealConfig};
+    use mobiceal_blockdev::{BlockDevice, DeviceStats, MemDisk, ReadDest, SharedDevice};
+    use mobiceal_fs::{FileSystem, SimFs};
+    use mobiceal_sim::SimClock;
+    use std::sync::Arc;
+
+    let run_world = |hidden_world: bool, seed: u64| -> (Vec<u64>, DeviceStats, Vec<u8>) {
+        let clock = SimClock::new();
+        let disk = Arc::new(MemDisk::new(8192, 4096, clock.clone()));
+        let mc = MobiCeal::initialize(
+            disk.clone() as SharedDevice,
+            clock.clone(),
+            MobiCealConfig {
+                num_volumes: 6,
+                pbkdf2_iterations: 4,
+                metadata_blocks: 64,
+                x: 1, // quiesce the dummy trigger deterministically
+                ..Default::default()
+            },
+            "decoy",
+            &["hidden-a", "hidden-b"],
+            seed,
+        )
+        .unwrap();
+        let vol: SharedDevice = if hidden_world {
+            Arc::new(mc.unlock_hidden("hidden-a").unwrap())
+        } else {
+            Arc::new(mc.unlock_public("decoy").unwrap())
+        };
+        disk.reset_stats();
+        let mut charges = vec![run_write_trace(vol.as_ref(), &clock).as_nanos()];
+        let mut bytes = Vec::new();
+        // Every written block back, shape by shape, into one buffer; then
+        // batches that stride past the written blocks into thin holes, into
+        // owned buffers. (A hole decrypts under the volume's own key, so
+        // only the written blocks' bytes are compared.)
+        let mut base = 0u64;
+        for &shape in &TRACE_SHAPES {
+            let t0 = clock.now();
+            let written: Vec<u64> = (base..base + shape as u64).collect();
+            vol.read_blocks_to(&written, ReadDest::Append(&mut bytes)).unwrap();
+            let holed: Vec<u64> = (base..=base + 200).step_by(shape + 1).collect();
+            let mut owned = Vec::new();
+            vol.read_blocks_to(&holed, ReadDest::Owned(&mut owned)).unwrap();
+            assert_eq!(owned.len(), holed.len());
+            charges.push((clock.now() - t0).as_nanos());
+            base += shape as u64;
+        }
+        // A file system on the same volume, read back in dd-sized chunks
+        // and at an unaligned offset.
+        let mut fs = SimFs::format(vol).unwrap();
+        fs.create("f").unwrap();
+        let chunk = vec![0x5Au8; 64 * 4096];
+        for i in 0..3u64 {
+            fs.write("f", (400 + i * 64) * 4096, &chunk).unwrap();
+        }
+        for (offset, len) in [(400 * 4096, 64 * 4096), (401 * 4096 + 17, 70 * 4096), (0, 4096)] {
+            let t0 = clock.now();
+            bytes.extend(fs.read("f", offset, len).unwrap());
+            charges.push((clock.now() - t0).as_nanos());
+        }
+        (charges, disk.stats(), bytes)
+    };
+
+    for seed in [3u64, 27] {
+        let (public_charges, public_stats, public_bytes) = run_world(false, seed);
+        let (hidden_charges, hidden_stats, hidden_bytes) = run_world(true, seed);
+        assert_eq!(
+            public_charges, hidden_charges,
+            "identical shapes must charge identical time per read (seed {seed})"
+        );
+        assert_eq!(public_stats, hidden_stats, "and leave identical op mixes (seed {seed})");
+        assert_eq!(public_bytes, hidden_bytes, "and read back the same plaintext (seed {seed})");
+    }
+}
+
+#[test]
 fn sharded_queue_depth_charging_is_world_independent() {
     // PR 5's new machinery — shard locks and CQE queue-depth charging —
     // must open no timing channel: identical batch shapes driven at an
