@@ -1,35 +1,27 @@
-//! A1 `default_forwarding` — wrapper-forwarding completeness.
+//! A1 `default_forwarding` — the caller-owned read survives every layer.
 //!
-//! Every production `impl BlockDevice for ...` must explicitly implement
-//! (or explicitly forward) the vectored batch methods and the host-queue
-//! hooks. The trait default-implements all six, which is exactly the
-//! trap: a new wrapper that forgets them still compiles, silently breaks
-//! batch amortization (`read_blocks`/`write_blocks` fall back to
-//! per-block loops), the caller-owned read (`read_blocks_to` falls back to
-//! reading into fresh buffers and copying them out) or the engine's
-//! queue-depth signal (`host_queue_enter`/`leave` stop reaching the medium,
-//! a regression once caught only at runtime). A wrapper
-//! that really does read through a batch of its own forwards
-//! `read_blocks_to` to `mobiceal_blockdev::read_blocks_via_batch`, the
-//! default's body, so the choice is written down.
+//! The compiler makes every `impl BlockDevice` implement `read_blocks`,
+//! `write_blocks`, `flush` and the host-queue hooks. `read_blocks_to`
+//! keeps a default, one `read_blocks` batch copied into the caller's
+//! memory, so that a wrapper like the benchmark's span recorder, which
+//! overrides only `read_blocks`, still charges what that batch charges.
+//! The default is a trap for a production layer: one whose `read_blocks`
+//! is `read_blocks_owned` (the layers of the public read path) recurses
+//! forever without its own `read_blocks_to`, and any other layer silently
+//! reads into fresh buffers and copies them out. So every production
+//! `impl BlockDevice for ...` must implement `read_blocks_to`. A wrapper
+//! that really does read through a batch of its own forwards it to
+//! `mobiceal_blockdev::read_blocks_via_batch`, the default's body, so the
+//! choice is written down.
 //!
 //! Escape: `// analyzer: allow(default_forwarding, reason = "...")` on
-//! the impl, for devices that genuinely want per-block defaults.
+//! the impl.
 
 use crate::diag::{Finding, Level};
 use crate::workspace::Workspace;
 
-/// The methods a wrapper must pin down. `read_block`/`write_block` and
-/// the geometry methods are required by the compiler (no defaults), so
-/// only the silently-defaultable six need auditing.
-pub const REQUIRED: [&str; 6] = [
-    "read_blocks",
-    "read_blocks_to",
-    "write_blocks",
-    "flush",
-    "host_queue_enter",
-    "host_queue_leave",
-];
+/// The trait method whose default no production layer may inherit.
+pub const REQUIRED: &str = "read_blocks_to";
 
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {
@@ -40,12 +32,9 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
             if f.in_test_span(im.body.0) {
                 continue;
             }
-            let missing: Vec<&str> = REQUIRED
-                .iter()
-                .filter(|m| !im.methods.iter().any(|have| have == *m))
-                .copied()
-                .collect();
-            if missing.is_empty() || f.allowed("default_forwarding", im.line) {
+            if im.methods.iter().any(|have| have == REQUIRED)
+                || f.allowed("default_forwarding", im.line)
+            {
                 continue;
             }
             out.push(Finding {
@@ -54,10 +43,10 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
                 file: f.rel_path.clone(),
                 line: im.line,
                 message: format!(
-                    "`impl BlockDevice` relies on default bodies for {}; forward them \
-                     explicitly so batching and host-queue depth survive this layer, or \
-                     annotate `analyzer: allow(default_forwarding, reason = \"...\")`",
-                    missing.join(", ")
+                    "`impl BlockDevice` relies on the default `{REQUIRED}`; implement it (or \
+                     forward it to `read_blocks_via_batch`) so the caller-owned read survives \
+                     this layer, or annotate \
+                     `analyzer: allow(default_forwarding, reason = \"...\")`"
                 ),
             });
         }

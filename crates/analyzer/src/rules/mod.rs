@@ -4,7 +4,7 @@
 //!
 //! | id | name | level | contract |
 //! |----|------|-------|----------|
-//! | A1 | `default_forwarding` | deny | every `impl BlockDevice` forwards the vectored batch + host-queue methods |
+//! | A1 | `default_forwarding` | deny | every `impl BlockDevice` implements `read_blocks_to`, the one trait method left with a default |
 //! | A2 | `lock_order` | deny | thinp directory → volume → allocator; MemDisk shard discipline |
 //! | A3 | `panic_freedom` | deny | no `unwrap`/`expect`/`panic!`/`unreachable!` in hot-path modules |
 //! | A4 | `test_hook` | deny | `test-hooks`-gated items never referenced from production code |

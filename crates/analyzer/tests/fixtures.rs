@@ -24,43 +24,15 @@ fn warns<'a>(
 
 // ---------------------------------------------------------------- A1
 
-const A1_BAD: &str = r#"
+/// A wrapper implementing every method the trait requires, whose
+/// `read_blocks` goes through `read_blocks_owned`; `{read_to}` is spliced
+/// in where `read_blocks_to` goes.
+const A1_WRAPPER: &str = r#"
 impl BlockDevice for Passthrough {
     fn num_blocks(&self) -> u64 { self.inner.num_blocks() }
     fn block_size(&self) -> usize { self.inner.block_size() }
-    fn read_block(&self, i: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.inner.read_block(i)
-    }
-    fn write_block(&self, i: BlockIndex, d: &[u8]) -> Result<(), BlockDeviceError> {
-        self.inner.write_block(i, d)
-    }
-}
-"#;
-
-#[test]
-fn a1_fires_on_wrapper_missing_forwards() {
-    let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", A1_BAD)]);
-    let hits = denies(&findings, "A1/default_forwarding");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    for m in forwarding::REQUIRED {
-        assert!(hits[0].message.contains(m), "missing `{m}` in: {}", hits[0].message);
-    }
-}
-
-/// A wrapper forwarding everything A1 audits but the caller-owned read;
-/// `{read_to}` is spliced in where that forward goes.
-const A1_ALL_BUT_READ_TO: &str = r#"
-impl BlockDevice for Passthrough {
-    fn num_blocks(&self) -> u64 { self.inner.num_blocks() }
-    fn block_size(&self) -> usize { self.inner.block_size() }
-    fn read_block(&self, i: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.inner.read_block(i)
-    }
-    fn write_block(&self, i: BlockIndex, d: &[u8]) -> Result<(), BlockDeviceError> {
-        self.inner.write_block(i, d)
-    }
     fn read_blocks(&self, ix: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        self.inner.read_blocks(ix)
+        read_blocks_owned(self, ix)
     }
     {read_to}
     fn write_blocks(&self, w: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
@@ -72,8 +44,22 @@ impl BlockDevice for Passthrough {
 }
 "#;
 
+/// [`A1_WRAPPER`] without `read_blocks_to`: its `read_blocks` and the
+/// trait default would call each other forever.
+fn a1_bad() -> String {
+    A1_WRAPPER.replace("{read_to}", "")
+}
+
 #[test]
-fn a1_passes_once_all_six_are_forwarded() {
+fn a1_fires_on_a_wrapper_that_forgets_the_caller_owned_read() {
+    let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &a1_bad())]);
+    let hits = denies(&findings, "A1/default_forwarding");
+    assert_eq!(hits.len(), 1, "{findings:?}");
+    assert!(hits[0].message.contains(forwarding::REQUIRED), "{}", hits[0].message);
+}
+
+#[test]
+fn a1_passes_once_the_caller_owned_read_is_implemented() {
     for read_to in [
         // Native: straight through to the layer below.
         "fn read_blocks_to(&self, ix: &[BlockIndex], dest: ReadDest<'_>) \
@@ -82,44 +68,30 @@ fn a1_passes_once_all_six_are_forwarded() {
         "fn read_blocks_to(&self, ix: &[BlockIndex], dest: ReadDest<'_>) \
          -> Result<(), BlockDeviceError> { read_blocks_via_batch(self, ix, dest) }",
     ] {
-        let fixed = A1_ALL_BUT_READ_TO.replace("{read_to}", read_to);
+        let fixed = A1_WRAPPER.replace("{read_to}", read_to);
         let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &fixed)]);
         assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");
     }
 }
 
 #[test]
-fn a1_fires_on_a_wrapper_that_forgets_only_the_caller_owned_read() {
-    // Without the forward, a read into caller memory would silently read
-    // into fresh buffers and copy them out.
-    let bad = A1_ALL_BUT_READ_TO.replace("{read_to}", "");
-    let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &bad)]);
-    let hits = denies(&findings, "A1/default_forwarding");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(
-        hits[0].message.contains("relies on default bodies for read_blocks_to;"),
-        "{}",
-        hits[0].message
-    );
-}
-
-#[test]
 fn a1_annotation_with_reason_is_an_escape() {
+    let bad = a1_bad();
     let annotated = format!(
-        "// analyzer: allow(default_forwarding, reason = \"per-block defaults wanted\")\n{}",
-        A1_BAD.trim_start()
+        "// analyzer: allow(default_forwarding, reason = \"reads through its own batch\")\n{}",
+        bad.trim_start()
     );
     let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &annotated)]);
     assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");
     // ... but a reasonless annotation is itself a deny finding.
-    let reasonless = format!("// analyzer: allow(default_forwarding)\n{}", A1_BAD.trim_start());
+    let reasonless = format!("// analyzer: allow(default_forwarding)\n{}", bad.trim_start());
     let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &reasonless)]);
     assert!(!denies(&findings, "A0/annotation").is_empty(), "{findings:?}");
 }
 
 #[test]
 fn a1_ignores_test_only_devices() {
-    let gated = format!("#[cfg(test)]\nmod tests {{\n{}\n}}\n", A1_BAD);
+    let gated = format!("#[cfg(test)]\nmod tests {{\n{}\n}}\n", a1_bad());
     let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/wrap.rs", &gated)]);
     assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");
 }
@@ -367,14 +339,14 @@ fn workspace_is_clean() {
 #[test]
 fn workspace_audits_all_blockdevice_impls() {
     // Pinned so the impl matcher can never silently stop seeing wrappers.
-    assert_eq!(forwarding::audited_sites(&real_workspace()), 12);
+    assert_eq!(forwarding::audited_sites(&real_workspace()), 11);
 }
 
 #[test]
-fn removing_a_host_queue_forward_from_a_real_wrapper_fires_a1() {
+fn removing_the_caller_owned_read_from_a_real_wrapper_fires_a1() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../dm/src/linear.rs");
     let text = std::fs::read_to_string(&path).expect("linear.rs readable");
-    let start = text.find("fn host_queue_enter").expect("linear.rs forwards host_queue_enter");
+    let start = text.find("fn read_blocks_to").expect("linear.rs implements read_blocks_to");
     let open = start + text[start..].find('{').expect("method has a body");
     let mut depth = 0usize;
     let mut end = open;
@@ -396,7 +368,7 @@ fn removing_a_host_queue_forward_from_a_real_wrapper_fires_a1() {
     let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/linear.rs", &mutated)]);
     let hits = denies(&findings, "A1/default_forwarding");
     assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].message.contains("host_queue_enter"), "{}", hits[0].message);
+    assert!(hits[0].message.contains("read_blocks_to"), "{}", hits[0].message);
     // The unmutated file is clean — the finding is the mutation's doing.
     let findings = analyze_memory(&[("mobiceal-dm", "crates/dm/src/linear.rs", &text)]);
     assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");

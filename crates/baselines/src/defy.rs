@@ -311,27 +311,6 @@ impl BlockDevice for DefyLite {
         self.dev.block_size()
     }
 
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.check_index(index)?;
-        let (pos, key) = {
-            let state = self.state.lock();
-            (state.map[index as usize], state.epoch_key)
-        };
-        match pos {
-            Some(p) => {
-                let mut buf = self.dev.read_block(p)?;
-                self.charge_crypto(buf.len());
-                Self::cipher_for(&key).decrypt_sector_in_place(p, &mut buf);
-                Ok(buf)
-            }
-            None => Ok(vec![0u8; self.dev.block_size()]),
-        }
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.write_blocks(&[(index, data)])
-    }
-
     /// Batched write: appends land as contiguous head runs, each one
     /// vectored sequential extent (split only where the log fills and a
     /// cleaning pass compacts it). Mapping tags live inline with the chunk

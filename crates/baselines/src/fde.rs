@@ -1,7 +1,7 @@
 //! Stock Android full-disk encryption (§II-A): the no-deniability baseline.
 
 use mobiceal::{EncryptionFooter, MobiCealError, FOOTER_BYTES};
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, ReadDest, SharedDevice};
 use mobiceal_crypto::ChaCha20Rng;
 use mobiceal_dm::{DmCrypt, DmLinear};
 use mobiceal_sim::{CpuCostModel, SimClock};
@@ -51,9 +51,20 @@ impl std::fmt::Debug for AndroidFde {
 }
 
 impl AndroidFde {
-    fn footer_geometry(disk: &dyn BlockDevice) -> (u64, u64) {
+    /// Splits `disk` into the data area and the 16 KiB footer after it:
+    /// `(data_blocks, footer_blocks)`.
+    ///
+    /// # Errors
+    ///
+    /// [`MobiCealError::DiskTooSmall`] unless the data area has at least 8
+    /// blocks.
+    fn footer_geometry(disk: &dyn BlockDevice) -> Result<(u64, u64), MobiCealError> {
         let footer_blocks = (FOOTER_BYTES as u64).div_ceil(disk.block_size() as u64);
-        (disk.num_blocks() - footer_blocks, footer_blocks)
+        let required = footer_blocks + 8;
+        if disk.num_blocks() < required {
+            return Err(MobiCealError::DiskTooSmall { required, available: disk.num_blocks() });
+        }
+        Ok((disk.num_blocks() - footer_blocks, footer_blocks))
     }
 
     /// Enables FDE on a device: generates the master key, writes the
@@ -61,7 +72,8 @@ impl AndroidFde {
     ///
     /// # Errors
     ///
-    /// Device errors; the disk must have room for the footer plus data.
+    /// [`MobiCealError::DiskTooSmall`] unless the disk has room for the
+    /// footer plus 8 data blocks; device errors.
     pub fn initialize(
         disk: SharedDevice,
         clock: SimClock,
@@ -69,13 +81,7 @@ impl AndroidFde {
         seed: u64,
     ) -> Result<Self, MobiCealError> {
         let mut rng = ChaCha20Rng::from_u64_seed(seed);
-        let (data_blocks, footer_blocks) = Self::footer_geometry(&disk);
-        if data_blocks < 8 {
-            return Err(MobiCealError::DiskTooSmall {
-                required: footer_blocks + 8,
-                available: disk.num_blocks(),
-            });
-        }
+        let (data_blocks, footer_blocks) = Self::footer_geometry(&disk)?;
         let (footer, master) = EncryptionFooter::create(&mut rng, password, 64);
         // Write the footer region in one vectored write.
         let bytes = footer.to_bytes();
@@ -111,9 +117,10 @@ impl AndroidFde {
     ///
     /// # Errors
     ///
-    /// [`MobiCealError::NotInitialized`] without a valid footer.
+    /// [`MobiCealError::DiskTooSmall`] on a disk [`AndroidFde::initialize`]
+    /// refuses, [`MobiCealError::NotInitialized`] without a valid footer.
     pub fn open(disk: SharedDevice, clock: SimClock) -> Result<Self, MobiCealError> {
-        let (data_blocks, footer_blocks) = Self::footer_geometry(&disk);
+        let (data_blocks, footer_blocks) = Self::footer_geometry(&disk)?;
         let indices: Vec<u64> = (0..footer_blocks).map(|i| data_blocks + i).collect();
         let mut bytes = Vec::with_capacity(footer_blocks as usize * disk.block_size());
         disk.read_blocks_to(&indices, ReadDest::Append(&mut bytes))?;
@@ -139,8 +146,8 @@ impl AndroidFde {
         if !mobiceal_crypto::ct_eq(&header, &header_block(password, self.disk.block_size())) {
             return Err(MobiCealError::BadPassword);
         }
-        let inner: SharedDevice = Arc::new(crypt);
-        Ok(Arc::new(OffsetDevice { inner, offset: 1, len: self.data_blocks - 1 }))
+        // The mounted view: every block after the verification header.
+        Ok(Arc::new(DmLinear::new(Arc::new(crypt), 1, self.data_blocks - 1)?))
     }
 }
 
@@ -154,77 +161,10 @@ fn header_block(password: &str, block_size: usize) -> Vec<u8> {
     plain
 }
 
-/// Exposes blocks `offset..offset+len` of a device as `0..len` (the mounted
-/// view above the verification header).
-struct OffsetDevice {
-    inner: SharedDevice,
-    offset: u64,
-    len: u64,
-}
-
-impl BlockDevice for OffsetDevice {
-    fn num_blocks(&self) -> u64 {
-        self.len
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.check_index(index)?;
-        self.inner.read_block(index + self.offset)
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.check_index(index)?;
-        self.inner.write_block(index + self.offset, data)
-    }
-
-    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_owned(self, indices)
-    }
-
-    /// Batched read: shifts the batch past the header and forwards it as
-    /// one vectored read to the dm-crypt layer below, into `dest`.
-    fn read_blocks_to(
-        &self,
-        indices: &[BlockIndex],
-        dest: ReadDest<'_>,
-    ) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_remapped(
-            &self.inner,
-            indices,
-            self.len,
-            |i| i + self.offset,
-            dest,
-        )
-    }
-
-    /// Batched write: shifts the batch past the header and forwards it as
-    /// one vectored write (prefix-then-error on a bad index, like the
-    /// sequential loop).
-    fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::write_blocks_remapped(&self.inner, writes, self.len, |i| i + self.offset)
-    }
-
-    fn flush(&self) -> Result<(), BlockDeviceError> {
-        self.inner.flush()
-    }
-
-    fn host_queue_enter(&self) {
-        self.inner.host_queue_enter();
-    }
-
-    fn host_queue_leave(&self) {
-        self.inner.host_queue_leave();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobiceal_blockdev::MemDisk;
+    use mobiceal_blockdev::{BlockDeviceError, BlockIndex, MemDisk};
 
     fn device(seed: u64) -> (Arc<MemDisk>, SimClock, AndroidFde) {
         let clock = SimClock::new();
@@ -257,6 +197,59 @@ mod tests {
         vol.write_block(0, &vec![0u8; 4096]).unwrap();
         let snap = disk.snapshot();
         assert!(snap.block_entropy(1) > 7.0, "block at rest must look random");
+    }
+
+    /// A device with no blocks at all, which `MemDisk` cannot model.
+    struct NoBlocks;
+
+    impl BlockDevice for NoBlocks {
+        fn num_blocks(&self) -> u64 {
+            0
+        }
+
+        fn block_size(&self) -> usize {
+            4096
+        }
+
+        fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+            indices.iter().map(|&index| self.check_index(index).map(|()| Vec::new())).collect()
+        }
+
+        fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
+            writes.iter().try_for_each(|&(index, _)| self.check_index(index))
+        }
+
+        fn flush(&self) -> Result<(), BlockDeviceError> {
+            Ok(())
+        }
+
+        fn host_queue_enter(&self) {}
+
+        fn host_queue_leave(&self) {}
+    }
+
+    #[test]
+    fn disks_without_room_for_footer_and_data_are_refused() {
+        let clock = SimClock::new();
+        let required = (FOOTER_BYTES as u64).div_ceil(4096) + 8;
+        let disk = |blocks: u64| -> SharedDevice {
+            match blocks {
+                0 => Arc::new(NoBlocks),
+                n => Arc::new(MemDisk::new(n, 4096, clock.clone())),
+            }
+        };
+        for blocks in 0..required {
+            let too_small = MobiCealError::DiskTooSmall { required, available: blocks };
+            let init = AndroidFde::initialize(disk(blocks), clock.clone(), "pwd", 1);
+            assert_eq!(init.unwrap_err(), too_small, "initialize on {blocks} blocks");
+            let open = AndroidFde::open(disk(blocks), clock.clone());
+            assert_eq!(open.unwrap_err(), too_small, "open on {blocks} blocks");
+        }
+        // The smallest disk that fits initializes, reopens and unlocks.
+        let fits = disk(required);
+        AndroidFde::initialize(fits.clone(), clock.clone(), "pwd", 1).unwrap();
+        let vol = AndroidFde::open(fits, clock).unwrap().unlock("pwd").unwrap();
+        assert_eq!(vol.num_blocks(), 7);
     }
 
     #[test]

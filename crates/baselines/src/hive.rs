@@ -533,30 +533,6 @@ impl BlockDevice for HiveWoOram {
         self.dev.block_size()
     }
 
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.check_index(index)?;
-        // Stash first (freshest copy), then the mapped physical block.
-        let state = self.state.lock();
-        if let Some((_, data)) = state.stash.iter().rev().find(|(l, _)| *l == index) {
-            return Ok(data.clone());
-        }
-        let pos = state.position[index as usize];
-        drop(state);
-        match pos {
-            Some(p) => {
-                let mut buf = self.dev.read_block(p)?;
-                self.clock.advance(self.cpu.aes_cost(buf.len()));
-                self.cipher.decrypt_sector_in_place(p, &mut buf);
-                Ok(buf)
-            }
-            None => Ok(vec![0u8; self.dev.block_size()]),
-        }
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.shuffle_pass(&[(index, data)])
-    }
-
     /// Batched write: the whole batch rides **one** shuffle pass — one
     /// vectored read (live slots + map blocks), one vectored write (slot
     /// rewrites + coalesced map write-through) and one sync, with decisions

@@ -207,7 +207,7 @@ fn bench_batched_io(c: &mut Criterion) {
 /// The batched-vs-single delta of the *baseline* stacks: one HIVE shuffle
 /// pass over 16 logical writes vs. 16 single-write passes, and one DEFY
 /// 64-append extent vs. 64 single appends (real CPU time; the simulated
-/// per-batch savings are recorded in BENCH_fig4.json).
+/// per-batch savings are recorded in EXPERIMENTS.md, "Baseline batching").
 fn bench_baseline_batch(c: &mut Criterion) {
     use mobiceal_baselines::{DefyLite, HiveWoOram};
     use mobiceal_blockdev::{BlockDevice, MemDisk};

@@ -141,16 +141,6 @@ impl BlockDevice for CrashDisk {
         self.inner.block_size()
     }
 
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.inner.read_block(index)
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.inner.write_block(index, data)?;
-        self.log.lock().events.push((index, data.to_vec()));
-        Ok(())
-    }
-
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         self.inner.read_blocks(indices)
     }

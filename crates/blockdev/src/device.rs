@@ -81,35 +81,50 @@ pub trait BlockDevice: Send + Sync {
 
     /// Reads block `index` into a fresh buffer.
     ///
+    /// The default is a one-element [`BlockDevice::read_blocks`] batch,
+    /// which charges what a single-block read charges
+    /// (`CostModel::batch_cost(op, 1, b) == cost(op, b)`). Layers on the
+    /// `rand_4k` path override it, because a one-element batch costs them
+    /// measurably more wall time per call.
+    ///
     /// # Errors
     ///
     /// [`BlockDeviceError::OutOfRange`] if `index >= num_blocks()`, or a
-    /// layer-specific error.
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError>;
+    /// layer-specific error. [`BlockDeviceError::Io`] if the batch returns
+    /// other than exactly one buffer.
+    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
+        match <[Vec<u8>; 1]>::try_from(self.read_blocks(&[index])?) {
+            Ok([block]) => Ok(block),
+            Err(_) => Err(wrong_block_count()),
+        }
+    }
 
     /// Writes `data` (exactly `block_size()` bytes) to block `index`.
+    ///
+    /// The default is a one-element [`BlockDevice::write_blocks`] batch
+    /// (see [`BlockDevice::read_block`]).
     ///
     /// # Errors
     ///
     /// [`BlockDeviceError::OutOfRange`], [`BlockDeviceError::WrongBufferSize`],
     /// or a layer-specific error.
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError>;
+    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
+        self.write_blocks(&[(index, data)])
+    }
 
     /// Reads every block in `indices`, returning the buffers in the same
     /// order.
     ///
     /// Semantically identical to calling [`BlockDevice::read_block`] once
-    /// per index, in order, failing fast on the first error. Layers
-    /// override this to take per-batch rather than per-block costs (one
-    /// lock acquisition, one mapping-table pass, one metadata commit);
-    /// the returned bytes are always the same as the sequential loop's.
+    /// per index, in order, failing fast on the first error, but charged
+    /// per batch (one lock acquisition, one mapping-table pass, one
+    /// amortized medium command); the returned bytes are always the same
+    /// as the sequential loop's.
     ///
     /// # Errors
     ///
     /// The error the first failing single-block read would have returned.
-    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        indices.iter().map(|&index| self.read_block(index)).collect()
-    }
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError>;
 
     /// Reads every block in `indices` into memory the caller owns, after
     /// whatever `dest` already holds, in order.
@@ -125,7 +140,9 @@ pub trait BlockDevice: Send + Sync {
     /// The default issues one `self.read_blocks` batch and moves or copies
     /// its buffers into `dest` ([`read_blocks_via_batch`]), so a wrapper
     /// that overrides only `read_blocks` charges exactly what it charges
-    /// there.
+    /// there. A layer whose `read_blocks` is [`read_blocks_owned`] must
+    /// override this method, or the two call each other forever; analyzer
+    /// rule A1 checks that every production layer does.
     ///
     /// # Errors
     ///
@@ -144,9 +161,8 @@ pub trait BlockDevice: Send + Sync {
     /// Semantically identical to calling [`BlockDevice::write_block`] once
     /// per pair, in order, failing fast on the first error — on failure,
     /// pairs before the failing one are written and the rest are not.
-    /// Layers override this to batch the pipeline (see
-    /// [`BlockDevice::read_blocks`]); on success, bytes on disk always
-    /// match the sequential loop's.
+    /// Charged per batch (see [`BlockDevice::read_blocks`]); on success,
+    /// bytes on disk always match the sequential loop's.
     ///
     /// Allocating layers may *refine* the failure path: a thin volume
     /// rolls back every mapping it freshly allocated for a failed batch
@@ -158,21 +174,15 @@ pub trait BlockDevice: Send + Sync {
     /// # Errors
     ///
     /// The error the first failing single-block write would have returned.
-    fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        for &(index, data) in writes {
-            self.write_block(index, data)?;
-        }
-        Ok(())
-    }
+    fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError>;
 
-    /// Flushes caches / commits metadata. Default: no-op.
+    /// Flushes caches / commits metadata; a pass-through layer forwards it
+    /// to its backing device.
     ///
     /// # Errors
     ///
     /// Layer-specific.
-    fn flush(&self) -> Result<(), BlockDeviceError> {
-        Ok(())
-    }
+    fn flush(&self) -> Result<(), BlockDeviceError>;
 
     /// Total capacity in bytes.
     fn capacity_bytes(&self) -> u64 {
@@ -213,17 +223,17 @@ pub trait BlockDevice: Send + Sync {
     /// reflect real ring occupancy: a command occupies a host queue slot
     /// from submission until it executes, and while it is registered the
     /// device charges commands that execute alongside it at the deeper
-    /// depth (`CostModel::batch_cost_at_depth`). Pure pass-through layers
+    /// depth (`CostModel::batch_cost_at_depth`). Pass-through layers
     /// forward the call to their backing device so the registration lands
-    /// on the medium that models the queue; the default is a no-op for
-    /// devices with no queue model. Every call must be balanced by exactly
-    /// one [`BlockDevice::host_queue_leave`].
-    fn host_queue_enter(&self) {}
+    /// on the medium that models the queue; a device with no queue model
+    /// does nothing. Every call must be balanced by exactly one
+    /// [`BlockDevice::host_queue_leave`].
+    fn host_queue_enter(&self);
 
     /// Releases one [`BlockDevice::host_queue_enter`] registration — called
     /// when the queued command starts executing (the device's own
     /// in-flight accounting takes over) or is abandoned unexecuted.
-    fn host_queue_leave(&self) {}
+    fn host_queue_leave(&self);
 }
 
 /// Where [`BlockDevice::read_blocks_to`] puts the blocks it reads: after
@@ -306,10 +316,7 @@ impl ReadDest<'_> {
         };
         if read != present.clone().filter(|&p| p).count() {
             self.truncate(mark);
-            return Err(BlockDeviceError::Io {
-                reason: "device returned a different number of blocks than it was asked for"
-                    .to_string(),
-            });
+            return Err(wrong_block_count());
         }
         if read == slots {
             return Ok(());
@@ -343,6 +350,14 @@ impl ReadDest<'_> {
             }
         }
         Ok(())
+    }
+}
+
+/// What a layer returns when the layer below answers a read with a
+/// different number of blocks than it was asked for.
+fn wrong_block_count() -> BlockDeviceError {
+    BlockDeviceError::Io {
+        reason: "device returned a different number of blocks than it was asked for".to_string(),
     }
 }
 
@@ -381,60 +396,6 @@ pub fn read_blocks_via_batch<D: BlockDevice + ?Sized>(
         ReadDest::Owned(bufs) => bufs.append(&mut blocks),
     }
     Ok(())
-}
-
-/// Forwards a vectored read through an index-remapping layer (dm-linear,
-/// header-shifting volume views): the whole valid prefix goes down as one
-/// batch into `dest`; an out-of-range index mid-batch reads the prefix
-/// first and then surfaces [`BlockDeviceError::OutOfRange`], preserving
-/// sequential fail-fast semantics.
-///
-/// # Errors
-///
-/// The backing device's error, or `OutOfRange` against `num_blocks`;
-/// `dest` then holds what it held before the call.
-pub fn read_blocks_remapped<D: BlockDevice + ?Sized>(
-    backing: &D,
-    indices: &[BlockIndex],
-    num_blocks: u64,
-    map: impl Fn(BlockIndex) -> BlockIndex,
-    mut dest: ReadDest<'_>,
-) -> Result<(), BlockDeviceError> {
-    let bad = indices.iter().position(|&i| i >= num_blocks);
-    let valid = &indices[..bad.unwrap_or(indices.len())];
-    let mapped: Vec<BlockIndex> = valid.iter().map(|&i| map(i)).collect();
-    let mark = dest.mark();
-    backing.read_blocks_to(&mapped, dest.reborrow())?;
-    match bad {
-        Some(pos) => {
-            dest.truncate(mark);
-            Err(BlockDeviceError::OutOfRange { index: indices[pos], num_blocks })
-        }
-        None => Ok(()),
-    }
-}
-
-/// Forwards a vectored write through an index-remapping layer; the valid
-/// prefix lands as one batch before an out-of-range index errors (see
-/// [`read_blocks_remapped`]).
-///
-/// # Errors
-///
-/// The backing device's error, or `OutOfRange` against `num_blocks`.
-pub fn write_blocks_remapped<D: BlockDevice + ?Sized>(
-    backing: &D,
-    writes: &[(BlockIndex, &[u8])],
-    num_blocks: u64,
-    map: impl Fn(BlockIndex) -> BlockIndex,
-) -> Result<(), BlockDeviceError> {
-    let bad = writes.iter().position(|&(i, _)| i >= num_blocks);
-    let valid = &writes[..bad.unwrap_or(writes.len())];
-    let mapped: Vec<(BlockIndex, &[u8])> = valid.iter().map(|&(i, d)| (map(i), d)).collect();
-    backing.write_blocks(&mapped)?;
-    match bad {
-        Some(pos) => Err(BlockDeviceError::OutOfRange { index: writes[pos].0, num_blocks }),
-        None => Ok(()),
-    }
 }
 
 /// A reference-counted device handle, the currency of device stacking.
@@ -490,7 +451,14 @@ impl<T: BlockDevice + ?Sized> BlockDevice for Arc<T> {
 mod tests {
     use super::*;
 
-    struct TinyDev;
+    /// A device with only the required ops: block `i` reads as eight
+    /// bytes of `i`, and writes are checked and logged. With `lose_reads`
+    /// every read batch comes back empty, as a faulty layer's might.
+    #[derive(Default)]
+    struct TinyDev {
+        lose_reads: bool,
+        written: std::sync::Mutex<Vec<BlockIndex>>,
+    }
 
     impl BlockDevice for TinyDev {
         fn num_blocks(&self) -> u64 {
@@ -501,21 +469,40 @@ mod tests {
             8
         }
 
-        fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-            self.check_index(index)?;
-            Ok(vec![index as u8; 8])
+        fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+            if self.lose_reads {
+                return Ok(Vec::new());
+            }
+            indices
+                .iter()
+                .map(|&index| {
+                    self.check_index(index)?;
+                    Ok(vec![index as u8; 8])
+                })
+                .collect()
         }
 
-        fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-            self.check_index(index)?;
-            self.check_buffer(data)?;
+        fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
+            for &(index, data) in writes {
+                self.check_index(index)?;
+                self.check_buffer(data)?;
+                self.written.lock().unwrap().push(index);
+            }
             Ok(())
         }
+
+        fn flush(&self) -> Result<(), BlockDeviceError> {
+            Ok(())
+        }
+
+        fn host_queue_enter(&self) {}
+
+        fn host_queue_leave(&self) {}
     }
 
     #[test]
     fn default_helpers() {
-        let dev = TinyDev;
+        let dev = TinyDev::default();
         assert_eq!(dev.capacity_bytes(), 32);
         assert!(dev.check_index(3).is_ok());
         assert_eq!(
@@ -529,7 +516,7 @@ mod tests {
 
     #[test]
     fn arc_passthrough() {
-        let dev: SharedDevice = Arc::new(TinyDev);
+        let dev: SharedDevice = Arc::new(TinyDev::default());
         assert_eq!(dev.num_blocks(), 4);
         assert_eq!(dev.read_block(2).unwrap(), vec![2u8; 8]);
         assert!(dev.write_block(1, &[0; 8]).is_ok());
@@ -539,30 +526,37 @@ mod tests {
     }
 
     #[test]
-    fn default_vectored_ops_mirror_single_block_ops() {
-        let dev = TinyDev;
-        let bufs = dev.read_blocks(&[2, 0, 2]).unwrap();
-        assert_eq!(bufs, vec![vec![2u8; 8], vec![0u8; 8], vec![2u8; 8]]);
-        assert!(dev.read_blocks(&[]).unwrap().is_empty());
-        // Fail-fast on the first bad index, exactly like the loop would.
+    fn default_single_block_ops_are_one_element_batches() {
+        let dev = TinyDev::default();
+        for index in 0..6 {
+            assert_eq!(dev.read_block(index), dev.read_blocks(&[index]).map(|mut b| b.remove(0)));
+            for data in [&[1u8; 8][..], &[1u8; 7]] {
+                assert_eq!(dev.write_block(index, data), dev.write_blocks(&[(index, data)]));
+            }
+        }
+        assert_eq!(dev.read_block(2), Ok(vec![2u8; 8]));
         assert_eq!(
-            dev.read_blocks(&[1, 7]),
-            Err(BlockDeviceError::OutOfRange { index: 7, num_blocks: 4 })
-        );
-        assert!(dev.write_blocks(&[(0, &[1u8; 8]), (1, &[2u8; 8])]).is_ok());
-        assert_eq!(
-            dev.write_blocks(&[(0, &[1u8; 8]), (9, &[2u8; 8])]),
-            Err(BlockDeviceError::OutOfRange { index: 9, num_blocks: 4 })
+            dev.read_block(4),
+            Err(BlockDeviceError::OutOfRange { index: 4, num_blocks: 4 })
         );
         assert_eq!(
-            dev.write_blocks(&[(0, &[1u8; 7])]),
+            dev.write_block(5, &[1u8; 8]),
+            Err(BlockDeviceError::OutOfRange { index: 5, num_blocks: 4 })
+        );
+        assert_eq!(
+            dev.write_block(0, &[1u8; 7]),
             Err(BlockDeviceError::WrongBufferSize { got: 7, expected: 8 })
         );
+        assert_eq!(*dev.written.lock().unwrap(), [0, 0, 1, 1, 2, 2, 3, 3]);
+        // A batch that comes back without its block is a typed error, not a
+        // panic.
+        let lossy = TinyDev { lose_reads: true, ..TinyDev::default() };
+        assert!(matches!(lossy.read_block(0), Err(BlockDeviceError::Io { .. })));
     }
 
     #[test]
     fn default_read_into_destinations_follows_what_they_hold() {
-        let dev = TinyDev;
+        let dev = TinyDev::default();
         let mut buf = vec![9u8; 3];
         dev.read_blocks_to(&[2, 0], ReadDest::Append(&mut buf)).unwrap();
         assert_eq!(buf, [&[9u8; 3][..], &[2; 8], &[0; 8]].concat());

@@ -35,9 +35,7 @@
 //!
 //! With every slot in flight, [`IoEngine::submit_read_blocks`] /
 //! [`IoEngine::submit_write_blocks`] **block** until a slot frees, and
-//! blocked submitters are granted slots in FIFO arrival order. The
-//! non-blocking `try_` variants return [`WouldBlock`] instead (also when
-//! earlier submitters are already queued, preserving fairness). The head
+//! blocked submitters are granted slots in FIFO arrival order. The head
 //! waiter frees a slot itself by retiring the device's oldest in-flight
 //! command — a full ring always has one queued or executing — so a single
 //! thread can never deadlock on its own ring.
@@ -81,19 +79,6 @@ pub enum IoOutput {
 /// would have returned (fail-fast, prefix persisted), confined to the
 /// owning ticket — other slots are unaffected.
 pub type Completion = (Ticket, Result<IoOutput, BlockDeviceError>);
-
-/// `try_submit_*` found no free ring slot (or earlier submitters already
-/// queued for one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WouldBlock;
-
-impl std::fmt::Display for WouldBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "all ring slots in flight")
-    }
-}
-
-impl std::error::Error for WouldBlock {}
 
 /// One queued batch, owned until it executes.
 enum Request {
@@ -204,29 +189,6 @@ impl<D: BlockDevice> IoEngine<D> {
     /// batch executes with [`BlockDevice::write_blocks`] semantics.
     pub fn submit_write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Ticket {
         self.submit(Request::Write(writes.iter().map(|&(i, d)| (i, d.to_vec())).collect()))
-    }
-
-    /// Non-blocking [`IoEngine::submit_read_blocks`].
-    ///
-    /// # Errors
-    ///
-    /// [`WouldBlock`] when every slot is in flight or blocked submitters
-    /// are already queued ahead.
-    pub fn try_submit_read_blocks(&self, indices: &[BlockIndex]) -> Result<Ticket, WouldBlock> {
-        self.try_submit(Request::Read(indices.to_vec()))
-    }
-
-    /// Non-blocking [`IoEngine::submit_write_blocks`].
-    ///
-    /// # Errors
-    ///
-    /// [`WouldBlock`] when every slot is in flight or blocked submitters
-    /// are already queued ahead.
-    pub fn try_submit_write_blocks(
-        &self,
-        writes: &[(BlockIndex, &[u8])],
-    ) -> Result<Ticket, WouldBlock> {
-        self.try_submit(Request::Write(writes.iter().map(|&(i, d)| (i, d.to_vec())).collect()))
     }
 
     /// Surfaces the oldest unreaped completion, executing the device's
@@ -364,17 +326,6 @@ impl<D: BlockDevice> IoEngine<D> {
         self.occupy(&mut st, idx, request)
     }
 
-    fn try_submit(&self, request: Request) -> Result<Ticket, WouldBlock> {
-        let mut st = self.lock();
-        if !st.waiters.is_empty() {
-            return Err(WouldBlock);
-        }
-        match st.free.pop_front() {
-            Some(idx) => Ok(self.occupy(&mut st, idx, request)),
-            None => Err(WouldBlock),
-        }
-    }
-
     /// Installs `request` in the already-claimed free slot `idx` and
     /// registers it with the device's host queue.
     fn occupy(&self, st: &mut EngineState, idx: usize, request: Request) -> Ticket {
@@ -451,17 +402,6 @@ impl<D: BlockDevice> std::fmt::Debug for IoEngine<D> {
 #[derive(Debug)]
 pub struct EngineDevice<D: BlockDevice>(pub std::sync::Arc<IoEngine<D>>);
 
-impl<D: BlockDevice> EngineDevice<D> {
-    fn reap_read(&self, ticket: Ticket) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        match self.0.wait(ticket)? {
-            IoOutput::Read(bufs) => Ok(bufs),
-            IoOutput::Write => {
-                Err(BlockDeviceError::Io { reason: "read ticket completed as a write".to_string() })
-            }
-        }
-    }
-}
-
 impl<D: BlockDevice> BlockDevice for EngineDevice<D> {
     fn num_blocks(&self) -> u64 {
         self.0.device().num_blocks()
@@ -471,22 +411,13 @@ impl<D: BlockDevice> BlockDevice for EngineDevice<D> {
         self.0.device().block_size()
     }
 
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        let ticket = self.0.submit_read_blocks(&[index]);
-        let mut bufs = self.reap_read(ticket)?;
-        bufs.pop().ok_or_else(|| BlockDeviceError::Io {
-            reason: "engine returned no buffer for a one-block read".to_string(),
-        })
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        let ticket = self.0.submit_write_blocks(&[(index, data)]);
-        self.0.wait(ticket).map(|_| ())
-    }
-
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        let ticket = self.0.submit_read_blocks(indices);
-        self.reap_read(ticket)
+        match self.0.wait(self.0.submit_read_blocks(indices))? {
+            IoOutput::Read(bufs) => Ok(bufs),
+            IoOutput::Write => {
+                Err(BlockDeviceError::Io { reason: "read ticket completed as a write".to_string() })
+            }
+        }
     }
 
     /// The ring's completions own their buffers, so these are moved or
@@ -576,17 +507,6 @@ mod tests {
         assert!(done.iter().all(|(_, r)| r.is_ok()));
         assert_eq!(engine.in_flight(), 0);
         assert!(engine.drain().is_empty());
-    }
-
-    #[test]
-    fn try_submit_reports_would_block_on_full_ring() {
-        let engine = IoEngine::new(MemDisk::with_default_timing(16, 512), 2);
-        let data = vec![3u8; 512];
-        engine.try_submit_write_blocks(&[(0, data.as_slice())]).unwrap();
-        engine.try_submit_read_blocks(&[0]).unwrap();
-        assert_eq!(engine.try_submit_read_blocks(&[1]), Err(WouldBlock));
-        assert!(engine.poll().is_some());
-        engine.try_submit_read_blocks(&[1]).unwrap();
     }
 
     #[test]

@@ -42,10 +42,10 @@ mod stats;
 
 pub use crash::CrashDisk;
 pub use device::{
-    read_blocks_owned, read_blocks_remapped, read_blocks_via_batch, write_blocks_remapped,
-    BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice,
+    read_blocks_owned, read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, ReadDest,
+    SharedDevice,
 };
-pub use engine::{Completion, EngineDevice, IoEngine, IoOutput, Ticket, WouldBlock};
+pub use engine::{Completion, EngineDevice, IoEngine, IoOutput, Ticket};
 pub use memdisk::{FaultInjection, MemDisk, TornWrite};
 pub use snapshot::DiskSnapshot;
 pub use stats::{AtomicDeviceStats, DeviceStats, OpCounter};

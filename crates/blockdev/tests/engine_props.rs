@@ -102,14 +102,6 @@ impl BlockDevice for CountingDevice {
         self.inner.block_size()
     }
 
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.inner.read_block(index)
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.inner.write_block(index, data)
-    }
-
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         self.inner.read_blocks(indices)
     }
@@ -334,17 +326,17 @@ impl BlockDevice for GatedDevice {
         self.inner.block_size()
     }
 
-    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.inner.read_block(index)
-    }
-
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.inner.write_block(index, data)
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+        self.inner.read_blocks(indices)
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
         self.block_on_gate();
         self.inner.write_blocks(writes)
+    }
+
+    fn flush(&self) -> Result<(), BlockDeviceError> {
+        self.inner.flush()
     }
 
     fn host_queue_enter(&self) {

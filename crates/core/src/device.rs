@@ -291,7 +291,7 @@ impl MobiCeal {
         );
         let crypt = mobiceal_dm::DmCrypt::new_essiv(Arc::new(pde), &key)
             .with_timing(self.clock.clone(), self.cpu.clone());
-        Ok(self.assemble_unlocked(crypt, VolumeRole::Public, 1))
+        self.assemble_unlocked(crypt, VolumeRole::Public, 1)
     }
 
     /// Unlocks a hidden volume with a hidden password (the screen-lock
@@ -310,18 +310,19 @@ impl MobiCeal {
         verify_header(&raw, &key, password, self.layout.block_size)?;
         let crypt = mobiceal_dm::DmCrypt::new_essiv(Arc::new(raw), &key)
             .with_timing(self.clock.clone(), self.cpu.clone());
-        Ok(self.assemble_unlocked(crypt, VolumeRole::Hidden, k))
+        self.assemble_unlocked(crypt, VolumeRole::Hidden, k)
     }
 
-    /// Packages the decrypted stack as an [`UnlockedVolume`].
+    /// Packages the decrypted stack as an [`UnlockedVolume`]: every block
+    /// of the volume after its header.
     fn assemble_unlocked(
         &self,
         crypt: mobiceal_dm::DmCrypt,
         role: VolumeRole,
         volume_id: u32,
-    ) -> UnlockedVolume {
-        let data_blocks = self.layout.data_blocks - 1;
-        UnlockedVolume { inner: Arc::new(crypt), role, volume_id, data_blocks }
+    ) -> Result<UnlockedVolume, MobiCealError> {
+        let inner = DmLinear::new(Arc::new(crypt), 1, self.layout.data_blocks - 1)?;
+        Ok(UnlockedVolume { inner, role, volume_id })
     }
 
     /// Commits pool metadata (called by Vold on clean unmount/shutdown).
@@ -391,13 +392,12 @@ impl MobiCeal {
 /// An unlocked, decrypted view of a volume: what gets mounted at `/data`.
 ///
 /// Block 0 of the underlying thin volume is the (encrypted) header, so this
-/// device exposes blocks `1..` shifted down by one.
+/// device is a dm-linear view of blocks `1..` of the dm-crypt device.
 #[derive(Clone)]
 pub struct UnlockedVolume {
-    inner: Arc<dyn BlockDevice>,
+    inner: DmLinear,
     role: VolumeRole,
     volume_id: u32,
-    data_blocks: u64,
 }
 
 impl std::fmt::Debug for UnlockedVolume {
@@ -423,7 +423,7 @@ impl UnlockedVolume {
 
 impl BlockDevice for UnlockedVolume {
     fn num_blocks(&self) -> u64 {
-        self.data_blocks
+        self.inner.num_blocks()
     }
 
     fn block_size(&self) -> usize {
@@ -431,43 +431,31 @@ impl BlockDevice for UnlockedVolume {
     }
 
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        self.check_index(index)?;
-        self.inner.read_block(index + 1)
+        self.inner.read_block(index)
     }
 
     fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.check_index(index)?;
-        self.inner.write_block(index + 1, data)
+        self.inner.write_block(index, data)
     }
 
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_owned(self, indices)
+        self.inner.read_blocks(indices)
     }
 
-    /// Batched read: shifts the whole batch past the header block and
-    /// forwards it as one vectored read down the dm-crypt → PDE → thin
-    /// pipeline into `dest` (prefix-then-error on a bad index, like the
-    /// sequential loop).
+    /// Batched read: one vectored read down the dm-crypt → PDE → thin
+    /// pipeline into `dest`.
     fn read_blocks_to(
         &self,
         indices: &[BlockIndex],
         dest: ReadDest<'_>,
     ) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_remapped(
-            &self.inner,
-            indices,
-            self.data_blocks,
-            |i| i + 1,
-            dest,
-        )
+        self.inner.read_blocks_to(indices, dest)
     }
 
-    /// Batched write: shifts the whole batch past the header block and
-    /// forwards it as one vectored write down the dm-crypt → PDE → thin
-    /// pipeline (prefix-then-error on a bad index, like the sequential
-    /// loop).
+    /// Batched write: one vectored write down the dm-crypt → PDE → thin
+    /// pipeline.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::write_blocks_remapped(&self.inner, writes, self.data_blocks, |i| i + 1)
+        self.inner.write_blocks(writes)
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {

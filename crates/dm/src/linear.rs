@@ -5,8 +5,11 @@ use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, Sha
 /// A linear remapping target: blocks `[offset, offset+len)` of the backing
 /// device appear as blocks `[0, len)`.
 ///
-/// Used to carve the userdata partition's data area out from the metadata
-/// region and the 16 KiB encryption footer (Fig. 3 of the paper).
+/// The only layer in the stacks that remaps block indices. It carves the
+/// userdata partition's data area out from the metadata region and the
+/// 16 KiB encryption footer (Fig. 3 of the paper), and it hides the
+/// password-check header block below every unlocked volume, MobiCeal's
+/// and Android FDE's alike.
 ///
 /// # Example
 ///
@@ -88,29 +91,44 @@ impl BlockDevice for DmLinear {
     }
 
     /// Batched read: remaps the whole batch and issues one vectored read on
-    /// the backing device into `dest` (prefix-then-error on a bad index,
-    /// like the sequential loop).
+    /// the backing device into `dest`. An out-of-range index mid-batch
+    /// reads the valid prefix first and then surfaces
+    /// [`BlockDeviceError::OutOfRange`], like the sequential loop; `dest`
+    /// then holds what it held before the call.
     fn read_blocks_to(
         &self,
         indices: &[BlockIndex],
-        dest: ReadDest<'_>,
+        mut dest: ReadDest<'_>,
     ) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_remapped(
-            &self.backing,
-            indices,
-            self.len,
-            |i| self.offset + i,
-            dest,
-        )
+        let bad = indices.iter().position(|&i| i >= self.len);
+        let valid = &indices[..bad.unwrap_or(indices.len())];
+        let mapped: Vec<BlockIndex> = valid.iter().map(|&i| self.offset + i).collect();
+        let mark = dest.mark();
+        self.backing.read_blocks_to(&mapped, dest.reborrow())?;
+        match bad {
+            Some(pos) => {
+                dest.truncate(mark);
+                Err(BlockDeviceError::OutOfRange { index: indices[pos], num_blocks: self.len })
+            }
+            None => Ok(()),
+        }
     }
 
     /// Batched write: remaps the whole batch and issues one vectored write
-    /// on the backing device (prefix-then-error on a bad index, like the
-    /// sequential loop).
+    /// on the backing device; the valid prefix lands before an
+    /// out-of-range index errors, like the sequential loop.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::write_blocks_remapped(&self.backing, writes, self.len, |i| {
-            self.offset + i
-        })
+        let bad = writes.iter().position(|&(i, _)| i >= self.len);
+        let valid = &writes[..bad.unwrap_or(writes.len())];
+        let mapped: Vec<(BlockIndex, &[u8])> =
+            valid.iter().map(|&(i, data)| (self.offset + i, data)).collect();
+        self.backing.write_blocks(&mapped)?;
+        match bad {
+            Some(pos) => {
+                Err(BlockDeviceError::OutOfRange { index: writes[pos].0, num_blocks: self.len })
+            }
+            None => Ok(()),
+        }
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {

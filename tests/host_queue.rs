@@ -150,8 +150,9 @@ fn engine_device_forwards_host_queue_holds() {
 }
 
 #[test]
-fn fde_offset_device_forwards_host_queue_holds() {
-    audit_forwarding("AndroidFde/OffsetDevice", || {
+fn fde_unlocked_volume_forwards_host_queue_holds() {
+    // `AndroidFde::unlock` returns dm-linear over dm-crypt over dm-linear.
+    audit_forwarding("AndroidFde unlocked volume", || {
         let clock = SimClock::new();
         let disk = cqe_disk(256, &clock);
         let fde =
