@@ -2,14 +2,13 @@
 //! CI-gated static checks.
 //!
 //! The MobiCeal stack rests on invariants that live in prose and review
-//! discipline: every `BlockDevice` wrapper forwards the vectored batch
-//! and host-queue methods, thinp takes its locks in directory →
-//! per-volume → allocator order, the foreground I/O path never panics,
-//! test hooks never leak into production, every `unsafe` is justified,
-//! and secrets never parameterize charged time. Each of these fails
-//! *silently* when the next wrapper or lock is added — the compiler is
-//! happy, the tests pass, and the regression surfaces weeks later as a
-//! degraded depth signal or a deadlock under load.
+//! discipline: every `BlockDevice` layer implements the caller-owned read
+//! `read_blocks_to`, the foreground I/O path never panics, test hooks
+//! never leak into production, every `unsafe` is justified, and secrets
+//! never parameterize charged time. Each of these fails *silently* when
+//! the next layer is added — the compiler is happy, the tests pass, and
+//! the regression surfaces weeks later as a read that recurses forever or
+//! a timing channel.
 //!
 //! This crate turns those contracts into deny-by-default lint passes
 //! over a hand-rolled lexer and a coarse item model (zero dependencies —

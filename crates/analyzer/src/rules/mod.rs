@@ -5,7 +5,6 @@
 //! | id | name | level | contract |
 //! |----|------|-------|----------|
 //! | A1 | `default_forwarding` | deny | every `impl BlockDevice` implements `read_blocks_to`, the one trait method left with a default |
-//! | A2 | `lock_order` | deny | thinp directory → volume → allocator; MemDisk shard discipline |
 //! | A3 | `panic_freedom` | deny | no `unwrap`/`expect`/`panic!`/`unreachable!` in hot-path modules |
 //! | A4 | `test_hook` | deny | `test-hooks`-gated items never referenced from production code |
 //! | A5 | `safety_comment` | deny | every `unsafe` justified; unsafe-free crates forbid unsafe |
@@ -13,7 +12,6 @@
 
 pub mod forwarding;
 pub mod hooks;
-pub mod locks;
 pub mod panics;
 pub mod taint;
 pub mod unsafety;
@@ -23,9 +21,8 @@ use crate::workspace::Workspace;
 
 /// The annotation-facing rule names (what `analyzer: allow(<name>, ...)`
 /// accepts). `annotation` is the meta-rule for malformed escapes.
-pub const RULE_NAMES: [&str; 7] = [
+pub const RULE_NAMES: [&str; 6] = [
     "default_forwarding",
-    "lock_order",
     "panic_freedom",
     "test_hook",
     "safety_comment",
@@ -38,7 +35,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     annotations(ws, &mut out);
     forwarding::run(ws, &mut out);
-    locks::run(ws, &mut out);
     panics::run(ws, &mut out);
     hooks::run(ws, &mut out);
     unsafety::run(ws, &mut out);

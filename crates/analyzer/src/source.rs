@@ -9,8 +9,8 @@
 //! * **Hook spans** — the subset gated on the `test-hooks` feature
 //!   (`#[cfg(any(test, feature = "test-hooks"))]`); rule A4 treats names
 //!   declared here as quarantined.
-//! * **Items** — `fn` bodies (for body-local scans like lock ordering)
-//!   and `impl Trait for Type` blocks with their method names (for the
+//! * **Items** — `fn` items with their body spans, and
+//!   `impl Trait for Type` blocks with their method names (for the
 //!   wrapper-forwarding audit).
 //! * **Annotations** — `// analyzer: allow(rule, reason = "...")`
 //!   escapes, resolved to the code line they cover.
@@ -597,7 +597,7 @@ let z = q.pop().unwrap();
         assert!(f.allowed("panic_freedom", 2));
         assert!(f.allowed("panic_freedom", 3));
         assert!(!f.allowed("panic_freedom", 4));
-        assert!(!f.allowed("lock_order", 2));
+        assert!(!f.allowed("secret_taint", 2));
     }
 
     #[test]

@@ -96,90 +96,6 @@ fn a1_ignores_test_only_devices() {
     assert!(denies(&findings, "A1/default_forwarding").is_empty(), "{findings:?}");
 }
 
-// ---------------------------------------------------------------- A2
-
-#[test]
-fn a2_fires_on_directory_after_allocator() {
-    let bad = r#"
-fn grab(&self) {
-    let a = self.alloc.lock();
-    let d = self.directory.read();
-}
-"#;
-    let findings = analyze_memory(&[("mobiceal-thinp", "crates/thinp/src/pool.rs", bad)]);
-    assert_eq!(denies(&findings, "A2/lock_order").len(), 1, "{findings:?}");
-}
-
-#[test]
-fn a2_passes_in_documented_order() {
-    let good = r#"
-fn grab(&self) {
-    let d = self.directory.read();
-    let v = handle.lock();
-    let a = self.alloc.lock();
-}
-"#;
-    let findings = analyze_memory(&[("mobiceal-thinp", "crates/thinp/src/pool.rs", good)]);
-    assert!(denies(&findings, "A2/lock_order").is_empty(), "{findings:?}");
-}
-
-#[test]
-fn a2_fires_on_two_indexed_shard_locks() {
-    let bad = r#"
-fn swap(&self, a: usize, b: usize) {
-    let x = self.shards[a].lock();
-    let y = self.shards[b].lock();
-}
-"#;
-    let findings = analyze_memory(&[("mobiceal-blockdev", "crates/blockdev/src/memdisk.rs", bad)]);
-    let hits = denies(&findings, "A2/lock_order");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].message.contains("single-shard locks"), "{}", hits[0].message);
-}
-
-#[test]
-fn a2_fires_on_indexed_shard_after_sweep() {
-    let bad = r#"
-fn sweep_then_peek(&self) {
-    for s in self.shards.iter() {
-        let g = s.lock();
-    }
-    let g = self.shards[0].lock();
-}
-"#;
-    let findings = analyze_memory(&[("mobiceal-blockdev", "crates/blockdev/src/memdisk.rs", bad)]);
-    let hits = denies(&findings, "A2/lock_order");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].message.contains("self-deadlock"), "{}", hits[0].message);
-}
-
-#[test]
-fn a2_fires_on_command_lock_reacquisition() {
-    let bad = r#"
-fn plan(&self) {
-    let c = self.cmd.lock();
-    drop(c);
-    let c = self.cmd.lock();
-}
-"#;
-    let findings = analyze_memory(&[("mobiceal-blockdev", "crates/blockdev/src/memdisk.rs", bad)]);
-    let hits = denies(&findings, "A2/lock_order");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].message.contains("re-acquires the command lock"), "{}", hits[0].message);
-}
-
-#[test]
-fn a2_allows_one_indexed_shard_and_one_command_lock() {
-    let good = r#"
-fn read_one(&self, i: usize) {
-    let c = self.cmd.lock();
-    let g = self.shards[i].lock();
-}
-"#;
-    let findings = analyze_memory(&[("mobiceal-blockdev", "crates/blockdev/src/memdisk.rs", good)]);
-    assert!(denies(&findings, "A2/lock_order").is_empty(), "{findings:?}");
-}
-
 // ---------------------------------------------------------------- A3
 
 #[test]

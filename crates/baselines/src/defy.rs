@@ -356,7 +356,7 @@ impl BlockDevice for DefyLite {
         let fetch: Vec<(usize, u64)> =
             resolved.iter().enumerate().filter_map(|(i, pos)| pos.map(|p| (i, p))).collect();
         let positions: Vec<u64> = fetch.iter().map(|&(_, p)| p).collect();
-        let bufs = self.dev.read_blocks(&positions)?;
+        let bufs = crate::read_exact(&self.dev, &positions)?;
         let cipher = Self::cipher_for(&key);
         let mut out: Vec<Option<Vec<u8>>> = vec![None; resolved.len()];
         for (&(i, p), mut buf) in fetch.iter().zip(bufs) {

@@ -568,13 +568,15 @@ impl BlockDevice for HiveWoOram {
         }
         drop(state);
         let slots: Vec<u64> = fetch.iter().map(|&(_, p)| p).collect();
-        let bufs = self.dev.read_blocks(&slots)?;
+        let bufs = crate::read_exact(&self.dev, &slots)?;
         for (&(i, p), mut buf) in fetch.iter().zip(bufs) {
             self.clock.advance(self.cpu.aes_cost(buf.len()));
             self.cipher.decrypt_sector_in_place(p, &mut buf);
             out[i] = Some(buf);
         }
-        let resolved: Vec<Vec<u8>> = out.into_iter().map(|b| b.expect("resolved")).collect();
+        // `read_exact` returned one buffer per fetched slot, so every slot
+        // is resolved.
+        let resolved: Vec<Vec<u8>> = out.into_iter().flatten().collect();
         match bad {
             Some(pos) => Err(BlockDeviceError::OutOfRange {
                 index: indices[pos],

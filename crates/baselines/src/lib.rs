@@ -37,3 +37,24 @@ pub use fde::AndroidFde;
 pub use hive::HiveWoOram;
 pub use mobipluto::MobiPluto;
 pub use persist::StateJournal;
+
+use mobiceal_blockdev::{BlockDeviceError, BlockIndex, SharedDevice};
+
+/// Reads `indices` from `dev` in one batch, and makes no call when there is
+/// nothing to read. A reply with a different number of blocks than asked
+/// for is an `Io` error, never a panic or a block made up in its place.
+fn read_exact(
+    dev: &SharedDevice,
+    indices: &[BlockIndex],
+) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+    if indices.is_empty() {
+        return Ok(Vec::new());
+    }
+    let bufs = dev.read_blocks(indices)?;
+    if bufs.len() != indices.len() {
+        return Err(BlockDeviceError::Io {
+            reason: "device returned a different number of blocks than it was asked for".into(),
+        });
+    }
+    Ok(bufs)
+}

@@ -6,8 +6,12 @@
 //! device error into silent corruption.
 
 use mobiceal_baselines::{DefyLite, HiveWoOram, MobiPluto};
-use mobiceal_blockdev::{BlockDevice, FaultInjection, MemDisk, SharedDevice};
+use mobiceal_blockdev::{
+    read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, FaultInjection, MemDisk,
+    ReadDest, SharedDevice,
+};
 use mobiceal_sim::SimClock;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const BS: usize = 4096;
@@ -125,4 +129,103 @@ fn mobipluto_failed_hidden_extent_leaves_cursor_unadvanced() {
     let after_retry = disk.snapshot();
     let landed = before_retry.changed_blocks(&after_retry);
     assert_eq!(landed, vec![first + 1, first + 2, first + 3], "retry reuses the same extent");
+}
+
+/// A pass-through device that counts the empty read batches it is handed
+/// and, once `drop_last` is set, answers every read with its last block
+/// missing.
+struct ShortReads {
+    inner: SharedDevice,
+    empty_reads: AtomicUsize,
+    drop_last: AtomicBool,
+}
+
+impl ShortReads {
+    fn new(inner: MemDisk) -> Arc<Self> {
+        Arc::new(ShortReads {
+            inner: Arc::new(inner),
+            empty_reads: AtomicUsize::new(0),
+            drop_last: AtomicBool::new(false),
+        })
+    }
+}
+
+impl BlockDevice for ShortReads {
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+        if indices.is_empty() {
+            self.empty_reads.fetch_add(1, Ordering::SeqCst);
+        }
+        let mut bufs = self.inner.read_blocks(indices)?;
+        if self.drop_last.load(Ordering::SeqCst) {
+            bufs.pop();
+        }
+        Ok(bufs)
+    }
+
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        read_blocks_via_batch(self, indices, dest)
+    }
+
+    fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
+        self.inner.write_blocks(writes)
+    }
+
+    fn flush(&self) -> Result<(), BlockDeviceError> {
+        self.inner.flush()
+    }
+
+    fn host_queue_enter(&self) {
+        self.inner.host_queue_enter();
+    }
+
+    fn host_queue_leave(&self) {
+        self.inner.host_queue_leave();
+    }
+}
+
+/// A read that needs nothing from the device makes no device call, and a
+/// device that answers with too few blocks is an `Io` error, never a panic
+/// or a zero block the baseline never read.
+#[test]
+fn baseline_reads_skip_empty_batches_and_refuse_short_ones() {
+    let clock = SimClock::new();
+    let hive_dev = ShortReads::new(MemDisk::new(600, BS, clock.clone()));
+    let oram = HiveWoOram::new(hive_dev.clone(), clock.clone(), 256, [9u8; 64], 7).unwrap();
+    let defy_dev = ShortReads::new(MemDisk::new(256, BS, clock.clone()));
+    let defy = DefyLite::new(defy_dev.clone(), clock, 64, [5u8; 32]).unwrap();
+
+    for l in 0..10u64 {
+        assert_eq!(oram.read_block(100 + l).unwrap(), vec![0u8; BS]);
+        assert_eq!(defy.read_block(40 + l).unwrap(), vec![0u8; BS]);
+    }
+    assert_eq!(hive_dev.empty_reads.load(Ordering::SeqCst), 0, "HIVE empty batches");
+    assert_eq!(defy_dev.empty_reads.load(Ordering::SeqCst), 0, "DEFY empty batches");
+
+    let payloads: Vec<(u64, Vec<u8>)> = (0..8u64).map(|l| (l, vec![0x40 + l as u8; BS])).collect();
+    let batch: Vec<(u64, &[u8])> = payloads.iter().map(|(l, d)| (*l, d.as_slice())).collect();
+    oram.write_blocks(&batch).unwrap();
+    defy.write_blocks(&batch).unwrap();
+    assert!(oram.stash_len() < payloads.len(), "some block must sit on the medium");
+    let logical: Vec<u64> = payloads.iter().map(|(l, _)| *l).collect();
+    let expect: Vec<Vec<u8>> = payloads.iter().map(|(_, d)| d.clone()).collect();
+    assert_eq!(oram.read_blocks(&logical).unwrap(), expect);
+    assert_eq!(defy.read_blocks(&logical).unwrap(), expect);
+
+    hive_dev.drop_last.store(true, Ordering::SeqCst);
+    defy_dev.drop_last.store(true, Ordering::SeqCst);
+    assert!(matches!(oram.read_blocks(&logical), Err(BlockDeviceError::Io { .. })));
+    assert!(matches!(defy.read_blocks(&logical), Err(BlockDeviceError::Io { .. })));
+    assert!(matches!(defy.read_block(0), Err(BlockDeviceError::Io { .. })));
 }

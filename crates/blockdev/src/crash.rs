@@ -6,7 +6,7 @@
 //! [`MemDisk`], records a base snapshot plus the bytes of every block write
 //! that succeeds, and can then reconstruct the exact persisted image as of
 //! any intermediate write — including images where the final write is torn
-//! mid-block. A test runs its workload once, then replays recovery against
+//! mid-block. A batch that fails part-way logs the prefix the medium kept. A test runs its workload once, then replays recovery against
 //! each of the `write_points() + 1` images (and any torn variants) to
 //! enumerate every possible power-cut outcome of that history.
 //!
@@ -154,15 +154,17 @@ impl BlockDevice for CrashDisk {
     }
 
     /// Delegates the whole batch (keeping amortized charging), then logs
-    /// each block as one write boundary — a power cut can land between any
-    /// two blocks of a batch, exactly like the sequential loop.
+    /// each block that reached the medium as one write boundary — a power
+    /// cut can land between any two blocks of a batch, exactly like the
+    /// sequential loop. A failed batch logs the prefix that landed before
+    /// its failing block.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        self.inner.write_blocks(writes)?;
+        let (landed, result) = self.inner.write_blocks_landed(writes);
         let mut log = self.log.lock();
-        for &(index, data) in writes {
+        for &(index, data) in &writes[..landed] {
             log.events.push((index, data.to_vec()));
         }
-        Ok(())
+        result
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {
@@ -239,6 +241,24 @@ mod tests {
         let disk = harness(4);
         assert!(disk.write_block(99, &vec![0u8; 512]).is_err());
         assert_eq!(disk.write_points(), 0);
+    }
+
+    #[test]
+    fn failed_batch_logs_the_prefix_that_landed() {
+        // MemDisk persists a failed batch's prefix, so those blocks are
+        // write boundaries too: leaving them out would make every crash
+        // image disagree with the medium.
+        let disk = harness(8);
+        let mut faults = crate::FaultInjection::default();
+        faults.failing_writes.insert(3);
+        disk.inner().set_faults(faults);
+        let bufs: Vec<Vec<u8>> = (1..=4u8).map(|v| vec![v; 512]).collect();
+        let writes: Vec<(BlockIndex, &[u8])> =
+            (1u64..).zip(bufs.iter().map(Vec::as_slice)).collect();
+        assert!(disk.write_blocks(&writes).is_err());
+        assert_eq!(disk.write_points(), 2, "blocks 1 and 2 landed before the fault");
+        assert_eq!(disk.write_target(1), 2);
+        assert_eq!(disk.image_at(2).as_bytes(), disk.inner().snapshot().as_bytes());
     }
 
     #[test]

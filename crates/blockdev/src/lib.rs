@@ -46,6 +46,6 @@ pub use device::{
     SharedDevice,
 };
 pub use engine::{Completion, EngineDevice, IoEngine, IoOutput, Ticket};
-pub use memdisk::{FaultInjection, MemDisk, TornWrite};
+pub use memdisk::{FaultInjection, MemDisk};
 pub use snapshot::DiskSnapshot;
-pub use stats::{AtomicDeviceStats, DeviceStats, OpCounter};
+pub use stats::{DeviceStats, OpCounter};

@@ -2,41 +2,30 @@
 //!
 //! # Concurrency architecture
 //!
-//! The medium is striped across shard locks so that batches from different
-//! threads (e.g. two thin volumes writing at once) copy their bytes in
-//! parallel:
+//! One mutex guards everything a command reads or changes: the medium's
+//! bytes, the sequential/random classification (`last_block`), fault
+//! injection, the op counter and the [`DeviceStats`]. A batch takes it
+//! once, then classifies, fault-checks, charges and copies every block
+//! before releasing it, so batches from different threads apply whole
+//! and in some serial order, and a snapshot is always a point-in-time
+//! cut. The [`SimClock`] is advanced under the same lock.
 //!
-//! * **Shards** — the block array is partitioned into contiguous runs,
-//!   each behind its own mutex. A block's bytes are only ever touched
-//!   under its shard lock, so every single-block copy is atomic and
-//!   writes to disjoint ranges are byte-equal to any sequential
-//!   interleaving of the same batches.
-//! * **Command state** — sequential/random classification (`last_block`),
-//!   fault injection and the op counter are inherently serial device
-//!   state: one short mutex guards them. Each batch *plans* under this
-//!   lock — classifying, charging the clock and recording statistics —
-//!   then releases it and performs the data copies under the shard locks.
-//!   Single-threaded drives therefore charge bit-identically to the old
-//!   single-lock device: the plan loop is the same loop.
-//! * **Statistics and clock** — [`AtomicDeviceStats`] and the (already
-//!   atomic) [`SimClock`] accumulate without locks, so per-op marginal
-//!   charges telescope exactly to the clock advance no matter how many
-//!   threads charge concurrently.
-//! * **Queue depth** — an in-flight counter models the host keeping
-//!   several commands outstanding: a batch submitted while `k` others are
-//!   in flight charges [`CostModel::batch_cost_at_depth`] at depth `k+1`
-//!   (saturating at the profile's hardware queue depth). The counter is
-//!   fed two ways: executing commands register themselves for the
-//!   duration of the call, and a submission/completion engine
-//!   (`mobiceal_blockdev::engine`) registers every queued-but-unexecuted
-//!   ring slot via [`BlockDevice::host_queue_enter`], so the depth a
-//!   command is charged at equals the genuine ring occupancy it overlaps
-//!   with. A lone command — every single-threaded caller without a ring —
-//!   observes depth 1 and charges the pre-CQE cost bit for bit.
+//! **Queue depth** stays outside the lock. An in-flight counter models
+//! the host keeping several commands outstanding: a batch submitted while
+//! `k` others are in flight charges [`CostModel::batch_cost_at_depth`] at
+//! depth `k+1` (saturating at the profile's hardware queue depth). The
+//! counter is fed two ways: a command registers itself before it waits
+//! for the lock and leaves when it returns, and a submission/completion
+//! engine (`mobiceal_blockdev::engine`) registers every
+//! queued-but-unexecuted ring slot via [`BlockDevice::host_queue_enter`],
+//! so the depth a command is charged at equals the genuine ring occupancy
+//! it overlaps with. A lone command — every single-threaded caller
+//! without a ring — observes depth 1 and charges the pre-CQE cost bit for
+//! bit.
 
 use crate::device::{read_blocks_owned, BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use crate::snapshot::DiskSnapshot;
-use crate::stats::{AtomicDeviceStats, DeviceStats};
+use crate::stats::DeviceStats;
 use mobiceal_sim::{CostModel, EmmcCostModel, OpKind, SimClock, SimDuration};
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -56,60 +45,51 @@ pub struct FaultInjection {
     /// Fail every operation after this many total ops (simulates device
     /// death). `None` disables.
     pub die_after_ops: Option<u64>,
-    /// Tear one write mid-block and kill the device (simulates a power cut
-    /// inside a program operation). `None` disables.
-    pub torn_write: Option<TornWrite>,
 }
 
-/// A power cut in the middle of one block program operation: write number
-/// `after_writes + 1` (counting every block of every write since
-/// [`MemDisk::set_faults`]) persists only its first `keep_bytes` bytes,
-/// the operation reports failure, and every subsequent operation fails —
-/// the device is dead until the next `set_faults` resets it. The torn
-/// write charges no simulated time (the device lost power mid-program).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TornWrite {
-    /// How many block writes complete untouched before the tear fires.
-    pub after_writes: u64,
-    /// Bytes of the torn block that reach the medium (clamped to the
-    /// block size).
-    pub keep_bytes: usize,
-}
+/// Bytes per allocation of the medium. glibc's malloc maps every
+/// allocation over 32 MiB fresh, so a large disk held in one buffer is
+/// faulted in page by page every time one is made; buffers this size come
+/// back from the heap when a dropped disk's memory is reused.
+const CHUNK_BYTES: usize = 1 << 20;
 
-/// The serial "command engine" state: what a real device's single command
-/// decoder sees. Classification and fault accounting depend on global
-/// operation order, so they live behind one (short) lock; the data path
-/// does not.
-struct CmdState {
+/// Everything a command reads or changes, behind the disk's one lock.
+struct DiskState {
+    /// The medium, `chunk_blocks` contiguous blocks per buffer (the last
+    /// buffer may hold fewer).
+    chunks: Vec<Vec<u8>>,
+    chunk_blocks: usize,
+    block_size: usize,
     last_block: Option<BlockIndex>,
     faults: FaultInjection,
     total_ops: u64,
-    /// Block writes seen since the faults were installed (drives
-    /// [`TornWrite::after_writes`]).
-    writes_seen: u64,
-    /// Set when a torn write fires: the device lost power and every
-    /// subsequent operation fails until new faults are installed.
-    dead: bool,
+    stats: DeviceStats,
 }
 
-/// How one planned block failed: an ordinary injected error, or a torn
-/// write whose partial bytes must still reach the medium.
-enum PlannedFault {
-    Fail(BlockDeviceError),
-    Tear { keep_bytes: usize },
+impl DiskState {
+    fn block(&self, index: BlockIndex) -> &[u8] {
+        let (chunk, offset) = self.locate(index);
+        &self.chunks[chunk][offset..offset + self.block_size]
+    }
+
+    fn block_mut(&mut self, index: BlockIndex) -> &mut [u8] {
+        let (chunk, offset) = self.locate(index);
+        &mut self.chunks[chunk][offset..offset + self.block_size]
+    }
+
+    /// The buffer holding block `index` and the block's offset in it.
+    fn locate(&self, index: BlockIndex) -> (usize, usize) {
+        let index = index as usize;
+        (index / self.chunk_blocks, (index % self.chunk_blocks) * self.block_size)
+    }
 }
 
 /// State shared by every clone of a [`MemDisk`].
 struct DiskShared {
-    /// The medium, striped into contiguous runs of blocks. Lock order:
-    /// ascending shard index (whole-device operations); per-block copies
-    /// take exactly one shard lock.
-    shards: Box<[Mutex<Vec<u8>>]>,
-    stats: AtomicDeviceStats,
-    cmd: Mutex<CmdState>,
-    /// Commands currently executing or occupying a host queue slot
-    /// ([`BlockDevice::host_queue_enter`]), across all threads — the
-    /// simulated host controller's occupancy.
+    state: Mutex<DiskState>,
+    /// Commands currently executing or waiting for the lock, plus slots
+    /// occupying a host queue ([`BlockDevice::host_queue_enter`]), across
+    /// all threads — the simulated host controller's occupancy.
     in_flight: AtomicUsize,
     /// Deterministic lower bound on the charged queue depth (default 1).
     /// Test-only: real overlap (threads or the submission engine) drives
@@ -117,12 +97,6 @@ struct DiskShared {
     #[cfg(any(test, feature = "test-hooks"))]
     depth_floor: AtomicUsize,
 }
-
-/// How many shard locks to stripe the medium across. More shards mean
-/// less false sharing between concurrent batches; 64 keeps the per-disk
-/// footprint trivial while comfortably exceeding any realistic worker
-/// count.
-const SHARD_TARGET: u64 = 64;
 
 /// Decrements the in-flight counter when a command completes (RAII so an
 /// early return cannot leak occupancy).
@@ -157,8 +131,6 @@ pub struct MemDisk {
     shared: Arc<DiskShared>,
     num_blocks: u64,
     block_size: usize,
-    /// Blocks per shard (the last shard may be shorter).
-    shard_blocks: u64,
     clock: SimClock,
     cost: Arc<dyn CostModel>,
 }
@@ -201,29 +173,26 @@ impl MemDisk {
     ) -> Self {
         assert!(num_blocks > 0, "device must have at least one block");
         assert!(block_size > 0, "block size must be positive");
-        usize::try_from(num_blocks)
+        let count = usize::try_from(num_blocks)
             .ok()
-            .and_then(|n| n.checked_mul(block_size))
+            .filter(|n| n.checked_mul(block_size).is_some())
             // analyzer: allow(panic_freedom, reason = "constructor-time geometry guard beside the existing asserts; fails at setup, never on the I/O path")
             .expect("device too large for memory simulation");
-        let shard_blocks = num_blocks.div_ceil(SHARD_TARGET).max(1);
-        let shard_count = num_blocks.div_ceil(shard_blocks);
-        let shards: Box<[Mutex<Vec<u8>>]> = (0..shard_count)
-            .map(|i| {
-                let blocks = shard_blocks.min(num_blocks - i * shard_blocks) as usize;
-                Mutex::new(vec![0u8; blocks * block_size])
-            })
+        let chunk_blocks = (CHUNK_BYTES / block_size).max(1);
+        let chunks = (0..count)
+            .step_by(chunk_blocks)
+            .map(|first| vec![0u8; (count - first).min(chunk_blocks) * block_size])
             .collect();
         MemDisk {
             shared: Arc::new(DiskShared {
-                shards,
-                stats: AtomicDeviceStats::default(),
-                cmd: Mutex::new(CmdState {
+                state: Mutex::new(DiskState {
+                    chunks,
+                    chunk_blocks,
+                    block_size,
                     last_block: None,
                     faults: FaultInjection::default(),
                     total_ops: 0,
-                    writes_seen: 0,
-                    dead: false,
+                    stats: DeviceStats::default(),
                 }),
                 in_flight: AtomicUsize::new(0),
                 #[cfg(any(test, feature = "test-hooks"))]
@@ -231,7 +200,6 @@ impl MemDisk {
             }),
             num_blocks,
             block_size,
-            shard_blocks,
             clock,
             cost,
         }
@@ -244,21 +212,17 @@ impl MemDisk {
 
     /// Snapshot of the I/O statistics.
     pub fn stats(&self) -> DeviceStats {
-        self.shared.stats.snapshot()
+        self.shared.state.lock().stats
     }
 
     /// Resets statistics (not contents).
     pub fn reset_stats(&self) {
-        self.shared.stats.reset();
+        self.shared.state.lock().stats = DeviceStats::default();
     }
 
-    /// Installs a fault-injection configuration, restarting the torn-write
-    /// counter and reviving a device a previous tear killed.
+    /// Installs a fault-injection configuration.
     pub fn set_faults(&self, faults: FaultInjection) {
-        let mut cmd = self.shared.cmd.lock();
-        cmd.faults = faults;
-        cmd.writes_seen = 0;
-        cmd.dead = false;
+        self.shared.state.lock().faults = faults;
     }
 
     /// Replaces the entire medium with `image` without charging simulated
@@ -271,12 +235,11 @@ impl MemDisk {
     pub fn load_image(&self, image: &DiskSnapshot) {
         assert_eq!(image.block_size(), self.block_size, "image block size mismatch");
         assert_eq!(image.num_blocks(), self.num_blocks, "image block count mismatch");
-        let mut guards: Vec<_> = self.shared.shards.iter().map(|s| s.lock()).collect();
-        let mut offset = 0usize;
-        for g in guards.iter_mut() {
-            let len = g.len();
-            g.copy_from_slice(&image.as_bytes()[offset..offset + len]);
-            offset += len;
+        let mut rest = image.as_bytes();
+        for chunk in &mut self.shared.state.lock().chunks {
+            let (head, tail) = rest.split_at(chunk.len());
+            chunk.copy_from_slice(head);
+            rest = tail;
         }
     }
 
@@ -297,22 +260,15 @@ impl MemDisk {
 
     /// Takes a bit-exact image of the medium — what the paper's
     /// multi-snapshot adversary captures at a checkpoint (§III-A).
-    /// Acquires every shard (in ascending order) so the image is a
-    /// consistent point-in-time cut even under concurrent writers.
     pub fn snapshot(&self) -> DiskSnapshot {
-        let guards: Vec<_> = self.shared.shards.iter().map(|s| s.lock()).collect();
-        let mut bytes = Vec::with_capacity(self.num_blocks as usize * self.block_size);
-        for g in &guards {
-            bytes.extend_from_slice(g);
-        }
+        let bytes = self.shared.state.lock().chunks.concat();
         DiskSnapshot::new(self.block_size, self.num_blocks, bytes)
     }
 
     /// Overwrites the whole medium with the given byte (e.g. secure wipe).
     pub fn fill(&self, byte: u8) {
-        let guards: Vec<_> = self.shared.shards.iter().map(|s| s.lock()).collect();
-        for mut g in guards {
-            g.fill(byte);
+        for chunk in &mut self.shared.state.lock().chunks {
+            chunk.fill(byte);
         }
     }
 
@@ -321,30 +277,24 @@ impl MemDisk {
     /// randomness). A full-disk fill is the most amortizable transfer a
     /// real device sees — one maximal sequential write extent — so it is
     /// charged as a single multi-block command, like any other batch.
-    /// Like [`MemDisk::fill`] and [`MemDisk::snapshot`], every shard is
-    /// held for the whole operation, so a concurrent observer sees the
-    /// fill all-or-nothing.
+    /// Like every command it runs under the disk's one lock, so a
+    /// concurrent observer sees the fill all-or-nothing.
     pub fn fill_with(&self, mut gen: impl FnMut(&mut [u8])) {
         let bs = self.block_size;
         let _io = self.begin_command();
-        let mut guards: Vec<_> = self.shared.shards.iter().map(|s| s.lock()).collect();
-        {
-            let depth = self.observed_depth();
-            let mut cmd = self.shared.cmd.lock();
-            let mut command = (0usize, SimDuration::ZERO);
-            let mut total = SimDuration::ZERO;
-            for _ in 0..self.num_blocks {
-                let t = self.batch_charge(OpKind::SequentialWrite, &mut command, depth);
-                total += t;
-                self.shared.stats.record(OpKind::SequentialWrite, bs, t);
-            }
-            self.clock.advance(total);
-            cmd.last_block = Some(self.num_blocks - 1);
+        let depth = self.observed_depth();
+        let mut st = self.shared.state.lock();
+        let mut command = (0usize, SimDuration::ZERO);
+        let mut total = SimDuration::ZERO;
+        for _ in 0..self.num_blocks {
+            let t = self.batch_charge(OpKind::SequentialWrite, &mut command, depth);
+            total += t;
+            st.stats.record(OpKind::SequentialWrite, bs, t);
         }
-        for g in guards.iter_mut() {
-            for block in g.chunks_mut(bs) {
-                gen(block);
-            }
+        self.clock.advance(total);
+        st.last_block = Some(self.num_blocks - 1);
+        for block in st.chunks.iter_mut().flat_map(|chunk| chunk.chunks_mut(bs)) {
+            gen(block);
         }
     }
 
@@ -409,129 +359,90 @@ impl MemDisk {
     }
 
     fn check_faults(
-        cmd: &mut CmdState,
+        st: &mut DiskState,
         index: BlockIndex,
         write: bool,
-    ) -> Result<(), PlannedFault> {
-        if cmd.dead {
-            return Err(PlannedFault::Fail(BlockDeviceError::Io {
-                reason: "device lost power (torn write)".into(),
-            }));
-        }
-        cmd.total_ops += 1;
-        if let Some(limit) = cmd.faults.die_after_ops {
-            if cmd.total_ops > limit {
-                return Err(PlannedFault::Fail(BlockDeviceError::Io {
+    ) -> Result<(), BlockDeviceError> {
+        st.total_ops += 1;
+        if let Some(limit) = st.faults.die_after_ops {
+            if st.total_ops > limit {
+                return Err(BlockDeviceError::Io {
                     reason: format!("device died after {limit} ops"),
-                }));
+                });
             }
         }
-        if write {
-            cmd.writes_seen += 1;
-            if let Some(tear) = cmd.faults.torn_write {
-                if cmd.writes_seen == tear.after_writes + 1 {
-                    cmd.dead = true;
-                    return Err(PlannedFault::Tear { keep_bytes: tear.keep_bytes });
-                }
-            }
-        }
-        let failing = if write { &cmd.faults.failing_writes } else { &cmd.faults.failing_reads };
+        let failing = if write { &st.faults.failing_writes } else { &st.faults.failing_reads };
         if failing.contains(&index) {
-            return Err(PlannedFault::Fail(BlockDeviceError::Io {
+            return Err(BlockDeviceError::Io {
                 reason: format!(
                     "injected {} fault at block {index}",
                     if write { "write" } else { "read" }
                 ),
-            }));
+            });
         }
         Ok(())
     }
 
-    /// Plans one batch under the command lock: classifies, fault-checks
-    /// and charges every block (at queue depth `depth`) until the first
-    /// error, advancing the clock by the telescoped total. Returns the
-    /// planned prefix length, the tear (if the batch hit a torn-write
-    /// fault: only `keep_bytes` of the block after the prefix reach the
-    /// medium, uncharged) and the first error, if any. The data copies
-    /// happen *after* this, under the shard locks only; the caller holds
-    /// its [`MemDisk::begin_command`] guard across both phases so the
-    /// in-flight counter reflects commands whose data is still moving.
+    /// Plans one batch under the disk lock: classifies, fault-checks and
+    /// charges every block (at queue depth `depth`) until the first
+    /// error, advancing the clock by the telescoped total. Returns how
+    /// many blocks passed (the prefix the caller then copies, still under
+    /// the lock) and the first error, if any.
     fn plan_batch<'a>(
         &self,
+        st: &mut DiskState,
         blocks: impl Iterator<Item = (BlockIndex, Option<&'a [u8]>)>,
         write: bool,
         depth: usize,
-    ) -> (usize, Option<usize>, Option<BlockDeviceError>) {
-        let mut cmd = self.shared.cmd.lock();
+    ) -> (usize, Result<(), BlockDeviceError>) {
         let (mut seq, mut rand) = ((0, SimDuration::ZERO), (0, SimDuration::ZERO));
         let mut total = SimDuration::ZERO;
         let mut planned = 0usize;
-        let mut torn = None;
-        let mut error = None;
+        let mut result = Ok(());
         for (index, data) in blocks {
             let check = self
                 .check_index(index)
                 .and_then(|()| data.map_or(Ok(()), |d| self.check_buffer(d)))
-                .map_err(PlannedFault::Fail)
-                .and_then(|()| Self::check_faults(&mut cmd, index, write));
-            match check {
-                Err(PlannedFault::Fail(e)) => {
-                    error = Some(e);
-                    break;
-                }
-                Err(PlannedFault::Tear { keep_bytes }) => {
-                    torn = Some(keep_bytes);
-                    error = Some(BlockDeviceError::Io {
-                        reason: format!("power cut tore write at block {index}"),
-                    });
-                    break;
-                }
-                Ok(()) => {}
+                .and_then(|()| Self::check_faults(st, index, write));
+            if let Err(e) = check {
+                result = Err(e);
+                break;
             }
-            let op = Self::classify(cmd.last_block, index, write);
-            cmd.last_block = Some(index);
+            let op = Self::classify(st.last_block, index, write);
+            st.last_block = Some(index);
             let command = match op {
                 OpKind::SequentialRead | OpKind::SequentialWrite => &mut seq,
                 _ => &mut rand,
             };
             let t = self.batch_charge(op, command, depth);
             total += t;
-            self.shared.stats.record(op, self.block_size, t);
+            st.stats.record(op, self.block_size, t);
             planned += 1;
         }
         self.clock.advance(total);
-        (planned, torn, error)
+        (planned, result)
     }
 
-    /// The shard holding `index` and the byte offset of the block inside
-    /// that shard's buffer.
-    fn locate(&self, index: BlockIndex) -> (usize, usize) {
-        let shard = (index / self.shard_blocks) as usize;
-        let offset = ((index % self.shard_blocks) as usize) * self.block_size;
-        (shard, offset)
-    }
-
-    /// Copies `data` into block `index` under its shard lock.
-    fn store_block(&self, index: BlockIndex, data: &[u8]) {
-        let (shard, offset) = self.locate(index);
-        let mut g = self.shared.shards[shard].lock();
-        g[offset..offset + self.block_size].copy_from_slice(data);
-    }
-
-    /// Torn-write splice: only the first `keep` bytes of `data` reach the
-    /// medium; the block's remaining bytes keep their prior content.
-    fn store_partial(&self, index: BlockIndex, data: &[u8], keep: usize) {
-        let keep = keep.min(self.block_size).min(data.len());
-        let (shard, offset) = self.locate(index);
-        let mut g = self.shared.shards[shard].lock();
-        g[offset..offset + keep].copy_from_slice(&data[..keep]);
-    }
-
-    /// Copies block `index` out under its shard lock.
-    fn load_block(&self, index: BlockIndex) -> Vec<u8> {
-        let (shard, offset) = self.locate(index);
-        let g = self.shared.shards[shard].lock();
-        g[offset..offset + self.block_size].to_vec()
+    /// [`BlockDevice::write_blocks`] that also reports how many blocks of
+    /// the batch reached the medium: the whole batch on success, the
+    /// prefix before the first failing block otherwise.
+    pub(crate) fn write_blocks_landed(
+        &self,
+        writes: &[(BlockIndex, &[u8])],
+    ) -> (usize, Result<(), BlockDeviceError>) {
+        let _io = self.begin_command();
+        let depth = self.observed_depth();
+        let mut st = self.shared.state.lock();
+        let (planned, result) = self.plan_batch(
+            &mut st,
+            writes.iter().map(|&(index, data)| (index, Some(data))),
+            true,
+            depth,
+        );
+        for &(index, data) in &writes[..planned] {
+            st.block_mut(index).copy_from_slice(data);
+        }
+        (planned, result)
     }
 }
 
@@ -547,39 +458,25 @@ impl BlockDevice for MemDisk {
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
         let _io = self.begin_command();
         let depth = self.observed_depth();
-        let (planned, _, error) = self.plan_batch(std::iter::once((index, None)), false, depth);
-        match error {
-            Some(e) => Err(e),
-            None => {
-                debug_assert_eq!(planned, 1);
-                Ok(self.load_block(index))
-            }
-        }
+        let mut st = self.shared.state.lock();
+        self.plan_batch(&mut st, std::iter::once((index, None)), false, depth).1?;
+        Ok(st.block(index).to_vec())
     }
 
     fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
         let _io = self.begin_command();
         let depth = self.observed_depth();
-        let (planned, torn, error) =
-            self.plan_batch(std::iter::once((index, Some(data))), true, depth);
-        if let Some(keep) = torn {
-            self.store_partial(index, data, keep);
-        }
-        match error {
-            Some(e) => Err(e),
-            None => {
-                debug_assert_eq!(planned, 1);
-                self.store_block(index, data);
-                Ok(())
-            }
-        }
+        let mut st = self.shared.state.lock();
+        self.plan_batch(&mut st, std::iter::once((index, Some(data))), true, depth).1?;
+        st.block_mut(index).copy_from_slice(data);
+        Ok(())
     }
 
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         read_blocks_owned(self, indices)
     }
 
-    /// Batched read: one command-lock acquisition, one clock advance, and
+    /// Batched read: one lock acquisition, one clock advance, and
     /// *amortized multi-command* costing for the whole batch — command
     /// setup is charged once per simulated multi-block command (see
     /// [`MemDisk::batch_charge`]) instead of once per block, and its
@@ -589,9 +486,8 @@ impl BlockDevice for MemDisk {
     /// issuing the reads one by one; charged time is less than or equal
     /// to the sequential loop's, with equality for single-block batches
     /// and for cost models without amortization. Each block is copied
-    /// once, under its shard lock, straight into `dest`, concurrently with
-    /// other threads' batches. A failed batch charges its planned prefix
-    /// and copies nothing.
+    /// once, straight into `dest`. A failed batch charges its planned
+    /// prefix and copies nothing.
     fn read_blocks_to(
         &self,
         indices: &[BlockIndex],
@@ -599,50 +495,30 @@ impl BlockDevice for MemDisk {
     ) -> Result<(), BlockDeviceError> {
         let _io = self.begin_command();
         let depth = self.observed_depth();
-        let (_, _, error) =
-            self.plan_batch(indices.iter().map(|&index| (index, None)), false, depth);
-        if let Some(e) = error {
-            return Err(e);
-        }
+        let mut st = self.shared.state.lock();
+        self.plan_batch(&mut st, indices.iter().map(|&index| (index, None)), false, depth).1?;
         dest.reserve(indices.len(), self.block_size);
         for &index in indices {
-            let (shard, offset) = self.locate(index);
-            dest.push(&self.shared.shards[shard].lock()[offset..offset + self.block_size]);
+            dest.push(st.block(index));
         }
         Ok(())
     }
 
-    /// Batched write: one command-lock acquisition, one clock advance, and
+    /// Batched write: one lock acquisition, one clock advance, and
     /// *amortized multi-command* costing for the whole batch (see
-    /// [`MemDisk::read_blocks`]); otherwise byte- and op-mix-identical to
-    /// the equivalent sequence of single-block writes (fail-fast, prefix
-    /// persists, the prefix's amortized time is charged).
+    /// [`MemDisk::read_blocks_to`]); otherwise byte- and op-mix-identical
+    /// to the equivalent sequence of single-block writes (fail-fast,
+    /// prefix persists, the prefix's amortized time is charged).
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        let _io = self.begin_command();
-        let depth = self.observed_depth();
-        let (planned, torn, error) =
-            self.plan_batch(writes.iter().map(|&(index, data)| (index, Some(data))), true, depth);
-        for &(index, data) in &writes[..planned] {
-            self.store_block(index, data);
-        }
-        if let Some(keep) = torn {
-            let (index, data) = writes[planned];
-            self.store_partial(index, data, keep);
-        }
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.write_blocks_landed(writes).1
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {
-        if self.shared.cmd.lock().dead {
-            return Err(BlockDeviceError::Io { reason: "device lost power (torn write)".into() });
-        }
         let _io = self.begin_command();
         let t = self.cost.cost(OpKind::Flush, 0);
+        let mut st = self.shared.state.lock();
         self.clock.advance(t);
-        self.shared.stats.record(OpKind::Flush, 0, t);
+        st.stats.record(OpKind::Flush, 0, t);
         Ok(())
     }
 
@@ -1014,7 +890,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_consistent_under_concurrent_writers() {
-        // Snapshots hold every shard: a concurrent full-block writer can
+        // Snapshots take the disk lock: a concurrent full-block writer can
         // never be seen half-applied at block granularity.
         let disk = MemDisk::with_default_timing(64, 512);
         std::thread::scope(|s| {
@@ -1036,47 +912,28 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_persists_prefix_bytes_and_kills_the_device() {
-        let clock = SimClock::new();
-        let disk = MemDisk::new(8, 512, clock.clone());
-        disk.write_block(3, &vec![0xAA; 512]).unwrap();
-        let before = clock.now();
-        disk.set_faults(FaultInjection {
-            torn_write: Some(TornWrite { after_writes: 0, keep_bytes: 100 }),
-            ..Default::default()
+    fn blocks_on_either_side_of_a_buffer_boundary_stay_in_order() {
+        // 4 KiB blocks: 256 per buffer, so this disk spans three buffers,
+        // the last one short.
+        let disk = MemDisk::with_default_timing(600, 4096);
+        let mut counter = 0u64;
+        disk.fill_with(|blk| {
+            blk.fill((counter % 251) as u8);
+            counter += 1;
         });
-        assert!(disk.write_block(3, &vec![0xBB; 512]).is_err());
-        assert_eq!(clock.now(), before, "the torn write charges no time");
-        let snap = disk.snapshot();
-        assert_eq!(&snap.block(3)[..100], &[0xBB; 100][..], "kept prefix landed");
-        assert_eq!(&snap.block(3)[100..], &[0xAA; 412][..], "tail keeps prior content");
-        // The device is dead: reads, writes and flushes all fail.
-        assert!(disk.read_block(0).is_err());
-        assert!(disk.write_block(0, &vec![0u8; 512]).is_err());
-        assert!(disk.flush().is_err());
-        // Installing fresh faults revives it.
-        disk.set_faults(FaultInjection::default());
-        assert!(disk.read_block(0).is_ok());
-    }
-
-    #[test]
-    fn torn_write_fires_mid_batch_after_counted_writes() {
-        let disk = MemDisk::with_default_timing(8, 512);
-        disk.set_faults(FaultInjection {
-            torn_write: Some(TornWrite { after_writes: 2, keep_bytes: 1 }),
-            ..Default::default()
-        });
-        let d = |v: u8| vec![v; 512];
-        let bufs = [d(1), d(2), d(3), d(4)];
-        let writes: Vec<(BlockIndex, &[u8])> =
-            bufs.iter().enumerate().map(|(i, b)| (i as u64, b.as_slice())).collect();
-        assert!(disk.write_blocks(&writes).is_err());
-        let snap = disk.snapshot();
-        assert_eq!(snap.block(0), &d(1)[..], "writes before the tear persist whole");
-        assert_eq!(snap.block(1), &d(2)[..]);
-        assert_eq!(snap.block(2)[0], 3, "torn block keeps only one byte");
-        assert!(snap.block(2)[1..].iter().all(|&b| b == 0));
-        assert!(snap.is_zero_block(3), "writes after the tear never reach the medium");
+        let image = disk.snapshot();
+        let edges = [0u64, 255, 256, 511, 512, 599];
+        for b in edges {
+            let expect = vec![(b % 251) as u8; 4096];
+            assert_eq!(disk.read_block(b).unwrap(), expect, "block {b}");
+            assert_eq!(image.block(b), &expect[..], "snapshot block {b}");
+        }
+        let data = vec![0xEEu8; 4096];
+        let writes: Vec<(BlockIndex, &[u8])> = edges.iter().map(|&b| (b, &data[..])).collect();
+        disk.write_blocks(&writes).unwrap();
+        assert_eq!(disk.read_blocks(&edges).unwrap(), vec![data.clone(); edges.len()]);
+        disk.load_image(&image);
+        assert_eq!(disk.snapshot().as_bytes(), image.as_bytes());
     }
 
     #[test]

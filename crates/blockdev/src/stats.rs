@@ -2,7 +2,6 @@
 
 use mobiceal_sim::{OpKind, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counter for one operation class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -134,128 +133,9 @@ impl DeviceStats {
     }
 }
 
-/// Lock-free counter for one operation class (see [`AtomicDeviceStats`]).
-#[derive(Debug, Default)]
-struct AtomicOpCounter {
-    ops: AtomicU64,
-    bytes: AtomicU64,
-    time_nanos: AtomicU64,
-}
-
-impl AtomicOpCounter {
-    fn record(&self, bytes: usize, time: SimDuration) {
-        // Relaxed: the counters are independent monotone sums — readers
-        // that need a cross-field invariant (stats ≡ clock) observe them
-        // after the writer's charge is complete (join / lock hand-off
-        // provides the ordering).
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.time_nanos.fetch_add(time.as_nanos(), Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> OpCounter {
-        OpCounter {
-            ops: self.ops.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            time_nanos: self.time_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.ops.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.time_nanos.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Concurrency-safe [`DeviceStats`] accumulator: shared-reference
-/// recording over atomic counters, so a sharded device can charge
-/// statistics from many threads without a statistics lock. `snapshot()`
-/// condenses into the plain [`DeviceStats`] every report consumes.
-#[derive(Debug, Default)]
-pub struct AtomicDeviceStats {
-    seq_reads: AtomicOpCounter,
-    rand_reads: AtomicOpCounter,
-    seq_writes: AtomicOpCounter,
-    rand_writes: AtomicOpCounter,
-    flushes: AtomicOpCounter,
-}
-
-impl AtomicDeviceStats {
-    /// Records one operation (callable from any thread).
-    pub fn record(&self, op: OpKind, bytes: usize, time: SimDuration) {
-        match op {
-            OpKind::SequentialRead => self.seq_reads.record(bytes, time),
-            OpKind::RandomRead => self.rand_reads.record(bytes, time),
-            OpKind::SequentialWrite => self.seq_writes.record(bytes, time),
-            OpKind::RandomWrite => self.rand_writes.record(bytes, time),
-            OpKind::Flush => self.flushes.record(bytes, time),
-        }
-    }
-
-    /// A plain-value copy of the current counters.
-    pub fn snapshot(&self) -> DeviceStats {
-        DeviceStats {
-            seq_reads: self.seq_reads.snapshot(),
-            rand_reads: self.rand_reads.snapshot(),
-            seq_writes: self.seq_writes.snapshot(),
-            rand_writes: self.rand_writes.snapshot(),
-            flushes: self.flushes.snapshot(),
-        }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.seq_reads.reset();
-        self.rand_reads.reset();
-        self.seq_writes.reset();
-        self.rand_writes.reset();
-        self.flushes.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_stats_match_plain_recording() {
-        let atomic = AtomicDeviceStats::default();
-        let mut plain = DeviceStats::default();
-        let ops = [
-            (OpKind::SequentialWrite, 4096usize, 10u64),
-            (OpKind::RandomRead, 512, 20),
-            (OpKind::Flush, 0, 5),
-            (OpKind::SequentialRead, 4096, 7),
-            (OpKind::RandomWrite, 512, 9),
-        ];
-        for &(op, bytes, micros) in &ops {
-            atomic.record(op, bytes, SimDuration::from_micros(micros));
-            plain.record(op, bytes, SimDuration::from_micros(micros));
-        }
-        assert_eq!(atomic.snapshot(), plain);
-        atomic.reset();
-        assert_eq!(atomic.snapshot(), DeviceStats::default());
-    }
-
-    #[test]
-    fn atomic_stats_lose_nothing_under_contention() {
-        let stats = AtomicDeviceStats::default();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let stats = &stats;
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        stats.record(OpKind::RandomWrite, 512, SimDuration::from_nanos(3));
-                    }
-                });
-            }
-        });
-        let snap = stats.snapshot();
-        assert_eq!(snap.rand_writes.ops, 2_000);
-        assert_eq!(snap.rand_writes.bytes, 2_000 * 512);
-        assert_eq!(snap.rand_writes.time_nanos, 2_000 * 3);
-    }
 
     #[test]
     fn record_buckets_by_kind() {

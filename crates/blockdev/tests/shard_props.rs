@@ -1,7 +1,7 @@
-//! Property tests of the sharded MemDisk: parallel batches to disjoint
+//! Property tests of MemDisk under threads: parallel batches to disjoint
 //! ranges are byte-equal to sequential execution, statistics and clock
 //! still telescope under concurrency, and depth-1 / `flat()` charges stay
-//! bit-identical to the pre-sharding (PR 3/4) single-lock device.
+//! bit-identical to the sequential single-block loop.
 
 // Test binary: aborting on an unexpected error is the point.
 #![allow(clippy::unwrap_used)]
@@ -136,10 +136,10 @@ proptest! {
         });
     }
 
-    /// The sharded device driven single-threaded charges bit-identically
-    /// to the sequential single-block loop under `flat()` (the
-    /// amortization-free control), and a deep queue-depth floor changes
-    /// nothing on a depth-1 medium: both PR 3/4 controls survive sharding.
+    /// The device driven single-threaded charges bit-identically to the
+    /// sequential single-block loop under `flat()` (the amortization-free
+    /// control), and a deep queue-depth floor changes nothing on a depth-1
+    /// medium: both controls hold.
     #[test]
     fn flat_and_depth1_charges_survive_sharding(
         writes in prop::collection::vec((0u64..64, any::<u8>()), 1..40),

@@ -1,4 +1,15 @@
 //! The thin pool and its volumes.
+//!
+//! # Concurrency
+//!
+//! The pool and every [`ThinVolume`] share one mutex over the volume
+//! table, the allocator with its open transaction, and the read overhead.
+//! Every operation holds it from its mapping lookup through its
+//! data-device or metadata-device call, so a write's allocation, the write
+//! that fills the block, a delete and a commit never interleave: a block a
+//! delete or discard releases cannot be handed to another volume while a
+//! write to it is still on its way down. The devices below the pool never
+//! call back into it, so the only lock order is pool → device.
 
 use crate::allocator::{AllocStrategy, Allocator, RandomAllocator, SequentialAllocator};
 use crate::bitmap::Bitmap;
@@ -8,7 +19,7 @@ use crate::meta::{encode_payload, MetadataView, Superblock, VolumeMeta};
 use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
 use mobiceal_crypto::sha256;
 use mobiceal_sim::{SimClock, SimDuration};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -48,35 +59,11 @@ struct VolumeState {
     /// Cleared only after a commit has durably landed, so a failed commit
     /// retries the same delta.
     dirty: Vec<MapDelta>,
-    /// Tombstone set by [`ThinPool::delete_volume`] under this state's
-    /// lock. A caller that cloned the handle out of the directory *before*
-    /// the delete must observe it after locking: without the flag, a
-    /// racing writer could allocate a fresh physical block into the
-    /// orphaned state after the delete drained it, and that block would
-    /// leak into the committed bitmap forever. (The old single pool lock
-    /// made exists-check and allocation atomic; the flag restores that.)
-    deleted: bool,
 }
 
 impl VolumeState {
-    /// Tombstone guard for pool-level APIs (their wording on a missing
-    /// volume).
-    fn check_live_pool(&self, id: VolumeId) -> Result<(), BlockDeviceError> {
-        if self.deleted {
-            Err(BlockDeviceError::Unsupported { what: format!("no volume {id}") })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Tombstone guard for [`ThinVolume`] I/O paths (their wording for a
-    /// handle that outlived its volume).
-    fn check_live_volume(&self, id: VolumeId) -> Result<(), BlockDeviceError> {
-        if self.deleted {
-            Err(BlockDeviceError::Unsupported { what: format!("volume {id} deleted") })
-        } else {
-            Ok(())
-        }
+    fn new(virtual_blocks: u64, mappings: ExtentMap) -> Self {
+        VolumeState { virtual_blocks, mappings, dirty: Vec::new() }
     }
 
     /// Maps `vblock` to `physical` and records the delta for the journal.
@@ -95,12 +82,7 @@ impl VolumeState {
     }
 }
 
-/// One volume's mapping state behind its own lock: two volumes map batches
-/// concurrently, contending only on the allocator when they need fresh
-/// physical blocks.
-type VolumeHandle = Arc<Mutex<VolumeState>>;
-
-/// The allocator/metadata half of the old single pool lock.
+/// The allocator, the committed bitmap and the open transaction.
 struct AllocState {
     /// The bitmap as of the last commit. Blocks allocated in the open
     /// transaction live in `reserved` until commit folds them in — this is
@@ -205,60 +187,56 @@ impl AllocState {
             self.reserved.set(p);
         }
     }
+
+    /// Allocates one fresh physical block into the open transaction.
+    fn allocate_one(&mut self) -> Result<u64, BlockDeviceError> {
+        let AllocState { bitmap, allocator, reserved, .. } = self;
+        // `reserved` also holds the blocks freed in the open transaction
+        // (see `AllocState::pending_free`), so they stay off-limits until
+        // their free commits with no per-allocation union of the two.
+        let block = allocator.allocate(bitmap, reserved).ok_or(BlockDeviceError::NoSpace)?;
+        debug_assert!(!bitmap.get(block), "allocator returned a committed block");
+        let newly = reserved.set(block);
+        debug_assert!(newly, "allocator returned a reserved block or a pending free");
+        Ok(block)
+    }
 }
 
-/// The pool state shared by the pool object and every volume handle.
-///
-/// # Lock order
-///
-/// `directory` → volume locks (ascending id when several are held) →
-/// `alloc`. `read_overhead` is a leaf: it is never held across another
-/// acquisition. Every path in this file follows that order, so the split
-/// locks cannot deadlock.
-struct PoolShared {
-    /// Which volumes exist. Read-locked by every I/O (a `BTreeMap` lookup
-    /// plus an `Arc` clone), write-locked only by create/delete — so
-    /// volume lifetime changes still serialize, but steady-state I/O on
-    /// different volumes proceeds in parallel.
-    directory: RwLock<BTreeMap<VolumeId, VolumeHandle>>,
-    /// Allocator, committed bitmap and open-transaction bookkeeping.
-    alloc: Mutex<AllocState>,
+/// Everything the pool and its volumes share, behind one lock (see the
+/// module docs).
+struct PoolState {
+    volumes: BTreeMap<VolumeId, VolumeState>,
+    alloc: AllocState,
     /// Optional per-read mapping-lookup cost. Real dm-thin walks a btree on
     /// the read path (the paper measures ~18 % sequential-read overhead
     /// from the thin layer, Fig. 4); the write path amortises its btree
     /// updates into the commit.
-    read_overhead: RwLock<Option<(SimClock, SimDuration)>>,
+    read_overhead: Option<(SimClock, SimDuration)>,
 }
 
-impl PoolShared {
-    /// Looks up a volume handle, erroring like the legacy single-lock code
-    /// did for deleted/unknown volumes.
-    fn volume(&self, id: VolumeId) -> Result<VolumeHandle, BlockDeviceError> {
-        self.directory
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| BlockDeviceError::Unsupported { what: format!("no volume {id}") })
-    }
-
+impl PoolState {
     /// Charges the configured thin-lookup cost for `lookups` volume reads,
     /// mapped or not, in one clock advance.
     fn charge_read_overhead(&self, lookups: usize) {
-        if let Some((clock, cost)) = self.read_overhead.read().as_ref() {
+        if let Some((clock, cost)) = &self.read_overhead {
             clock.advance(*cost * lookups as u64);
         }
     }
 }
 
+/// The error pool APIs return for a volume that does not exist.
+fn no_volume(id: VolumeId) -> BlockDeviceError {
+    BlockDeviceError::Unsupported { what: format!("no volume {id}") }
+}
+
 /// A thin-provisioning pool over a data device and a metadata device.
 ///
 /// See the crate docs for the role this plays in MobiCeal. All mutation is
-/// internally synchronised; clones of volume handles may be used from
-/// multiple threads. Since the lock split, synchronisation is sharded: an
-/// allocator/metadata lock plus one mapping lock per volume, so volumes
-/// serve I/O concurrently (see [`PoolShared`] for the lock order).
+/// internally synchronised behind one lock that the pool and every
+/// [`ThinVolume`] share; clones of volume handles may be used from
+/// multiple threads.
 pub struct ThinPool {
-    shared: Arc<PoolShared>,
+    state: Arc<Mutex<PoolState>>,
     data: SharedDevice,
     meta: SharedDevice,
     config: PoolConfig,
@@ -312,14 +290,14 @@ impl ThinPool {
         seed: u64,
     ) -> Result<Self, BlockDeviceError> {
         let pool = ThinPool {
-            shared: Arc::new(PoolShared {
-                directory: RwLock::new(BTreeMap::new()),
-                alloc: Mutex::new(AllocState::new(
+            state: Arc::new(Mutex::new(PoolState {
+                volumes: BTreeMap::new(),
+                alloc: AllocState::new(
                     Bitmap::new(data.num_blocks()),
                     make_allocator(strategy, seed),
-                )),
-                read_overhead: RwLock::new(None),
-            }),
+                ),
+                read_overhead: None,
+            })),
             data,
             meta,
             config,
@@ -385,22 +363,12 @@ impl ThinPool {
         let volumes = view
             .volumes
             .into_iter()
-            .map(|(id, v)| {
-                (
-                    id,
-                    Arc::new(Mutex::new(VolumeState {
-                        virtual_blocks: v.virtual_blocks,
-                        mappings: v.mappings,
-                        dirty: Vec::new(),
-                        deleted: false,
-                    })),
-                )
-            })
+            .map(|(id, v)| (id, VolumeState::new(v.virtual_blocks, v.mappings)))
             .collect();
         Ok(ThinPool {
-            shared: Arc::new(PoolShared {
-                directory: RwLock::new(volumes),
-                alloc: Mutex::new(AllocState {
+            state: Arc::new(Mutex::new(PoolState {
+                volumes,
+                alloc: AllocState {
                     transaction_id: sb.transaction_id,
                     active_half: sb.active_half,
                     journal_used: sb.journal_blocks,
@@ -408,9 +376,9 @@ impl ThinPool {
                     checkpoint_payload_len: sb.payload_len,
                     checkpoint_digest: sb.payload_digest,
                     ..AllocState::new(view.bitmap, make_allocator(strategy, seed))
-                }),
-                read_overhead: RwLock::new(None),
-            }),
+                },
+                read_overhead: None,
+            })),
             data,
             meta,
             config,
@@ -519,11 +487,9 @@ impl ThinPool {
 
     /// Persists the open transaction crash-consistently and closes it.
     ///
-    /// Holds the directory, every volume lock (in ascending id order) and
-    /// the allocator lock for the duration: a commit is a global barrier,
-    /// so the persisted bitmap and mapping tables are one consistent cut —
-    /// a mapping never references a physical block the persisted bitmap
-    /// does not account for.
+    /// Holds the pool lock for the duration, so the persisted bitmap and
+    /// mapping tables are one consistent cut — a mapping never references
+    /// a physical block the persisted bitmap does not account for.
     ///
     /// The fast path appends one checksummed [`JournalRecord`] carrying the
     /// transaction's delta (coalesced mapping extents + bitmap changes) and
@@ -537,15 +503,11 @@ impl ThinPool {
     /// I/O errors from the metadata device; on failure the previous
     /// transaction remains intact and the delta is retained for retry.
     pub fn commit(&self) -> Result<(), BlockDeviceError> {
-        let directory = self.shared.directory.read();
-        // BTreeMap iteration is ascending by id — the canonical volume
-        // lock order.
-        let mut volumes: Vec<(VolumeId, MutexGuard<'_, VolumeState>)> =
-            directory.iter().map(|(&id, handle)| (id, handle.lock())).collect();
-        let mut alloc = self.shared.alloc.lock();
+        let mut st = self.state.lock();
+        let alloc = &st.alloc;
         let mut ops: Vec<DeltaOp> = alloc.meta_ops.clone();
-        for (id, vol) in volumes.iter() {
-            Self::coalesce_deltas(*id, &vol.dirty, &mut ops);
+        for (&id, vol) in &st.volumes {
+            Self::coalesce_deltas(id, &vol.dirty, &mut ops);
         }
         // Frees before allocs: a block freed and re-allocated in one
         // transaction must replay as allocated.
@@ -569,16 +531,16 @@ impl ThinPool {
                     journal_blocks: new_used,
                 };
                 self.write_superblock(&sb)?;
-                alloc.journal_used = new_used;
+                st.alloc.journal_used = new_used;
             }
             // Journal full (or record larger than the region): fold the
             // whole state into a fresh checkpoint and reset the journal.
             Err(BlockDeviceError::NoSpace) => {
-                self.checkpoint_locked(&volumes, &mut alloc)?;
+                self.checkpoint_locked(&mut st)?;
             }
             Err(e) => return Err(e),
         }
-        Self::finish_commit(&mut volumes, &mut alloc);
+        Self::finish_commit(&mut st);
         Ok(())
     }
 
@@ -592,30 +554,24 @@ impl ThinPool {
     ///
     /// As [`ThinPool::commit`].
     pub fn checkpoint(&self) -> Result<(), BlockDeviceError> {
-        let directory = self.shared.directory.read();
-        let mut volumes: Vec<(VolumeId, MutexGuard<'_, VolumeState>)> =
-            directory.iter().map(|(&id, handle)| (id, handle.lock())).collect();
-        let mut alloc = self.shared.alloc.lock();
-        self.checkpoint_locked(&volumes, &mut alloc)?;
-        Self::finish_commit(&mut volumes, &mut alloc);
+        let mut st = self.state.lock();
+        self.checkpoint_locked(&mut st)?;
+        Self::finish_commit(&mut st);
         Ok(())
     }
 
-    /// The full-cut path, under the commit barrier's locks. On success the
-    /// superblock names the new half with an empty journal; the caller
-    /// still runs [`ThinPool::finish_commit`].
-    fn checkpoint_locked(
-        &self,
-        volumes: &[(VolumeId, MutexGuard<'_, VolumeState>)],
-        alloc: &mut AllocState,
-    ) -> Result<(), BlockDeviceError> {
+    /// The full-cut path, under the pool lock. On success the superblock
+    /// names the new half with an empty journal; the caller still runs
+    /// [`ThinPool::finish_commit`].
+    fn checkpoint_locked(&self, st: &mut PoolState) -> Result<(), BlockDeviceError> {
         let mut payload = Vec::new();
         encode_payload(
-            alloc.transaction_id + 1,
-            &alloc.live_bitmap(),
-            volumes.iter().map(|(id, v)| (*id, v.virtual_blocks, &v.mappings)),
+            st.alloc.transaction_id + 1,
+            &st.alloc.live_bitmap(),
+            st.volumes.iter().map(|(&id, v)| (id, v.virtual_blocks, &v.mappings)),
             &mut payload,
         );
+        let alloc = &mut st.alloc;
         let payload_len = payload.len();
         let MetaGeometry { half_first, half_len, .. } = Self::geometry(&self.meta);
         let bs = self.meta.block_size();
@@ -661,12 +617,10 @@ impl ThinPool {
     /// transaction id, drops the recorded deltas and folds reservations
     /// into the committed bitmap. Only called after the superblock write
     /// succeeded — a failed commit keeps every delta for retry.
-    fn finish_commit(
-        volumes: &mut [(VolumeId, MutexGuard<'_, VolumeState>)],
-        alloc: &mut AllocState,
-    ) {
+    fn finish_commit(st: &mut PoolState) {
+        let alloc = &mut st.alloc;
         alloc.transaction_id += 1;
-        for (_, vol) in volumes.iter_mut() {
+        for vol in st.volumes.values_mut() {
             vol.dirty.clear();
         }
         alloc.meta_ops.clear();
@@ -733,28 +687,17 @@ impl ThinPool {
         id: VolumeId,
         virtual_blocks: u64,
     ) -> Result<ThinVolume, BlockDeviceError> {
-        let mut directory = self.shared.directory.write();
-        if directory.len() as u32 >= self.config.max_volumes {
+        let mut st = self.state.lock();
+        if st.volumes.len() as u32 >= self.config.max_volumes {
             return Err(BlockDeviceError::Unsupported {
                 what: format!("pool limited to {} volumes", self.config.max_volumes),
             });
         }
-        if directory.contains_key(&id) {
+        if st.volumes.contains_key(&id) {
             return Err(BlockDeviceError::Unsupported { what: format!("volume {id} exists") });
         }
-        directory.insert(
-            id,
-            Arc::new(Mutex::new(VolumeState {
-                virtual_blocks,
-                mappings: ExtentMap::new(),
-                dirty: Vec::new(),
-                deleted: false,
-            })),
-        );
-        // Record the lifecycle event for the journal (directory write lock
-        // → alloc is the canonical order).
-        self.shared.alloc.lock().meta_ops.push(DeltaOp::CreateVolume { id, virtual_blocks });
-        drop(directory);
+        st.volumes.insert(id, VolumeState::new(virtual_blocks, ExtentMap::new()));
+        st.alloc.meta_ops.push(DeltaOp::CreateVolume { id, virtual_blocks });
         Ok(self.volume_handle(id, virtual_blocks))
     }
 
@@ -764,12 +707,8 @@ impl ThinPool {
     ///
     /// Fails if the volume does not exist.
     pub fn open_volume(&self, id: VolumeId) -> Result<ThinVolume, BlockDeviceError> {
-        let handle = self.shared.volume(id)?;
-        let virtual_blocks = {
-            let vol = handle.lock();
-            vol.check_live_pool(id)?;
-            vol.virtual_blocks
-        };
+        let virtual_blocks =
+            self.state.lock().volumes.get(&id).ok_or_else(|| no_volume(id))?.virtual_blocks;
         Ok(self.volume_handle(id, virtual_blocks))
     }
 
@@ -779,29 +718,14 @@ impl ThinPool {
     ///
     /// Fails if the volume does not exist.
     pub fn delete_volume(&self, id: VolumeId) -> Result<(), BlockDeviceError> {
-        let handle = self
-            .shared
-            .directory
-            .write()
-            .remove(&id)
-            .ok_or_else(|| BlockDeviceError::Unsupported { what: format!("no volume {id}") })?;
-        // Tombstone + drain under the volume lock: a writer that cloned
-        // the handle before the directory removal either finished its
-        // mapping pass (its blocks are drained and released here) or will
-        // observe `deleted` and error before allocating.
-        let blocks: Vec<u64> = {
-            let mut vol = handle.lock();
-            vol.deleted = true;
-            // The volume's pending deltas die with it: the journaled
-            // DeleteVolume removes the whole volume on replay, and only
-            // *committed* blocks produce Free ops (via `release`).
-            vol.dirty.clear();
-            std::mem::take(&mut vol.mappings).values().collect()
-        };
-        let mut alloc = self.shared.alloc.lock();
-        alloc.meta_ops.push(DeltaOp::DeleteVolume { id });
-        for p in blocks {
-            alloc.release(p);
+        let mut st = self.state.lock();
+        // The volume's pending deltas die with it: the journaled
+        // DeleteVolume removes the whole volume on replay, and only
+        // *committed* blocks produce Free ops (via `release`).
+        let vol = st.volumes.remove(&id).ok_or_else(|| no_volume(id))?;
+        st.alloc.meta_ops.push(DeltaOp::DeleteVolume { id });
+        for p in vol.mappings.values() {
+            st.alloc.release(p);
         }
         Ok(())
     }
@@ -819,14 +743,14 @@ impl ThinPool {
 
     /// Total physically allocated blocks (committed + open transaction).
     pub fn allocated_blocks(&self) -> u64 {
-        let alloc = self.shared.alloc.lock();
-        alloc.bitmap.allocated() + alloc.open_allocation_count()
+        let st = self.state.lock();
+        st.alloc.bitmap.allocated() + st.alloc.open_allocation_count()
     }
 
     /// Free physical blocks: those an allocation can take now. Blocks
     /// freed in the open transaction count only once their free commits.
     pub fn free_blocks(&self) -> u64 {
-        self.shared.alloc.lock().allocatable()
+        self.state.lock().alloc.allocatable()
     }
 
     /// The pool's volume budget.
@@ -837,7 +761,7 @@ impl ThinPool {
     /// Charges `cost` on `clock` for every volume block read, mapped or
     /// not, modelling dm-thin's mapping-btree lookups on the read path.
     pub fn set_read_overhead(&self, clock: SimClock, cost: SimDuration) {
-        *self.shared.read_overhead.write() = Some((clock, cost));
+        self.state.lock().read_overhead = Some((clock, cost));
     }
 
     /// Data-device geometry: block size in bytes.
@@ -846,24 +770,22 @@ impl ThinPool {
     }
 
     /// The decoded metadata exactly as an adversary with device access would
-    /// recover it (current in-memory transaction). Takes the same
-    /// directory → volumes → allocator cut as [`ThinPool::commit`], so the
-    /// view is consistent even while other threads write.
+    /// recover it (current in-memory transaction), taken under the pool
+    /// lock like [`ThinPool::commit`], so the view is consistent even while
+    /// other threads write.
     pub fn metadata_view(&self) -> MetadataView {
-        let directory = self.shared.directory.read();
-        let volumes: Vec<(VolumeId, parking_lot::MutexGuard<'_, VolumeState>)> =
-            directory.iter().map(|(&id, handle)| (id, handle.lock())).collect();
-        let alloc = self.shared.alloc.lock();
+        let st = self.state.lock();
         MetadataView {
-            transaction_id: alloc.transaction_id,
-            bitmap: alloc.live_bitmap(),
-            volumes: volumes
+            transaction_id: st.alloc.transaction_id,
+            bitmap: st.alloc.live_bitmap(),
+            volumes: st
+                .volumes
                 .iter()
-                .map(|(id, v)| {
+                .map(|(&id, v)| {
                     (
-                        *id,
+                        id,
                         VolumeMeta {
-                            id: *id,
+                            id,
                             virtual_blocks: v.virtual_blocks,
                             mappings: v.mappings.clone(),
                         },
@@ -875,38 +797,30 @@ impl ThinPool {
 
     /// Ids of existing volumes.
     pub fn volume_ids(&self) -> Vec<VolumeId> {
-        self.shared.directory.read().keys().copied().collect()
+        self.state.lock().volumes.keys().copied().collect()
     }
 
-    /// The virtual blocks volume `id` maps, ascending, read under that
-    /// volume's lock alone (`None` if the volume does not exist).
+    /// The virtual blocks volume `id` maps, ascending (`None` if the volume
+    /// does not exist).
     pub fn mapped_vblocks(&self, id: VolumeId) -> Option<Vec<u64>> {
-        let handle = self.shared.directory.read().get(&id).cloned()?;
-        let vol = handle.lock();
-        (!vol.deleted).then(|| vol.mappings.keys().collect())
+        Some(self.state.lock().volumes.get(&id)?.mappings.keys().collect())
     }
 
     /// Physical blocks mapped by volume `id` (0 if absent).
     pub fn volume_mapped_blocks(&self, id: VolumeId) -> u64 {
-        match self.shared.directory.read().get(&id) {
-            Some(handle) => handle.lock().mappings.len() as u64,
-            None => 0,
-        }
+        self.state.lock().volumes.get(&id).map_or(0, |v| v.mappings.len() as u64)
     }
 
     /// How many more blocks [`ThinPool::append_blocks`] can currently land
     /// in volume `id`: the smaller of the pool's free space and the
     /// volume's unmapped virtual space (0 if the volume does not exist).
     pub fn append_headroom(&self, id: VolumeId) -> u64 {
-        let Ok(handle) = self.shared.volume(id) else {
+        let st = self.state.lock();
+        let Some(vol) = st.volumes.get(&id) else {
             return 0;
         };
-        let vol = handle.lock();
-        if vol.deleted {
-            return 0;
-        }
         let volume_free = vol.virtual_blocks - vol.mappings.len() as u64;
-        self.shared.alloc.lock().allocatable().min(volume_free)
+        st.alloc.allocatable().min(volume_free)
     }
 
     /// Allocates up to `blocks.len()` fresh physical blocks to `id`, at its
@@ -932,118 +846,78 @@ impl ThinPool {
         if let Some(bad) = blocks.iter().find(|b| b.len() != bs) {
             return Err(BlockDeviceError::WrongBufferSize { got: bad.len(), expected: bs });
         }
-        let handle = self.shared.volume(id)?;
+        let mut st = self.state.lock();
+        let PoolState { volumes, alloc, .. } = &mut *st;
+        let vol = volumes.get_mut(&id).ok_or_else(|| no_volume(id))?;
         let mut writes: Vec<(BlockIndex, &[u8])> = Vec::with_capacity(blocks.len());
         let mut staged: Vec<(u64, u64)> = Vec::with_capacity(blocks.len()); // (vblock, p)
-        {
-            let mut vol = handle.lock();
-            vol.check_live_pool(id)?;
-            let virtual_blocks = vol.virtual_blocks;
-            // Walk the lowest unmapped virtual indices, allocating as we go;
-            // each step resumes at the block just mapped.
-            let mut vblock = 0u64;
-            for &data in blocks {
-                vblock = vol.mappings.first_unmapped_from(vblock);
-                if vblock >= virtual_blocks {
-                    break; // volume virtual space exhausted: drop the rest
-                }
-                let Ok(p) = Self::allocate_one(&self.shared) else {
-                    break; // pool exhausted: drop the rest
-                };
-                vol.map(vblock, p);
-                staged.push((vblock, p));
-                writes.push((p, data));
+                                                                            // Walk the lowest unmapped virtual indices, allocating as we go;
+                                                                            // each step resumes at the block just mapped.
+        let mut vblock = 0u64;
+        for &data in blocks {
+            vblock = vol.mappings.first_unmapped_from(vblock);
+            if vblock >= vol.virtual_blocks {
+                break; // volume virtual space exhausted: drop the rest
             }
+            let Ok(p) = alloc.allocate_one() else {
+                break; // pool exhausted: drop the rest
+            };
+            vol.map(vblock, p);
+            staged.push((vblock, p));
+            writes.push((p, data));
         }
         if let Err(e) = self.data.write_blocks(&writes) {
-            Self::rollback_staged(&self.shared, id, &staged);
+            Self::rollback_fresh(vol, alloc, &staged);
             return Err(e);
         }
         Ok(writes.len() as u64)
     }
 
-    /// Removes mappings staged by a failed vectored write and releases
-    /// their (uncommitted) physical reservations. Without this, a mid-batch
-    /// device failure would leave virtual blocks pointing at physical
-    /// blocks whose data never landed — reads would then expose whatever
-    /// stale bytes sit there. (Volume lock first, allocator lock after —
-    /// the canonical order.)
-    ///
-    /// A physical block is released only if this call actually removed its
-    /// mapping: if a concurrent `delete_volume` already drained the volume
-    /// (handle gone or tombstoned), the delete released the block, and
-    /// releasing it again here could steal a reservation another volume
-    /// acquired in the meantime.
-    fn rollback_staged(shared: &Arc<PoolShared>, id: VolumeId, staged: &[(u64, u64)]) {
-        let mut unstaged: Vec<u64> = Vec::with_capacity(staged.len());
-        if let Ok(handle) = shared.volume(id) {
-            let mut vol = handle.lock();
-            for &(vblock, p) in staged {
-                if vol.mappings.get(&vblock) == Some(p) {
-                    vol.unmap(vblock);
-                    unstaged.push(p);
-                }
-            }
-        }
-        let mut alloc = shared.alloc.lock();
-        for p in unstaged {
+    /// Removes the mappings a failed data-device write allocated and
+    /// releases their (uncommitted) physical reservations. Without this, a
+    /// mid-batch device failure would leave virtual blocks pointing at
+    /// physical blocks whose data never landed — reads would then expose
+    /// whatever stale bytes sit there.
+    fn rollback_fresh(vol: &mut VolumeState, alloc: &mut AllocState, fresh: &[(u64, u64)]) {
+        for &(vblock, p) in fresh {
+            vol.unmap(vblock);
             alloc.release(p);
         }
     }
 
     /// Vectored [`ThinPool::discard`]: releases the physical blocks backing
-    /// many virtual blocks of one volume under a single acquisition of that
-    /// volume's mapping lock. Unmapped entries are no-ops, exactly like the
+    /// many virtual blocks of one volume under a single acquisition of the
+    /// pool lock. Unmapped entries are no-ops, exactly like the
     /// single-block form.
     ///
     /// # Errors
     ///
     /// Fails if the volume does not exist.
     pub fn discard_many(&self, id: VolumeId, vblocks: &[u64]) -> Result<(), BlockDeviceError> {
-        let handle = self.shared.volume(id)?;
-        let freed: Vec<u64> = {
-            let mut vol = handle.lock();
-            vol.check_live_pool(id)?;
-            vblocks.iter().filter_map(|&v| vol.unmap(v)).collect()
-        };
-        let mut alloc = self.shared.alloc.lock();
-        for p in freed {
-            alloc.release(p);
+        let mut st = self.state.lock();
+        let PoolState { volumes, alloc, .. } = &mut *st;
+        let vol = volumes.get_mut(&id).ok_or_else(|| no_volume(id))?;
+        for &v in vblocks {
+            if let Some(p) = vol.unmap(v) {
+                alloc.release(p);
+            }
         }
         Ok(())
     }
 
-    /// Allocates one fresh physical block under the allocator lock. The
-    /// caller holds the owning volume's lock, so two volumes allocating
-    /// concurrently contend only for the duration of this call.
-    fn allocate_one(shared: &PoolShared) -> Result<u64, BlockDeviceError> {
-        let mut alloc = shared.alloc.lock();
-        let AllocState { bitmap, allocator, reserved, .. } = &mut *alloc;
-        // `reserved` also holds the blocks freed in the open transaction
-        // (see `AllocState::pending_free`), so they stay off-limits until
-        // their free commits with no per-allocation union of the two.
-        let block = allocator.allocate(bitmap, reserved).ok_or(BlockDeviceError::NoSpace)?;
-        debug_assert!(!bitmap.get(block), "allocator returned a committed block");
-        let newly = reserved.set(block);
-        debug_assert!(newly, "allocator returned a reserved block or a pending free");
-        Ok(block)
-    }
-
     fn volume_handle(&self, id: VolumeId, virtual_blocks: u64) -> ThinVolume {
-        ThinVolume { shared: Arc::clone(&self.shared), data: self.data.clone(), id, virtual_blocks }
+        ThinVolume { pool: Arc::clone(&self.state), data: self.data.clone(), id, virtual_blocks }
     }
 }
 
 /// A thin volume: a [`BlockDevice`] whose physical blocks are allocated on
 /// first write from the pool's shared free space.
 ///
-/// Each volume's mapping table sits behind its own lock, so clones of
-/// different volumes map batches concurrently; they meet only at the
-/// allocator (fresh blocks) and the data device (whose shard locks allow
-/// parallel copies).
+/// Every operation takes the pool's one lock and holds it across its
+/// data-device call.
 #[derive(Clone)]
 pub struct ThinVolume {
-    shared: Arc<PoolShared>,
+    pool: Arc<Mutex<PoolState>>,
     data: SharedDevice,
     id: VolumeId,
     virtual_blocks: u64,
@@ -1064,37 +938,28 @@ impl ThinVolume {
         self.id
     }
 
-    /// This volume's mapping-lock handle, or the "deleted" error every
-    /// I/O path surfaces once the volume is gone.
-    fn handle(&self) -> Result<VolumeHandle, BlockDeviceError> {
-        self.shared.directory.read().get(&self.id).cloned().ok_or_else(|| {
-            BlockDeviceError::Unsupported { what: format!("volume {} deleted", self.id) }
-        })
+    /// The error every I/O path surfaces once the volume is gone.
+    fn deleted(&self) -> BlockDeviceError {
+        BlockDeviceError::Unsupported { what: format!("volume {} deleted", self.id) }
     }
 
     /// Physical blocks currently mapped.
     pub fn mapped_blocks(&self) -> u64 {
-        match self.handle() {
-            Ok(handle) => handle.lock().mappings.len() as u64,
-            Err(_) => 0,
-        }
+        self.pool.lock().volumes.get(&self.id).map_or(0, |v| v.mappings.len() as u64)
     }
 
     /// The physical block backing `vblock`, if mapped.
     pub fn mapping(&self, vblock: u64) -> Option<u64> {
-        self.handle().ok().and_then(|h| h.lock().mappings.get(&vblock))
+        self.pool.lock().volumes.get(&self.id)?.mappings.get(&vblock)
     }
 
     /// Vectored [`ThinVolume::mapping`]: resolves many virtual blocks under
-    /// one acquisition of the volume's mapping lock. Out-of-range indices
-    /// resolve to `None`.
+    /// one acquisition of the pool lock. Out-of-range indices resolve to
+    /// `None`.
     pub fn mappings_many(&self, vblocks: &[u64]) -> Vec<Option<u64>> {
-        match self.handle() {
-            Ok(handle) => {
-                let vol = handle.lock();
-                vblocks.iter().map(|v| vol.mappings.get(v)).collect()
-            }
-            Err(_) => vec![None; vblocks.len()],
+        match self.pool.lock().volumes.get(&self.id) {
+            Some(vol) => vblocks.iter().map(|v| vol.mappings.get(v)).collect(),
+            None => vec![None; vblocks.len()],
         }
     }
 }
@@ -1110,13 +975,9 @@ impl BlockDevice for ThinVolume {
 
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
         self.check_index(index)?;
-        let handle = self.handle()?;
-        let mapping = {
-            let vol = handle.lock();
-            vol.check_live_volume(self.id)?;
-            vol.mappings.get(&index)
-        };
-        self.shared.charge_read_overhead(1);
+        let st = self.pool.lock();
+        let mapping = st.volumes.get(&self.id).ok_or_else(|| self.deleted())?.mappings.get(&index);
+        st.charge_read_overhead(1);
         match mapping {
             Some(p) => self.data.read_block(p),
             // Unmapped thin blocks read as zeros without touching the medium.
@@ -1127,24 +988,22 @@ impl BlockDevice for ThinVolume {
     fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
         self.check_index(index)?;
         self.check_buffer(data)?;
-        let handle = self.handle()?;
-        let (physical, fresh) = {
-            let mut vol = handle.lock();
-            vol.check_live_volume(self.id)?;
-            match vol.mappings.get(&index) {
-                Some(p) => (p, false),
-                None => {
-                    let p = ThinPool::allocate_one(&self.shared)?;
-                    vol.map(index, p);
-                    (p, true)
-                }
+        let mut st = self.pool.lock();
+        let PoolState { volumes, alloc, .. } = &mut *st;
+        let vol = volumes.get_mut(&self.id).ok_or_else(|| self.deleted())?;
+        let (physical, fresh) = match vol.mappings.get(&index) {
+            Some(p) => (p, false),
+            None => {
+                let p = alloc.allocate_one()?;
+                vol.map(index, p);
+                (p, true)
             }
         };
         if let Err(e) = self.data.write_block(physical, data) {
             // Never leave a fresh mapping pointing at storage whose data
             // did not land (reads would expose stale bytes).
             if fresh {
-                ThinPool::rollback_staged(&self.shared, self.id, &[(index, physical)]);
+                ThinPool::rollback_fresh(vol, alloc, &[(index, physical)]);
             }
             return Err(e);
         }
@@ -1156,11 +1015,10 @@ impl BlockDevice for ThinVolume {
     }
 
     /// Batched read: resolves every mapping under **one** acquisition of
-    /// this volume's mapping lock (charging the per-lookup read overhead
-    /// exactly as the single-block path does), then issues one vectored
-    /// read on the data device for the mapped blocks, into `dest`, and
-    /// spreads them out around zero blocks for the unmapped ones. Other
-    /// volumes' batches resolve concurrently.
+    /// the pool lock (charging the per-lookup read overhead exactly as the
+    /// single-block path does), then issues one vectored read on the data
+    /// device for the mapped blocks, into `dest`, and spreads them out
+    /// around zero blocks for the unmapped ones.
     fn read_blocks_to(
         &self,
         indices: &[BlockIndex],
@@ -1168,16 +1026,15 @@ impl BlockDevice for ThinVolume {
     ) -> Result<(), BlockDeviceError> {
         let bad = indices.iter().position(|&i| i >= self.virtual_blocks);
         let valid = &indices[..bad.unwrap_or(indices.len())];
-        let handle = self.handle()?;
-        let mappings: Vec<Option<u64>> = {
-            let vol = handle.lock();
-            vol.check_live_volume(self.id)?;
-            valid.iter().map(|index| vol.mappings.get(index)).collect()
-        };
-        self.shared.charge_read_overhead(valid.len());
+        let st = self.pool.lock();
+        let vol = st.volumes.get(&self.id).ok_or_else(|| self.deleted())?;
+        let mappings: Vec<Option<u64>> =
+            valid.iter().map(|index| vol.mappings.get(index)).collect();
+        st.charge_read_overhead(valid.len());
         let physical: Vec<u64> = mappings.iter().filter_map(|m| *m).collect();
         let mark = dest.mark();
         self.data.read_blocks_to(&physical, dest.reborrow())?;
+        drop(st);
         if let Some(pos) = bad {
             dest.truncate(mark);
             return Err(BlockDeviceError::OutOfRange {
@@ -1189,10 +1046,9 @@ impl BlockDevice for ThinVolume {
     }
 
     /// Batched write: resolves or allocates every mapping under **one**
-    /// acquisition of this volume's mapping lock (consuming the allocator
-    /// stream in batch order, exactly as the sequential loop would), then
-    /// issues one vectored write on the data device. Two volumes run this
-    /// concurrently, interleaving only on the allocator lock. On pool
+    /// acquisition of the pool lock (consuming the allocator stream in
+    /// batch order, exactly as the sequential loop would), then issues one
+    /// vectored write on the data device before releasing it. On pool
     /// exhaustion mid-batch the already-mapped prefix is written before
     /// the error surfaces, preserving sequential fail-fast semantics; on a
     /// *device* error the mappings freshly allocated by this call are
@@ -1202,34 +1058,32 @@ impl BlockDevice for ThinVolume {
         let mut staged: Vec<(BlockIndex, &[u8])> = Vec::with_capacity(writes.len());
         let mut fresh: Vec<(u64, u64)> = Vec::new(); // (vblock, p) allocated here
         let mut first_error = None;
-        let handle = self.handle()?;
-        {
-            let mut vol = handle.lock();
-            vol.check_live_volume(self.id)?;
-            for &(index, data) in writes {
-                if let Err(e) = self.check_index(index).and_then(|()| self.check_buffer(data)) {
-                    first_error = Some(e);
-                    break;
-                }
-                let physical = match vol.mappings.get(&index) {
-                    Some(p) => p,
-                    None => match ThinPool::allocate_one(&self.shared) {
-                        Ok(p) => {
-                            vol.map(index, p);
-                            fresh.push((index, p));
-                            p
-                        }
-                        Err(e) => {
-                            first_error = Some(e);
-                            break;
-                        }
-                    },
-                };
-                staged.push((physical, data));
+        let mut st = self.pool.lock();
+        let PoolState { volumes, alloc, .. } = &mut *st;
+        let vol = volumes.get_mut(&self.id).ok_or_else(|| self.deleted())?;
+        for &(index, data) in writes {
+            if let Err(e) = self.check_index(index).and_then(|()| self.check_buffer(data)) {
+                first_error = Some(e);
+                break;
             }
+            let physical = match vol.mappings.get(&index) {
+                Some(p) => p,
+                None => match alloc.allocate_one() {
+                    Ok(p) => {
+                        vol.map(index, p);
+                        fresh.push((index, p));
+                        p
+                    }
+                    Err(e) => {
+                        first_error = Some(e);
+                        break;
+                    }
+                },
+            };
+            staged.push((physical, data));
         }
         if let Err(e) = self.data.write_blocks(&staged) {
-            ThinPool::rollback_staged(&self.shared, self.id, &fresh);
+            ThinPool::rollback_fresh(vol, alloc, &fresh);
             return Err(e);
         }
         match first_error {
@@ -1397,7 +1251,7 @@ mod tests {
             let buf = vec![0x3Cu8; 512];
             let mut write_and_check = |vblock: u64| {
                 let (bitmap, unavailable) = {
-                    let alloc = p.shared.alloc.lock();
+                    let PoolState { alloc, .. } = &*p.state.lock();
                     let held: HashSet<u64> = alloc
                         .open_allocations()
                         .chain(alloc.pending_free.iter_allocated())
@@ -1621,10 +1475,10 @@ mod tests {
 
     #[test]
     fn two_volumes_map_batches_concurrently_without_aliasing() {
-        // The split locks: both volumes' mapping passes run from separate
-        // threads. Whatever the interleaving, the physical blocks stay
-        // disjoint, both volumes read back their own data, and the pool's
-        // accounting matches the per-volume sums.
+        // Both volumes' mapping passes run from separate threads. Whatever
+        // the interleaving, the physical blocks stay disjoint, both volumes
+        // read back their own data, and the pool's accounting matches the
+        // per-volume sums.
         let (data, meta) = devices(4096, 128);
         let p = Arc::new(
             ThinPool::create(data, meta, PoolConfig::new(8), AllocStrategy::Random).unwrap(),
@@ -1661,9 +1515,9 @@ mod tests {
 
     #[test]
     fn commit_races_with_batched_writers_consistently() {
-        // The commit barrier (all volume locks + allocator) must always
-        // persist a bitmap that covers every persisted mapping, no matter
-        // when it cuts into concurrent writers.
+        // A commit (under the pool lock) must always persist a bitmap that
+        // covers every persisted mapping, no matter when it cuts into
+        // concurrent writers.
         let (data, meta) = devices(4096, 128);
         let p = Arc::new(
             ThinPool::create(data, meta, PoolConfig::new(8), AllocStrategy::Random).unwrap(),
@@ -1694,39 +1548,37 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstone_blocks_stale_handles() {
-        // The race the tombstone closes: a writer resolved its volume
-        // handle from the directory *before* delete_volume landed. The
-        // deleted flag — set and drained under the volume's own lock —
-        // must stop it from allocating into the orphaned state (which
-        // would leak the block into the committed bitmap forever).
+    fn stale_handles_error_after_delete_and_allocate_nothing() {
+        // A handle opened before delete_volume must not write into, read
+        // from or allocate for the deleted volume: a block allocated after
+        // the delete released the volume's blocks would leak into the
+        // committed bitmap forever.
         let p = pool(AllocStrategy::Sequential);
-        let v = p.create_volume(1, 100).unwrap();
-        v.write_block(0, &vec![1u8; 512]).unwrap();
-        let stale = p.shared.volume(1).unwrap(); // the pre-delete handle
+        let stale = p.create_volume(1, 100).unwrap();
+        let buf = vec![1u8; 512];
+        stale.write_block(0, &buf).unwrap();
         p.delete_volume(1).unwrap();
-        {
-            let vol = stale.lock();
-            assert!(vol.deleted, "tombstone set under the volume lock");
-            assert!(vol.mappings.is_empty(), "mappings drained by delete");
-            assert!(vol.check_live_pool(1).is_err());
-            assert!(vol.check_live_volume(1).is_err());
-        }
-        // Every public path errors and allocates nothing.
-        assert!(v.write_block(0, &vec![1u8; 512]).is_err());
-        assert!(v.write_blocks(&[(0, &vec![1u8; 512][..])]).is_err());
-        assert!(v.read_block(0).is_err());
-        assert!(p.append_blocks(1, &[&vec![1u8; 512][..]]).is_err());
+        let deleted = |r: Result<(), BlockDeviceError>| {
+            assert_eq!(r, Err(BlockDeviceError::Unsupported { what: "volume 1 deleted".into() }));
+        };
+        deleted(stale.read_block(0).map(drop));
+        deleted(stale.read_blocks(&[0, 1]).map(drop));
+        deleted(stale.write_block(0, &buf));
+        deleted(stale.write_blocks(&[(0, buf.as_slice()), (1, buf.as_slice())]));
+        let missing = Err(BlockDeviceError::Unsupported { what: "no volume 1".into() });
+        assert_eq!(p.append_blocks(1, &[buf.as_slice()]), missing.clone().map(|()| 0));
+        assert_eq!(p.discard_many(1, &[0]), missing);
         assert_eq!(p.append_headroom(1), 0);
-        assert_eq!(p.allocated_blocks(), 0, "nothing may leak past the tombstone");
+        assert_eq!(stale.mapped_blocks(), 0);
+        assert_eq!(p.allocated_blocks(), 0, "nothing may stay allocated after the delete");
         p.commit().unwrap();
+        assert_eq!(p.allocated_blocks(), 0);
         assert_eq!(p.metadata_view().bitmap.allocated(), 0);
     }
 
     #[test]
     fn delete_racing_concurrent_writers_never_leaks() {
-        // Stress the same race end-to-end: writers hammer a volume while
-        // it is deleted. Whoever wins each interleaving, every allocated
+        // Writers hammer a volume while it is deleted. Whoever wins each interleaving, every allocated
         // physical block must end up released — the pool accounting
         // always returns to zero.
         for round in 0..8u64 {

@@ -1,9 +1,9 @@
 //! Offline stand-in for [`parking_lot`](https://crates.io/crates/parking_lot).
 //!
 //! The build environment for this workspace has no registry access, so this
-//! crate provides the slice of the `parking_lot` API the tree uses —
-//! [`Mutex`] and [`RwLock`] whose lock methods return guards directly
-//! instead of `Result`s — implemented on top of `std::sync`. Poisoned locks
+//! crate provides the slice of the `parking_lot` API the tree uses — a
+//! [`Mutex`] whose lock methods return guards directly instead of
+//! `Result`s — implemented on top of `std::sync`. Poisoned locks
 //! (a panic while holding the guard) are recovered rather than propagated,
 //! matching `parking_lot`'s poison-free semantics.
 
@@ -49,44 +49,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock; `read()`/`write()` return guards directly.
-#[derive(Default, Debug)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// RAII guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// RAII guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a new lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,14 +60,6 @@ mod tests {
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -102,11 +102,11 @@ fn many_threads_hammer_one_volume() {
 
 #[test]
 fn parallel_batched_volumes_match_sequential_execution() {
-    // The sharded-lock acceptance pin: two volumes pushing *batched*
-    // writes concurrently through the full stack (dm-crypt → PDE → thin
-    // pool → sharded MemDisk) land exactly the plaintext a sequential
-    // execution of the same batches lands, with no physical aliasing and
-    // with the same write volume reaching the medium.
+    // The thread acceptance pin: two volumes pushing *batched* writes
+    // concurrently through the full stack (dm-crypt → PDE → thin pool →
+    // MemDisk) land exactly the plaintext a sequential execution of the
+    // same batches lands, with no physical aliasing and with the same
+    // write volume reaching the medium.
     let clock = SimClock::new();
     let disk = Arc::new(MemDisk::new(16384, 4096, clock.clone()));
     let mc = Arc::new(
@@ -170,8 +170,8 @@ fn parallel_batched_volumes_match_sequential_execution() {
         seq_hidden.read_blocks(&indices).unwrap(),
         "hidden plaintext is schedule-independent"
     );
-    // Same write volume reached the medium, and the sharded disk's stats
-    // account for every charged nanosecond.
+    // Same write volume reached the medium, and the disk's stats account
+    // for every charged nanosecond.
     assert_eq!(disk.stats().bytes_written(), seq_disk.stats().bytes_written());
     // No physical block serves two volumes, whatever the interleaving.
     let view = mc.metadata_view();

@@ -437,10 +437,10 @@ fn caller_owned_reads_are_world_independent() {
 
 #[test]
 fn sharded_queue_depth_charging_is_world_independent() {
-    // PR 5's new machinery — shard locks and CQE queue-depth charging —
-    // must open no timing channel: identical batch shapes driven at an
-    // identical queue depth charge identical time and op mix whether the
-    // trace targets the public world or a hidden world. The depth floor
+    // CQE queue-depth charging must open no timing channel: identical
+    // batch shapes driven at an identical queue depth charge identical
+    // time and op mix whether the trace targets the public world or a
+    // hidden world. The depth floor
     // pins the queue deterministically (the in-flight counter depends on
     // scheduling, the charge rule does not); the trigger is quiesced with
     // x = 1 exactly as in batch_amortization_opens_no_timing_channel.
