@@ -16,7 +16,7 @@
 //! identifiers (`r#type`), and line counting across multi-line tokens.
 
 /// What a token is; identifiers and string literals keep their text (rules
-/// match on names and on `feature = "test-hooks"` style cfg strings).
+/// match on names and on `feature = "..."` style cfg strings).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     /// An identifier or keyword (`fn`, `unsafe`, `unwrap`, ...).
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn cfg_feature_strings_survive() {
-        let toks = lex(r#"#[cfg(any(test, feature = "test-hooks"))]"#).tokens;
-        assert!(toks.iter().any(|t| t.kind == TokKind::Str("test-hooks".into())));
+        let toks = lex(r#"#[cfg(any(test, feature = "simd"))]"#).tokens;
+        assert!(toks.iter().any(|t| t.kind == TokKind::Str("simd".into())));
     }
 }

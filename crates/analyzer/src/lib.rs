@@ -3,9 +3,8 @@
 //!
 //! The MobiCeal stack rests on invariants that live in prose and review
 //! discipline: every `BlockDevice` layer implements the caller-owned read
-//! `read_blocks_to`, the foreground I/O path never panics, test hooks
-//! never leak into production, every `unsafe` is justified, and secrets
-//! never parameterize charged time. Each of these fails *silently* when
+//! `read_blocks_to`, the foreground I/O path never panics, every `unsafe`
+//! is justified, and secrets never parameterize charged time. Each of these fails *silently* when
 //! the next layer is added — the compiler is happy, the tests pass, and
 //! the regression surfaces weeks later as a read that recurses forever or
 //! a timing channel.

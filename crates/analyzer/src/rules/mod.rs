@@ -6,12 +6,10 @@
 //! |----|------|-------|----------|
 //! | A1 | `default_forwarding` | deny | every `impl BlockDevice` implements `read_blocks_to`, the one trait method left with a default |
 //! | A3 | `panic_freedom` | deny | no `unwrap`/`expect`/`panic!`/`unreachable!` in hot-path modules |
-//! | A4 | `test_hook` | deny | `test-hooks`-gated items never referenced from production code |
 //! | A5 | `safety_comment` | deny | every `unsafe` justified; unsafe-free crates forbid unsafe |
 //! | A6 | `secret_taint` | warn | secret-named values never feed charged-time computation |
 
 pub mod forwarding;
-pub mod hooks;
 pub mod panics;
 pub mod taint;
 pub mod unsafety;
@@ -21,14 +19,8 @@ use crate::workspace::Workspace;
 
 /// The annotation-facing rule names (what `analyzer: allow(<name>, ...)`
 /// accepts). `annotation` is the meta-rule for malformed escapes.
-pub const RULE_NAMES: [&str; 6] = [
-    "default_forwarding",
-    "panic_freedom",
-    "test_hook",
-    "safety_comment",
-    "secret_taint",
-    "annotation",
-];
+pub const RULE_NAMES: [&str; 5] =
+    ["default_forwarding", "panic_freedom", "safety_comment", "secret_taint", "annotation"];
 
 /// Runs every pass over the workspace, including annotation validation.
 pub fn run_all(ws: &Workspace) -> Vec<Finding> {
@@ -36,7 +28,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     annotations(ws, &mut out);
     forwarding::run(ws, &mut out);
     panics::run(ws, &mut out);
-    hooks::run(ws, &mut out);
     unsafety::run(ws, &mut out);
     taint::run(ws, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

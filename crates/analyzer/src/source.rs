@@ -6,9 +6,6 @@
 //! * **Test spans** — token ranges gated by `#[cfg(test)]`-style
 //!   attributes (any `cfg` predicate mentioning `test`) or `#[test]`.
 //!   Production-only rules skip these.
-//! * **Hook spans** — the subset gated on the `test-hooks` feature
-//!   (`#[cfg(any(test, feature = "test-hooks"))]`); rule A4 treats names
-//!   declared here as quarantined.
 //! * **Items** — `fn` items with their body spans, and
 //!   `impl Trait for Type` blocks with their method names (for the
 //!   wrapper-forwarding audit).
@@ -78,7 +75,6 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
     pub test_spans: Vec<Span>,
-    pub hook_spans: Vec<Span>,
     pub fns: Vec<FnItem>,
     pub impls: Vec<ImplItem>,
     pub annotations: Vec<Annotation>,
@@ -99,7 +95,6 @@ impl SourceFile {
             tokens: lexed.tokens,
             comments: lexed.comments,
             test_spans: Vec::new(),
-            hook_spans: Vec::new(),
             fns: Vec::new(),
             impls: Vec::new(),
             annotations: Vec::new(),
@@ -140,17 +135,13 @@ impl SourceFile {
         self.test_spans.iter().any(|&(s, e)| idx >= s && idx < e)
     }
 
-    pub fn in_hook_span(&self, idx: usize) -> bool {
-        self.hook_spans.iter().any(|&(s, e)| idx >= s && idx < e)
-    }
-
     /// Whether an `analyzer: allow(rule, ...)` annotation covers `line`.
     pub fn allowed(&self, rule: &str, line: u32) -> bool {
         self.annotations.iter().any(|a| a.rule == rule && a.has_reason && a.target_line == line)
     }
 
     /// Attribute pass: records inner attributes, classifies `cfg` gates
-    /// into test/hook spans, and returns every attribute's token span so
+    /// into test spans, and returns every attribute's token span so
     /// attribute-only lines can be told apart from code lines.
     fn scan_attributes(&mut self) -> Vec<Span> {
         let mut attr_spans = Vec::new();
@@ -180,16 +171,8 @@ impl SourceFile {
                 let is_cfg = first == Some(&TokKind::Ident("cfg".into()));
                 let mentions_test =
                     is_cfg && content.iter().any(|t| t.kind == TokKind::Ident("test".into()));
-                let mentions_hooks = is_cfg
-                    && content
-                        .iter()
-                        .any(|t| matches!(&t.kind, TokKind::Str(s) if s.contains("test-hooks")));
-                if is_test_attr || mentions_test || mentions_hooks {
-                    let span = (close + 1, self.item_end(close + 1));
-                    if mentions_hooks {
-                        self.hook_spans.push(span);
-                    }
-                    self.test_spans.push(span);
+                if is_test_attr || mentions_test {
+                    self.test_spans.push((close + 1, self.item_end(close + 1)));
                 }
             }
             i = close + 1;
@@ -528,35 +511,6 @@ mod tests {
         let work_idx =
             f.tokens.iter().position(|t| t.kind == TokKind::Ident("work".into())).unwrap();
         assert!(!f.in_test_span(work_idx));
-    }
-
-    #[test]
-    fn hook_spans_cover_field_decls_inits_and_fns() {
-        let src = r#"
-struct S {
-    #[cfg(any(test, feature = "test-hooks"))]
-    depth_floor: usize,
-    real: u32,
-}
-impl S {
-    #[cfg(any(test, feature = "test-hooks"))]
-    pub fn set_floor(&self) { self.depth_floor = 1; }
-    fn observed(&self) -> usize {
-        #[cfg(any(test, feature = "test-hooks"))]
-        let x = self.depth_floor;
-        self.real as usize
-    }
-}
-"#;
-        let f = parse(src);
-        for (k, t) in f.tokens.iter().enumerate() {
-            if t.kind == TokKind::Ident("depth_floor".into()) {
-                assert!(f.in_hook_span(k), "depth_floor at line {} must be hook-gated", t.line);
-            }
-            if t.kind == TokKind::Ident("real".into()) {
-                assert!(!f.in_hook_span(k));
-            }
-        }
     }
 
     #[test]

@@ -136,40 +136,6 @@ fn a3_annotated_unreachable_passes() {
     assert!(denies(&findings, "A3/panic_freedom").is_empty(), "{findings:?}");
 }
 
-// ---------------------------------------------------------------- A4
-
-const A4_HOOK_DECL: &str = r#"
-impl MemDisk {
-    #[cfg(any(test, feature = "test-hooks"))]
-    pub fn set_depth_floor(&self, floor: usize) { let _ = floor; }
-}
-"#;
-
-#[test]
-fn a4_fires_on_ungated_hook_reference() {
-    let caller = "fn tune(d: &MemDisk) { d.set_depth_floor(4); }\n";
-    let findings = analyze_memory(&[
-        ("mobiceal-blockdev", "crates/blockdev/src/memdisk.rs", A4_HOOK_DECL),
-        ("mobiceal-core", "crates/core/src/tuner.rs", caller),
-    ]);
-    let hits = denies(&findings, "A4/test_hook");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].file.ends_with("tuner.rs"), "{}", hits[0].file);
-}
-
-#[test]
-fn a4_passes_when_reference_is_gated() {
-    let gated_caller = r#"
-#[cfg(any(test, feature = "test-hooks"))]
-fn tune(d: &MemDisk) { d.set_depth_floor(4); }
-"#;
-    let findings = analyze_memory(&[
-        ("mobiceal-blockdev", "crates/blockdev/src/memdisk.rs", A4_HOOK_DECL),
-        ("mobiceal-core", "crates/core/src/tuner.rs", gated_caller),
-    ]);
-    assert!(denies(&findings, "A4/test_hook").is_empty(), "{findings:?}");
-}
-
 // ---------------------------------------------------------------- A5
 
 #[test]

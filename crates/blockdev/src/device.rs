@@ -231,8 +231,8 @@ pub trait BlockDevice: Send + Sync {
     fn host_queue_enter(&self);
 
     /// Releases one [`BlockDevice::host_queue_enter`] registration — called
-    /// when the queued command starts executing (the device's own
-    /// in-flight accounting takes over) or is abandoned unexecuted.
+    /// when the queued command starts executing (the device counts the
+    /// executing command itself) or is abandoned unexecuted.
     fn host_queue_leave(&self);
 }
 

@@ -1,44 +1,41 @@
 //! [`IoEngine`]: a bounded submission/completion engine over any
 //! [`BlockDevice`].
 //!
-//! Modeled on the AHCI command-list / io_uring design: a fixed **slot
-//! table** of `ring_depth` entries holds the commands a thread has
-//! submitted but not yet reaped, exactly like an AHCI port's command list
-//! holds one command header per slot. Submitting occupies a slot and
-//! registers the command with the device's host queue
+//! Modeled on the AHCI command-list / io_uring design: a ring of
+//! `ring_depth` slots holds the commands a thread has submitted but the
+//! device has not yet executed, exactly like an AHCI port's command list
+//! holds one command header per slot. Submitting queues a command and
+//! registers it with the device's host queue
 //! ([`BlockDevice::host_queue_enter`]); the device therefore *sees* the
-//! ring occupancy and charges commands that execute alongside `k` queued
-//! slots at queue depth `k` ([`mobiceal_sim::CostModel::batch_cost_at_depth`],
-//! saturating at the profile's hardware queue depth). This is how one
-//! thread sustains QD32 on an eMMC 5.1 CQE medium: the depth discount
-//! comes from genuine slot overlap, not from worker threads or test
-//! hooks.
+//! ring occupancy and charges a command that executes with `k` slots still
+//! queued at queue depth `k + 1`
+//! ([`mobiceal_sim::CostModel::batch_cost_at_depth`], saturating at the
+//! profile's hardware queue depth). Registered slots are the only source
+//! of queue depth: this is how one thread sustains QD32 on an eMMC 5.1 CQE
+//! medium.
 //!
 //! # Execution and completion order
 //!
-//! Commands **execute in submission order**, strictly one at a time — the
-//! device retires its queue oldest-first, as a single flash channel would
-//! — while results are **reaped in any order** the caller likes:
-//! [`IoEngine::poll`] surfaces the oldest unreaped completion,
-//! [`IoEngine::wait`] a specific ticket (completing everything older
-//! first, as the device must), and [`IoEngine::drain`] everything
+//! Commands **execute in submission order**, one at a time with the ring's
+//! lock held — the device retires its queue oldest-first, as a single
+//! flash channel would — while results are **reaped in any order** the
+//! caller likes: [`IoEngine::poll`] surfaces the oldest unreaped
+//! completion, [`IoEngine::wait`] a specific ticket (executing everything
+//! older first, as the device must), and [`IoEngine::drain`] everything
 //! outstanding. Because execution order is the submission order
 //! regardless of reap order, the bytes on disk, the op mix and the
 //! per-ticket results equal the plain sequential
 //! `read_blocks`/`write_blocks` loop for any batch set, and a ring of
-//! depth 1 charges bit-identically to the direct path. Device I/O runs
-//! with the engine's internal lock released, so other threads can submit
-//! or reap while a command executes; executions themselves never overlap
-//! each other.
+//! depth 1 charges bit-identically to the direct path. Nothing below the
+//! engine calls back into a ring, so holding the lock across device I/O
+//! cannot deadlock.
 //!
-//! # Backpressure
+//! # A full ring
 //!
-//! With every slot in flight, [`IoEngine::submit_read_blocks`] /
-//! [`IoEngine::submit_write_blocks`] **block** until a slot frees, and
-//! blocked submitters are granted slots in FIFO arrival order. The head
-//! waiter frees a slot itself by retiring the device's oldest in-flight
-//! command — a full ring always has one queued or executing — so a single
-//! thread can never deadlock on its own ring.
+//! [`IoEngine::submit_read_blocks`] / [`IoEngine::submit_write_blocks`] on
+//! a full ring first execute the oldest queued command inline and park its
+//! result for a later reap, so a submit never waits and one thread can
+//! never deadlock on its own ring.
 //!
 //! # Example
 //!
@@ -57,8 +54,8 @@
 //! ```
 
 use crate::device::{read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Identifies one submitted batch. Reap its result exactly once via
 /// [`IoEngine::wait`], [`IoEngine::poll`] or [`IoEngine::drain`].
@@ -86,32 +83,13 @@ enum Request {
     Write(Vec<(BlockIndex, Vec<u8>)>),
 }
 
-/// A slot table entry: the AHCI command-list analogue. Present while the
-/// command is submitted-but-unexecuted.
-struct Slot {
-    ticket: Ticket,
-    request: Request,
-}
-
-struct EngineState {
-    /// The slot table; `None` = free (or currently executing — the slot
-    /// index stays allocated until the I/O finishes).
-    slots: Vec<Option<Slot>>,
-    /// Free slot indices, reused FIFO.
-    free: VecDeque<usize>,
-    /// Occupied slot indices in submission order — the device's queue; the
-    /// front is the oldest in-flight command and always executes next.
-    issued: VecDeque<usize>,
-    /// The command currently executing on the device, if any. Executions
-    /// are strictly serial; everyone else parks until it completes.
-    executing: Option<Ticket>,
-    /// Executed-but-unreaped results, in device (execution) order.
+struct Ring {
+    /// Submitted, unexecuted commands in submission order — the device's
+    /// queue; the front executes next.
+    queued: VecDeque<(Ticket, Request)>,
+    /// Executed-but-unreaped results, in execution order.
     completed: VecDeque<Completion>,
     next_ticket: u64,
-    /// FIFO queue of submitters blocked on a full ring (by arrival
-    /// sequence number); only the front may take the next free slot.
-    waiters: VecDeque<u64>,
-    next_waiter: u64,
 }
 
 /// A bounded submission/completion ring over a [`BlockDevice`]. See the
@@ -119,10 +97,7 @@ struct EngineState {
 pub struct IoEngine<D: BlockDevice> {
     device: D,
     ring_depth: usize,
-    state: Mutex<EngineState>,
-    /// Signaled whenever a slot frees, an execution completes or a waiter
-    /// is granted — every parked loop re-checks on it.
-    progress: Condvar,
+    ring: Mutex<Ring>,
 }
 
 impl<D: BlockDevice> IoEngine<D> {
@@ -136,17 +111,11 @@ impl<D: BlockDevice> IoEngine<D> {
         IoEngine {
             device,
             ring_depth,
-            state: Mutex::new(EngineState {
-                slots: (0..ring_depth).map(|_| None).collect(),
-                free: (0..ring_depth).collect(),
-                issued: VecDeque::with_capacity(ring_depth),
-                executing: None,
+            ring: Mutex::new(Ring {
+                queued: VecDeque::with_capacity(ring_depth),
                 completed: VecDeque::new(),
                 next_ticket: 0,
-                waiters: VecDeque::new(),
-                next_waiter: 0,
             }),
-            progress: Condvar::new(),
         }
     }
 
@@ -161,60 +130,42 @@ impl<D: BlockDevice> IoEngine<D> {
         self.ring_depth
     }
 
-    /// Commands submitted but not yet completed (queued or executing).
+    /// Commands submitted but not yet executed.
     pub fn in_flight(&self) -> usize {
-        let st = self.lock();
-        st.issued.len() + usize::from(st.executing.is_some())
+        self.ring.lock().queued.len()
     }
 
     /// Completions executed but not yet reaped.
     pub fn pending_completions(&self) -> usize {
-        self.lock().completed.len()
+        self.ring.lock().completed.len()
     }
 
-    /// Submitters currently blocked waiting for a slot.
-    pub fn backpressured(&self) -> usize {
-        self.lock().waiters.len()
-    }
-
-    /// Submits a vectored read of `indices`; blocks while the ring is
-    /// full. The batch executes with [`BlockDevice::read_blocks`]
-    /// semantics when its turn in the device queue comes.
+    /// Submits a vectored read of `indices`. The batch executes with
+    /// [`BlockDevice::read_blocks`] semantics when its turn in the device
+    /// queue comes.
     pub fn submit_read_blocks(&self, indices: &[BlockIndex]) -> Ticket {
         self.submit(Request::Read(indices.to_vec()))
     }
 
-    /// Submits a vectored write; blocks while the ring is full. The data
-    /// is copied into the slot (the ring owns it until execution); the
-    /// batch executes with [`BlockDevice::write_blocks`] semantics.
+    /// Submits a vectored write. The data is copied into the slot (the
+    /// ring owns it until execution); the batch executes with
+    /// [`BlockDevice::write_blocks`] semantics.
     pub fn submit_write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Ticket {
         self.submit(Request::Write(writes.iter().map(|&(i, d)| (i, d.to_vec())).collect()))
     }
 
     /// Surfaces the oldest unreaped completion, executing the device's
-    /// oldest in-flight command if none is ready (and waiting out another
-    /// thread's in-progress execution). `None` when the engine is idle.
+    /// oldest queued command if none is ready. `None` when the engine is
+    /// idle.
     pub fn poll(&self) -> Option<Completion> {
-        let mut st = self.lock();
-        loop {
-            if let Some(done) = st.completed.pop_front() {
-                return Some(done);
-            }
-            if st.issued.is_empty() {
-                st.executing?;
-                st = self.park(st);
-                continue;
-            }
-            if st.executing.is_some() {
-                st = self.park(st);
-                continue;
-            }
-            let (_st, done) = self.execute_oldest(st);
-            return Some(done);
+        let mut ring = self.ring.lock();
+        match ring.completed.pop_front() {
+            Some(done) => Some(done),
+            None => self.execute_oldest(&mut ring),
         }
     }
 
-    /// Reaps `ticket`, executing every older in-flight command first (the
+    /// Reaps `ticket`, executing every older queued command first (the
     /// device retires its queue in order); their results stay parked for
     /// later [`IoEngine::poll`]/[`IoEngine::wait`]/[`IoEngine::drain`]
     /// calls.
@@ -229,160 +180,85 @@ impl<D: BlockDevice> IoEngine<D> {
     /// Panics if `ticket` was never issued by this engine or was already
     /// reaped.
     pub fn wait(&self, ticket: Ticket) -> Result<IoOutput, BlockDeviceError> {
-        let mut st = self.lock();
-        loop {
-            if let Some(pos) = st.completed.iter().position(|(t, _)| *t == ticket) {
-                let (_, result) = st.completed.remove(pos).ok_or_else(|| BlockDeviceError::Io {
-                    reason: "completion vanished under the engine lock".to_string(),
-                })?;
-                return result;
-            }
-            if st.executing == Some(ticket) {
-                st = self.park(st);
-                continue;
-            }
-            let queued =
-                st.issued.iter().any(|&i| st.slots[i].as_ref().is_some_and(|s| s.ticket == ticket));
-            assert!(
-                queued || st.executing.is_some(),
-                "ticket not in flight: never issued by this engine or already reaped"
-            );
-            if st.executing.is_some() {
-                st = self.park(st);
-                continue;
-            }
-            let (st2, done) = self.execute_oldest(st);
-            st = st2;
+        let mut ring = self.ring.lock();
+        if let Some(pos) = ring.completed.iter().position(|(t, _)| *t == ticket) {
+            let Some((_, result)) = ring.completed.remove(pos) else {
+                return Err(vanished());
+            };
+            return result;
+        }
+        assert!(
+            ring.queued.iter().any(|(t, _)| *t == ticket),
+            "ticket not in flight: never issued by this engine or already reaped"
+        );
+        while let Some(done) = self.execute_oldest(&mut ring) {
             if done.0 == ticket {
                 return done.1;
             }
-            st.completed.push_back(done);
+            ring.completed.push_back(done);
         }
+        Err(vanished())
     }
 
-    /// Executes everything in flight and returns every unreaped
-    /// completion, in device (execution) order.
+    /// Executes everything queued and returns every unreaped completion,
+    /// in device (execution) order.
     pub fn drain(&self) -> Vec<Completion> {
-        let mut st = self.lock();
-        loop {
-            if st.executing.is_some() {
-                st = self.park(st);
-                continue;
-            }
-            if st.issued.is_empty() {
-                break;
-            }
-            let (st2, done) = self.execute_oldest(st);
-            st = st2;
-            st.completed.push_back(done);
+        let mut ring = self.ring.lock();
+        while let Some(done) = self.execute_oldest(&mut ring) {
+            ring.completed.push_back(done);
         }
-        st.completed.drain(..).collect()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, EngineState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn park<'a>(&'a self, st: MutexGuard<'a, EngineState>) -> MutexGuard<'a, EngineState> {
-        self.progress.wait(st).unwrap_or_else(PoisonError::into_inner)
+        ring.completed.drain(..).collect()
     }
 
     fn submit(&self, request: Request) -> Ticket {
-        let mut st = self.lock();
-        let idx = if st.waiters.is_empty() { st.free.pop_front() } else { None };
-        let idx = match idx {
-            Some(idx) => idx,
-            None => {
-                let my = st.next_waiter;
-                st.next_waiter += 1;
-                st.waiters.push_back(my);
-                let idx = loop {
-                    if st.waiters.front() != Some(&my) {
-                        st = self.park(st);
-                        continue;
-                    }
-                    if let Some(idx) = st.free.pop_front() {
-                        st.waiters.pop_front();
-                        break idx;
-                    }
-                    if st.executing.is_some() {
-                        // The in-progress execution will free its slot.
-                        st = self.park(st);
-                        continue;
-                    }
-                    // Head waiter with a full ring: free a slot by retiring
-                    // the device's oldest in-flight command and parking its
-                    // result. Guarantees progress even single-threaded — a
-                    // full, idle ring always has a queued command.
-                    let (st2, done) = self.execute_oldest(st);
-                    st = st2;
-                    st.completed.push_back(done);
-                };
-                // A freed slot may remain for the next waiter in line.
-                self.progress.notify_all();
-                idx
+        let mut ring = self.ring.lock();
+        if ring.queued.len() == self.ring_depth {
+            // A full ring: retire the oldest command to free its slot.
+            if let Some(done) = self.execute_oldest(&mut ring) {
+                ring.completed.push_back(done);
             }
-        };
-        self.occupy(&mut st, idx, request)
-    }
-
-    /// Installs `request` in the already-claimed free slot `idx` and
-    /// registers it with the device's host queue.
-    fn occupy(&self, st: &mut EngineState, idx: usize, request: Request) -> Ticket {
-        let ticket = Ticket(st.next_ticket);
-        st.next_ticket += 1;
-        // From submission until execution the command occupies a host
-        // queue slot: commands that execute meanwhile overlap it and are
-        // charged at the deeper queue depth.
+        }
+        let ticket = Ticket(ring.next_ticket);
+        ring.next_ticket += 1;
+        // From submission until execution the command holds a host-queue
+        // slot: commands that execute meanwhile overlap it and are
+        // charged one queue depth deeper.
         self.device.host_queue_enter();
-        st.slots[idx] = Some(Slot { ticket, request });
-        st.issued.push_back(idx);
+        ring.queued.push_back((ticket, request));
         ticket
     }
 
-    /// Executes the device's oldest in-flight command, releasing the
-    /// engine lock for the duration of the device I/O (executions stay
-    /// strictly serial via `executing`). Caller guarantees a command is
-    /// queued and none is executing. Returns the reacquired guard and the
-    /// completion; the slot is freed and `progress` notified.
-    fn execute_oldest<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, EngineState>,
-    ) -> (MutexGuard<'a, EngineState>, Completion) {
-        debug_assert!(st.executing.is_none(), "executions never overlap");
-        // analyzer: allow(panic_freedom, reason = "every caller checks `issued` is non-empty under the same lock acquisition")
-        let idx = st.issued.pop_front().expect("an in-flight command");
-        // analyzer: allow(panic_freedom, reason = "slots[idx] is installed by occupy() and taken only here; `issued` holds each idx exactly once")
-        let slot = st.slots[idx].take().expect("issued slot occupied");
-        st.executing = Some(slot.ticket);
-        drop(st);
-        // The command leaves the host queue to execute; the device's own
-        // in-flight accounting takes over, so it is charged at exactly
-        // the ring occupancy it overlapped with (its own slot included).
+    /// Executes the oldest queued command, if any, with the ring locked.
+    fn execute_oldest(&self, ring: &mut Ring) -> Option<Completion> {
+        let (ticket, request) = ring.queued.pop_front()?;
+        // The command leaves the host queue to execute, so the device
+        // charges it at the depth of the slots still queued, plus one.
         self.device.host_queue_leave();
-        let result = match &slot.request {
-            Request::Read(indices) => self.device.read_blocks(indices).map(IoOutput::Read),
+        let result = match request {
+            Request::Read(indices) => self.device.read_blocks(&indices).map(IoOutput::Read),
             Request::Write(writes) => {
                 let refs: Vec<(BlockIndex, &[u8])> =
                     writes.iter().map(|(i, d)| (*i, d.as_slice())).collect();
                 self.device.write_blocks(&refs).map(|()| IoOutput::Write)
             }
         };
-        let mut st = self.lock();
-        st.executing = None;
-        st.free.push_back(idx);
-        self.progress.notify_all();
-        (st, (slot.ticket, result))
+        Some((ticket, result))
     }
 }
 
+/// The error for a ticket that left the ring between two checks under
+/// one lock acquisition — impossible, but reported rather than panicking
+/// on the I/O path.
+fn vanished() -> BlockDeviceError {
+    BlockDeviceError::Io { reason: "completion vanished under the engine lock".to_string() }
+}
+
 impl<D: BlockDevice> Drop for IoEngine<D> {
-    /// Dropping the engine abandons in-flight commands: they are released
+    /// Dropping the engine abandons queued commands: they are released
     /// from the host queue without executing or charging time. Reap (or
     /// [`IoEngine::drain`]) before dropping if the I/O must land.
     fn drop(&mut self) {
-        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for _ in 0..st.issued.len() {
+        for _ in 0..self.ring.get_mut().queued.len() {
             self.device.host_queue_leave();
         }
     }
@@ -510,9 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn blocking_submit_self_serves_on_full_ring() {
-        // Single-threaded: a blocking submit on a full ring retires the
-        // oldest command itself instead of deadlocking.
+    fn submit_on_full_ring_runs_the_oldest_inline() {
+        // A submit on a full ring executes the oldest command itself and
+        // parks its result.
         let engine = IoEngine::new(cqe_disk(64), 2);
         let data = vec![4u8; 512];
         let t0 = engine.submit_write_blocks(&[(0, data.as_slice())]);

@@ -4,24 +4,22 @@
 //!
 //! One mutex guards everything a command reads or changes: the medium's
 //! bytes, the sequential/random classification (`last_block`), fault
-//! injection, the op counter and the [`DeviceStats`]. A batch takes it
-//! once, then classifies, fault-checks, charges and copies every block
-//! before releasing it, so batches from different threads apply whole
-//! and in some serial order, and a snapshot is always a point-in-time
-//! cut. The [`SimClock`] is advanced under the same lock.
+//! injection, the op counter, the [`DeviceStats`] and the count of
+//! registered host-queue slots. A batch takes it once, then classifies,
+//! fault-checks, charges and copies every block before releasing it, so
+//! batches from different threads apply whole and in some serial order,
+//! and a snapshot is always a point-in-time cut. The [`SimClock`] is
+//! advanced under the same lock.
 //!
-//! **Queue depth** stays outside the lock. An in-flight counter models
-//! the host keeping several commands outstanding: a batch submitted while
-//! `k` others are in flight charges [`CostModel::batch_cost_at_depth`] at
-//! depth `k+1` (saturating at the profile's hardware queue depth). The
-//! counter is fed two ways: a command registers itself before it waits
-//! for the lock and leaves when it returns, and a submission/completion
-//! engine (`mobiceal_blockdev::engine`) registers every
-//! queued-but-unexecuted ring slot via [`BlockDevice::host_queue_enter`],
-//! so the depth a command is charged at equals the genuine ring occupancy
-//! it overlaps with. A lone command — every single-threaded caller
-//! without a ring — observes depth 1 and charges the pre-CQE cost bit for
-//! bit.
+//! **Queue depth** has one source: the slots registered with
+//! [`BlockDevice::host_queue_enter`], which a submission/completion
+//! engine (`mobiceal_blockdev::engine`) holds for every
+//! queued-but-unexecuted ring slot. A command is charged
+//! [`CostModel::batch_cost_at_depth`] at depth `1 +` the registrations
+//! held when it takes the lock (saturating at the profile's hardware
+//! queue depth), so its depth is the ring occupancy it overlaps with. A
+//! command without a ring charges depth 1, the pre-CQE cost bit for bit,
+//! however many threads call the disk.
 
 use crate::device::{read_blocks_owned, BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use crate::snapshot::DiskSnapshot;
@@ -29,7 +27,6 @@ use crate::stats::DeviceStats;
 use mobiceal_sim::{CostModel, EmmcCostModel, OpKind, SimClock, SimDuration};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Fault-injection configuration: force specific blocks to fail.
@@ -64,9 +61,18 @@ struct DiskState {
     faults: FaultInjection,
     total_ops: u64,
     stats: DeviceStats,
+    /// Host-queue slots registered and not yet released
+    /// ([`BlockDevice::host_queue_enter`]).
+    queued: usize,
 }
 
 impl DiskState {
+    /// The queue depth a command executing now is charged at: itself plus
+    /// every registered host-queue slot.
+    fn depth(&self) -> usize {
+        1 + self.queued
+    }
+
     fn block(&self, index: BlockIndex) -> &[u8] {
         let (chunk, offset) = self.locate(index);
         &self.chunks[chunk][offset..offset + self.block_size]
@@ -81,30 +87,6 @@ impl DiskState {
     fn locate(&self, index: BlockIndex) -> (usize, usize) {
         let index = index as usize;
         (index / self.chunk_blocks, (index % self.chunk_blocks) * self.block_size)
-    }
-}
-
-/// State shared by every clone of a [`MemDisk`].
-struct DiskShared {
-    state: Mutex<DiskState>,
-    /// Commands currently executing or waiting for the lock, plus slots
-    /// occupying a host queue ([`BlockDevice::host_queue_enter`]), across
-    /// all threads — the simulated host controller's occupancy.
-    in_flight: AtomicUsize,
-    /// Deterministic lower bound on the charged queue depth (default 1).
-    /// Test-only: real overlap (threads or the submission engine) drives
-    /// depth in production code.
-    #[cfg(any(test, feature = "test-hooks"))]
-    depth_floor: AtomicUsize,
-}
-
-/// Decrements the in-flight counter when a command completes (RAII so an
-/// early return cannot leak occupancy).
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -128,7 +110,7 @@ impl Drop for InFlight<'_> {
 /// ```
 #[derive(Clone)]
 pub struct MemDisk {
-    shared: Arc<DiskShared>,
+    state: Arc<Mutex<DiskState>>,
     num_blocks: u64,
     block_size: usize,
     clock: SimClock,
@@ -184,20 +166,16 @@ impl MemDisk {
             .map(|first| vec![0u8; (count - first).min(chunk_blocks) * block_size])
             .collect();
         MemDisk {
-            shared: Arc::new(DiskShared {
-                state: Mutex::new(DiskState {
-                    chunks,
-                    chunk_blocks,
-                    block_size,
-                    last_block: None,
-                    faults: FaultInjection::default(),
-                    total_ops: 0,
-                    stats: DeviceStats::default(),
-                }),
-                in_flight: AtomicUsize::new(0),
-                #[cfg(any(test, feature = "test-hooks"))]
-                depth_floor: AtomicUsize::new(1),
-            }),
+            state: Arc::new(Mutex::new(DiskState {
+                chunks,
+                chunk_blocks,
+                block_size,
+                last_block: None,
+                faults: FaultInjection::default(),
+                total_ops: 0,
+                stats: DeviceStats::default(),
+                queued: 0,
+            })),
             num_blocks,
             block_size,
             clock,
@@ -212,17 +190,17 @@ impl MemDisk {
 
     /// Snapshot of the I/O statistics.
     pub fn stats(&self) -> DeviceStats {
-        self.shared.state.lock().stats
+        self.state.lock().stats
     }
 
     /// Resets statistics (not contents).
     pub fn reset_stats(&self) {
-        self.shared.state.lock().stats = DeviceStats::default();
+        self.state.lock().stats = DeviceStats::default();
     }
 
     /// Installs a fault-injection configuration.
     pub fn set_faults(&self, faults: FaultInjection) {
-        self.shared.state.lock().faults = faults;
+        self.state.lock().faults = faults;
     }
 
     /// Replaces the entire medium with `image` without charging simulated
@@ -236,38 +214,23 @@ impl MemDisk {
         assert_eq!(image.block_size(), self.block_size, "image block size mismatch");
         assert_eq!(image.num_blocks(), self.num_blocks, "image block count mismatch");
         let mut rest = image.as_bytes();
-        for chunk in &mut self.shared.state.lock().chunks {
+        for chunk in &mut self.state.lock().chunks {
             let (head, tail) = rest.split_at(chunk.len());
             chunk.copy_from_slice(head);
             rest = tail;
         }
     }
 
-    /// Pins the minimum queue depth every command is charged at, as if a
-    /// driver always kept `floor` commands outstanding (clamped to at
-    /// least 1; the cost model further saturates it at its hardware
-    /// queue depth, so the default profiles are unaffected).
-    ///
-    /// **Test hook only** (`cfg(any(test, feature = "test-hooks"))`): it
-    /// exists so properties can pin the depth-`d` charge a command *would*
-    /// take and compare it against real overlap. Production depth comes
-    /// from genuine occupancy — concurrent callers and the submission
-    /// engine's ring slots (`mobiceal_blockdev::engine`).
-    #[cfg(any(test, feature = "test-hooks"))]
-    pub fn set_queue_depth_floor(&self, floor: usize) {
-        self.shared.depth_floor.store(floor.max(1), Ordering::SeqCst);
-    }
-
     /// Takes a bit-exact image of the medium — what the paper's
     /// multi-snapshot adversary captures at a checkpoint (§III-A).
     pub fn snapshot(&self) -> DiskSnapshot {
-        let bytes = self.shared.state.lock().chunks.concat();
+        let bytes = self.state.lock().chunks.concat();
         DiskSnapshot::new(self.block_size, self.num_blocks, bytes)
     }
 
     /// Overwrites the whole medium with the given byte (e.g. secure wipe).
     pub fn fill(&self, byte: u8) {
-        for chunk in &mut self.shared.state.lock().chunks {
+        for chunk in &mut self.state.lock().chunks {
             chunk.fill(byte);
         }
     }
@@ -281,9 +244,8 @@ impl MemDisk {
     /// concurrent observer sees the fill all-or-nothing.
     pub fn fill_with(&self, mut gen: impl FnMut(&mut [u8])) {
         let bs = self.block_size;
-        let _io = self.begin_command();
-        let depth = self.observed_depth();
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
+        let depth = st.depth();
         let mut command = (0usize, SimDuration::ZERO);
         let mut total = SimDuration::ZERO;
         for _ in 0..self.num_blocks {
@@ -306,25 +268,6 @@ impl MemDisk {
             (true, true) => OpKind::SequentialWrite,
             (true, false) => OpKind::RandomWrite,
         }
-    }
-
-    /// Registers one command with the simulated host controller for the
-    /// duration of the returned guard.
-    fn begin_command(&self) -> InFlight<'_> {
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        InFlight(&self.shared.in_flight)
-    }
-
-    /// The queue depth this command is charged at: the controller's
-    /// current occupancy (including this command, plus any queued ring
-    /// slots registered via [`BlockDevice::host_queue_enter`]). Call after
-    /// [`MemDisk::begin_command`]. Test builds additionally respect the
-    /// pinned floor.
-    fn observed_depth(&self) -> usize {
-        let occupancy = self.shared.in_flight.load(Ordering::SeqCst);
-        #[cfg(any(test, feature = "test-hooks"))]
-        let occupancy = occupancy.max(self.shared.depth_floor.load(Ordering::SeqCst));
-        occupancy.max(1)
     }
 
     /// Incremental coster for one batched call: the blocks of a
@@ -384,7 +327,7 @@ impl MemDisk {
     }
 
     /// Plans one batch under the disk lock: classifies, fault-checks and
-    /// charges every block (at queue depth `depth`) until the first
+    /// charges every block (at the current queue depth) until the first
     /// error, advancing the clock by the telescoped total. Returns how
     /// many blocks passed (the prefix the caller then copies, still under
     /// the lock) and the first error, if any.
@@ -393,8 +336,8 @@ impl MemDisk {
         st: &mut DiskState,
         blocks: impl Iterator<Item = (BlockIndex, Option<&'a [u8]>)>,
         write: bool,
-        depth: usize,
     ) -> (usize, Result<(), BlockDeviceError>) {
+        let depth = st.depth();
         let (mut seq, mut rand) = ((0, SimDuration::ZERO), (0, SimDuration::ZERO));
         let mut total = SimDuration::ZERO;
         let mut planned = 0usize;
@@ -430,15 +373,9 @@ impl MemDisk {
         &self,
         writes: &[(BlockIndex, &[u8])],
     ) -> (usize, Result<(), BlockDeviceError>) {
-        let _io = self.begin_command();
-        let depth = self.observed_depth();
-        let mut st = self.shared.state.lock();
-        let (planned, result) = self.plan_batch(
-            &mut st,
-            writes.iter().map(|&(index, data)| (index, Some(data))),
-            true,
-            depth,
-        );
+        let mut st = self.state.lock();
+        let (planned, result) =
+            self.plan_batch(&mut st, writes.iter().map(|&(index, data)| (index, Some(data))), true);
         for &(index, data) in &writes[..planned] {
             st.block_mut(index).copy_from_slice(data);
         }
@@ -456,18 +393,14 @@ impl BlockDevice for MemDisk {
     }
 
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
-        let _io = self.begin_command();
-        let depth = self.observed_depth();
-        let mut st = self.shared.state.lock();
-        self.plan_batch(&mut st, std::iter::once((index, None)), false, depth).1?;
+        let mut st = self.state.lock();
+        self.plan_batch(&mut st, std::iter::once((index, None)), false).1?;
         Ok(st.block(index).to_vec())
     }
 
     fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        let _io = self.begin_command();
-        let depth = self.observed_depth();
-        let mut st = self.shared.state.lock();
-        self.plan_batch(&mut st, std::iter::once((index, Some(data))), true, depth).1?;
+        let mut st = self.state.lock();
+        self.plan_batch(&mut st, std::iter::once((index, Some(data))), true).1?;
         st.block_mut(index).copy_from_slice(data);
         Ok(())
     }
@@ -493,10 +426,8 @@ impl BlockDevice for MemDisk {
         indices: &[BlockIndex],
         mut dest: ReadDest<'_>,
     ) -> Result<(), BlockDeviceError> {
-        let _io = self.begin_command();
-        let depth = self.observed_depth();
-        let mut st = self.shared.state.lock();
-        self.plan_batch(&mut st, indices.iter().map(|&index| (index, None)), false, depth).1?;
+        let mut st = self.state.lock();
+        self.plan_batch(&mut st, indices.iter().map(|&index| (index, None)), false).1?;
         dest.reserve(indices.len(), self.block_size);
         for &index in indices {
             dest.push(st.block(index));
@@ -514,23 +445,23 @@ impl BlockDevice for MemDisk {
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {
-        let _io = self.begin_command();
         let t = self.cost.cost(OpKind::Flush, 0);
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         self.clock.advance(t);
         st.stats.record(OpKind::Flush, 0, t);
         Ok(())
     }
 
     /// A queued-but-unexecuted command (a submission-engine ring slot)
-    /// occupies the host controller exactly like an executing one: later
-    /// commands overlap it and are charged at the deeper queue depth.
+    /// occupies the host controller: commands that execute while it is
+    /// registered overlap it and are charged one queue depth deeper.
     fn host_queue_enter(&self) {
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.state.lock().queued += 1;
     }
 
     fn host_queue_leave(&self) {
-        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let mut st = self.state.lock();
+        st.queued = st.queued.saturating_sub(1);
     }
 }
 
@@ -753,12 +684,25 @@ mod tests {
         assert!(disk.read_blocks(&[0, 99]).is_err());
     }
 
+    /// Runs `f` with `slots` host-queue registrations held on `disk`, so
+    /// every command it makes is charged at depth `slots + 1`.
+    fn with_queued<T>(disk: &MemDisk, slots: usize, f: impl FnOnce() -> T) -> T {
+        for _ in 0..slots {
+            disk.host_queue_enter();
+        }
+        let out = f();
+        for _ in 0..slots {
+            disk.host_queue_leave();
+        }
+        out
+    }
+
     #[test]
-    fn queue_depth_floor_discounts_only_queue_capable_profiles() {
-        // The same batch, three ways: depth floor 1 (the default), a deep
-        // floor on a CQE profile, and a deep floor on the synchronous
-        // nexus4 profile. Only the CQE device gets cheaper, and its charge
-        // still telescopes exactly into the statistics.
+    fn queued_slots_discount_only_queue_capable_profiles() {
+        // The same batch, three ways: alone (depth 1), behind seven queued
+        // slots (depth 8) on a CQE profile, and behind seven on the
+        // synchronous nexus4 profile. Only the CQE device gets cheaper, and
+        // its charge still telescopes exactly into the statistics.
         let mk = |model: EmmcCostModel| {
             MemDisk::with_cost_model(64, 4096, SimClock::new(), Arc::new(model))
         };
@@ -770,8 +714,7 @@ mod tests {
         baseline.write_blocks(&writes).unwrap();
 
         let queued = mk(EmmcCostModel::emmc51_cqe());
-        queued.set_queue_depth_floor(8);
-        queued.write_blocks(&writes).unwrap();
+        with_queued(&queued, 7, || queued.write_blocks(&writes)).unwrap();
         assert!(
             queued.clock().now() < baseline.clock().now(),
             "overlapped commands must charge less on a CQE device"
@@ -780,8 +723,7 @@ mod tests {
         assert_eq!(queued.stats().total_time().as_nanos(), queued.clock().now().as_nanos());
 
         let synchronous = mk(EmmcCostModel::nexus4());
-        synchronous.set_queue_depth_floor(8);
-        synchronous.write_blocks(&writes).unwrap();
+        with_queued(&synchronous, 7, || synchronous.write_blocks(&writes)).unwrap();
         let control = mk(EmmcCostModel::nexus4());
         control.write_blocks(&writes).unwrap();
         assert_eq!(
@@ -795,16 +737,10 @@ mod tests {
     #[test]
     fn host_queue_registrations_drive_charged_depth() {
         // Two queued (unexecuted) host-queue slots plus the executing
-        // command itself make occupancy 3, so the direct write charges
-        // exactly what a pinned depth floor of 3 charges.
-        let mk = || {
-            MemDisk::with_cost_model(
-                64,
-                4096,
-                SimClock::new(),
-                Arc::new(EmmcCostModel::emmc51_cqe()),
-            )
-        };
+        // command itself make depth 3, so the 16 scattered blocks, one
+        // packed random command, charge exactly the model's depth-3 price.
+        let model = EmmcCostModel::emmc51_cqe();
+        let mk = || MemDisk::with_cost_model(64, 4096, SimClock::new(), Arc::new(model.clone()));
         let data = vec![7u8; 4096];
         let writes: Vec<(BlockIndex, &[u8])> =
             (0..16u64).map(|b| (b * 2, data.as_slice())).collect();
@@ -815,12 +751,10 @@ mod tests {
         queued.write_blocks(&writes).unwrap();
         queued.host_queue_leave();
         queued.host_queue_leave();
-
-        let floored = mk();
-        floored.set_queue_depth_floor(3);
-        floored.write_blocks(&writes).unwrap();
-        assert_eq!(queued.clock().now(), floored.clock().now());
-        assert_eq!(queued.stats(), floored.stats());
+        let depth3 = model.batch_cost_at_depth(OpKind::RandomWrite, 16, 16 * 4096, 3);
+        assert_eq!(queued.clock().now().as_nanos(), depth3.as_nanos());
+        assert_eq!(queued.stats().rand_writes.ops, 16);
+        assert_eq!(queued.stats().total_time(), depth3);
 
         // A balanced enter/leave pair leaves no residue: charges return
         // to the depth-1 baseline.
@@ -840,12 +774,10 @@ mod tests {
         // profile: whatever depths the scheduler produces, the statistics
         // telescope exactly to the clock, the transfer volume matches the
         // sequential twin, and both writers' bytes land. (The charged
-        // *time* is schedule-dependent in both directions — in-flight
-        // overlap discounts latency, while interleaved classification can
-        // turn a batch head sequential→random — so it is deliberately not
-        // compared here; the deterministic depth discount is pinned by
-        // queue_depth_floor_discounts_only_queue_capable_profiles and the
-        // shard_props depth-floor properties.)
+        // *time* is schedule-dependent — interleaving the writers' batches
+        // can turn a batch head from sequential to random — so it is not
+        // compared here. Threads add no queue depth:
+        // concurrent_direct_callers_charge_the_serial_sum pins that.)
         let clock = SimClock::new();
         let disk = MemDisk::with_cost_model(
             256,
@@ -886,6 +818,46 @@ mod tests {
         assert_eq!(disk.stats().bytes_written(), sequential.stats().bytes_written());
         assert_eq!(disk.stats().total_writes(), sequential.stats().total_writes());
         assert_eq!(disk.snapshot().as_bytes(), sequential.snapshot().as_bytes());
+    }
+
+    #[test]
+    fn concurrent_direct_callers_charge_the_serial_sum() {
+        // Two threads write 300 single blocks each at even indices, so no
+        // block ever follows its predecessor and every write is random
+        // whatever the interleaving. Threads are not a queue-depth source,
+        // so every trial charges what one thread charges for the same
+        // writes.
+        let cqe = || {
+            MemDisk::with_cost_model(
+                1200,
+                512,
+                SimClock::new(),
+                Arc::new(EmmcCostModel::emmc51_cqe()),
+            )
+        };
+        let data = vec![9u8; 512];
+        let block = |t: u64, i: u64| 2 * (t * 300 + i);
+        let serial = cqe();
+        for t in 0..2 {
+            for i in 0..300 {
+                serial.write_block(block(t, i), &data).unwrap();
+            }
+        }
+        for trial in 0..20 {
+            let disk = cqe();
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let (disk, data) = (&disk, &data);
+                    s.spawn(move || {
+                        for i in 0..300 {
+                            disk.write_block(block(t, i), data).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(disk.clock().now(), serial.clock().now(), "trial {trial}");
+            assert_eq!(disk.stats(), serial.stats(), "trial {trial}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! submission order makes results reap-order-independent and equal to the
 //! direct sequential path, a depth-1 ring charges bit-identically to
 //! direct calls, faulted batches stay confined to their own ticket, and
-//! engine-driven queue depth equals real slot occupancy (pinned against
-//! the deterministic depth floor, which is now a test hook only).
+//! engine-driven queue depth equals real slot occupancy (pinned against a
+//! direct-path twin holding as many host-queue registrations).
 
 // Test binary: aborting on an unexpected error is the point.
 #![allow(clippy::unwrap_used)]
@@ -14,8 +14,8 @@ use mobiceal_blockdev::{
 };
 use mobiceal_sim::{EmmcCostModel, SimClock};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const BS: usize = 512;
 const DISK_BLOCKS: u64 = 256;
@@ -70,8 +70,8 @@ fn run_direct(dev: &impl BlockDevice, batch: &Batch) -> Result<IoOutput, BlockDe
     }
 }
 
-/// A pass-through device that counts concurrent host-queue registrations
-/// (plus its own executing commands) and remembers the high-water mark.
+/// A pass-through device that counts outstanding host-queue registrations
+/// and remembers the high-water mark.
 #[derive(Clone)]
 struct CountingDevice {
     inner: MemDisk,
@@ -199,8 +199,8 @@ proptest! {
         let engine = IoEngine::new(engine_disk.clone(), 1);
         let tickets: Vec<_> = batches.iter().map(|b| submit(&engine, b)).collect();
         for t in tickets {
-            // Already-completed tickets (retired by backpressure) just
-            // return their parked result.
+            // Already-completed tickets (retired by a submit on the full
+            // ring) just return their parked result.
             let _ = engine.wait(t);
         }
         for batch in &batches {
@@ -245,14 +245,14 @@ proptest! {
         prop_assert_eq!(engine_disk.stats(), direct_disk.stats());
     }
 
-    /// Engine-driven queue depth equals real slot occupancy — no floor
-    /// involved: draining `k` queued batches charges batch `i` at depth
-    /// `k - i`, bit-identical to the (test-hook) depth floor pinned to
-    /// the same ladder on the direct path.
+    /// Engine-driven queue depth equals real slot occupancy: draining `k`
+    /// queued batches charges batch `i` at depth `k - i`, bit-identical to
+    /// the direct path holding `k - i - 1` host-queue registrations around
+    /// the same batch.
     #[test]
     fn engine_depth_equals_slot_occupancy(k in 2usize..9, n in 2usize..9) {
         let engine_disk = cqe_disk();
-        let floored_disk = cqe_disk();
+        let held_disk = cqe_disk();
         let engine = IoEngine::new(engine_disk.clone(), k);
         let data = vec![0x6Bu8; BS];
         // Spaced bases keep each batch head a random op on both paths.
@@ -271,137 +271,22 @@ proptest! {
         }
         for i in 0..k {
             // When the engine executed batch i, batches i..k occupied the
-            // ring: occupancy k - i. The floor reproduces that exactly.
-            floored_disk.set_queue_depth_floor(k - i);
+            // ring: occupancy k - i, the executing batch and k - i - 1
+            // queued slots. Holding that many registrations reproduces it.
             let owned = batch_at(i);
             let writes: Vec<(BlockIndex, &[u8])> =
                 owned.iter().map(|(b, d)| (*b, d.as_slice())).collect();
-            floored_disk.write_blocks(&writes).unwrap();
-        }
-        prop_assert_eq!(engine_disk.clock().now(), floored_disk.clock().now(),
-            "slot occupancy is the charged depth");
-        prop_assert_eq!(engine_disk.stats(), floored_disk.stats());
-    }
-}
-
-/// A device whose writes block on an external gate — lets a test hold the
-/// engine mid-execution to line up waiters deterministically.
-#[derive(Clone)]
-struct GatedDevice {
-    inner: MemDisk,
-    gate: Arc<(Mutex<bool>, Condvar)>,
-    execution_blocked: Arc<AtomicBool>,
-}
-
-impl GatedDevice {
-    fn new(inner: MemDisk) -> Self {
-        GatedDevice {
-            inner,
-            gate: Arc::new((Mutex::new(false), Condvar::new())),
-            execution_blocked: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    fn open_gate(&self) {
-        *self.gate.0.lock().unwrap() = true;
-        self.gate.1.notify_all();
-    }
-
-    fn block_on_gate(&self) {
-        let (lock, cvar) = &*self.gate;
-        let mut open = lock.lock().unwrap();
-        while !*open {
-            self.execution_blocked.store(true, Ordering::SeqCst);
-            open = cvar.wait(open).unwrap();
-        }
-    }
-}
-
-impl BlockDevice for GatedDevice {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
-        self.inner.read_blocks(indices)
-    }
-
-    fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        self.block_on_gate();
-        self.inner.write_blocks(writes)
-    }
-
-    fn flush(&self) -> Result<(), BlockDeviceError> {
-        self.inner.flush()
-    }
-
-    fn host_queue_enter(&self) {
-        self.inner.host_queue_enter();
-    }
-
-    fn host_queue_leave(&self) {
-        self.inner.host_queue_leave();
-    }
-}
-
-/// Backpressure grants slots in FIFO arrival order: tickets are allocated
-/// at grant time, so the earlier-arriving blocked submitter must hold the
-/// smaller ticket. Arrival is serialized deterministically — the gate
-/// holds the head waiter mid-execution (the engine lock is released
-/// during device I/O), and each later thread is spawned only once the
-/// previous one is visibly parked in the waiter queue.
-#[test]
-fn backpressure_grants_slots_in_arrival_order() {
-    let device = GatedDevice::new(MemDisk::with_default_timing(DISK_BLOCKS, BS));
-    let gate = device.clone();
-    let engine = Arc::new(IoEngine::new(device, 1));
-    let data = vec![1u8; BS];
-    // Plug the single slot; nothing executes at submit time.
-    let plug = engine.submit_write_blocks(&[(0, data.as_slice())]);
-
-    let grants = Arc::new(Mutex::new(Vec::new()));
-    std::thread::scope(|s| {
-        for id in 0..3u64 {
-            let engine_ref = Arc::clone(&engine);
-            let grants = Arc::clone(&grants);
-            let data = data.clone();
-            s.spawn(move || {
-                let ticket = engine_ref.submit_write_blocks(&[(1 + id, data.as_slice())]);
-                grants.lock().unwrap().push((id, ticket));
-            });
-            if id == 0 {
-                // Thread 0 joins the waiter queue, becomes head, and gets
-                // stuck executing the plug behind the gate.
-                while !gate.execution_blocked.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-            } else {
-                // Threads 1, 2 park behind it; wait until each is queued
-                // before admitting the next.
-                while engine.backpressured() < id as usize + 1 {
-                    std::thread::yield_now();
-                }
+            for _ in 0..k - i - 1 {
+                held_disk.host_queue_enter();
+            }
+            held_disk.write_blocks(&writes).unwrap();
+            for _ in 0..k - i - 1 {
+                held_disk.host_queue_leave();
             }
         }
-        gate.open_gate();
-    });
-
-    let granted = grants.lock().unwrap().clone();
-    assert_eq!(granted.len(), 3, "every blocked submitter was woken");
-    let mut by_arrival = granted.clone();
-    by_arrival.sort_by_key(|&(id, _)| id);
-    let tickets: Vec<_> = by_arrival.iter().map(|&(_, t)| t).collect();
-    let mut sorted = tickets.clone();
-    sorted.sort();
-    assert_eq!(tickets, sorted, "slots granted in FIFO arrival order: {granted:?}");
-
-    engine.wait(plug).unwrap();
-    for (_, r) in engine.drain() {
-        r.unwrap();
+        prop_assert_eq!(engine_disk.clock().now(), held_disk.clock().now(),
+            "slot occupancy is the charged depth");
+        prop_assert_eq!(engine_disk.stats(), held_disk.stats());
     }
 }
 

@@ -14,6 +14,19 @@ use std::sync::Arc;
 const BS: usize = 512;
 const DISK_BLOCKS: u64 = 256;
 
+/// Runs `f` with `slots` host-queue registrations held on `disk`, so every
+/// command it makes is charged at depth `slots + 1`.
+fn with_queued<T>(disk: &MemDisk, slots: usize, f: impl FnOnce() -> T) -> T {
+    for _ in 0..slots {
+        disk.host_queue_enter();
+    }
+    let out = f();
+    for _ in 0..slots {
+        disk.host_queue_leave();
+    }
+    out
+}
+
 /// A per-thread write plan: each thread owns a disjoint slice of the disk
 /// (thread `t` owns blocks `[t * span, (t + 1) * span)`) and writes a
 /// proptest-chosen pattern of batches inside it.
@@ -138,55 +151,53 @@ proptest! {
 
     /// The device driven single-threaded charges bit-identically to the
     /// sequential single-block loop under `flat()` (the amortization-free
-    /// control), and a deep queue-depth floor changes nothing on a depth-1
+    /// control), and a deep host queue changes nothing on a depth-1
     /// medium: both controls hold.
     #[test]
     fn flat_and_depth1_charges_survive_sharding(
         writes in prop::collection::vec((0u64..64, any::<u8>()), 1..40),
-        floor in 1usize..16,
+        depth in 1usize..16,
     ) {
         let mk = || MemDisk::with_cost_model(
             64, BS, SimClock::new(), Arc::new(EmmcCostModel::flat(25_000)),
         );
         let batched = mk();
-        batched.set_queue_depth_floor(floor);
         let sequential = mk();
         let bufs: Vec<(u64, Vec<u8>)> =
             writes.iter().map(|&(b, fill)| (b, vec![fill; BS])).collect();
         let batch: Vec<(BlockIndex, &[u8])> =
             bufs.iter().map(|(b, d)| (*b, d.as_slice())).collect();
-        batched.write_blocks(&batch).unwrap();
+        with_queued(&batched, depth - 1, || batched.write_blocks(&batch)).unwrap();
         for (b, d) in &bufs {
             sequential.write_block(*b, d).unwrap();
         }
         prop_assert_eq!(batched.clock().now(), sequential.clock().now(),
-            "flat() batches at any depth floor charge the sequential sum");
+            "flat() batches at any queue depth charge the sequential sum");
         prop_assert_eq!(batched.stats(), sequential.stats());
     }
 
-    /// On a CQE medium a deeper depth floor discounts monotonically while
+    /// On a CQE medium a deeper host queue discounts monotonically while
     /// preserving bytes and op mix, and the stats always telescope.
     #[test]
-    fn depth_floor_discounts_monotonically_on_cqe(
+    fn queued_slots_discount_monotonically_on_cqe(
         writes in prop::collection::vec((0u64..64, any::<u8>()), 2..40),
     ) {
-        let run = |floor: usize| {
+        let run = |depth: usize| {
             let disk = MemDisk::with_cost_model(
                 64, BS, SimClock::new(), Arc::new(EmmcCostModel::emmc51_cqe()),
             );
-            disk.set_queue_depth_floor(floor);
             let bufs: Vec<(u64, Vec<u8>)> =
                 writes.iter().map(|&(b, fill)| (b, vec![fill; BS])).collect();
             let batch: Vec<(BlockIndex, &[u8])> =
                 bufs.iter().map(|(b, d)| (*b, d.as_slice())).collect();
-            disk.write_blocks(&batch).unwrap();
+            with_queued(&disk, depth - 1, || disk.write_blocks(&batch)).unwrap();
             (disk.clock().now(), disk.stats())
         };
         let (t1, s1) = run(1);
         let mut last = t1;
-        for floor in [2usize, 8, 32] {
-            let (t, s) = run(floor);
-            prop_assert!(t <= last, "deeper floors never charge more");
+        for depth in [2usize, 8, 32] {
+            let (t, s) = run(depth);
+            prop_assert!(t <= last, "deeper queues never charge more");
             prop_assert_eq!(s.without_time(), s1.without_time(), "op mix is depth-independent");
             prop_assert_eq!(s.total_time().as_nanos(), t.as_nanos(), "telescopes at any depth");
             last = t;

@@ -155,8 +155,8 @@ pub struct EmmcCostModel {
     /// host keeps several commands in flight, their latency phases overlap
     /// up to this depth (see [`CostModel::batch_cost_at_depth`]); `1`
     /// models a strictly synchronous device and disables overlap entirely.
-    /// Single-threaded driving always observes depth 1, so this field
-    /// never moves a sequentially-driven result.
+    /// Only queued ring slots raise the depth, so this field never moves
+    /// a result driven without a ring.
     pub queue_depth: usize,
     /// Transfer cost per byte read.
     pub read_ns_per_byte: f64,
@@ -186,8 +186,8 @@ impl EmmcCostModel {
             random_penalty_ns: 16_000,
             // The Nexus 4's eMMC 4.x part predates CQE: one command at a
             // time, no latency overlap. Keeping depth 1 here guarantees the
-            // Fig. 4 / Table 1 calibration can never move, even under
-            // concurrent driving.
+            // Fig. 4 / Table 1 calibration can never move, even when driven
+            // through deep rings.
             queue_depth: 1,
             read_ns_per_byte: 29.0,
             write_ns_per_byte: 38.0,

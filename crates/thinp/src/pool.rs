@@ -53,6 +53,10 @@ enum MapDelta {
 
 #[derive(Debug)]
 struct VolumeState {
+    /// Which creation of this id the state belongs to: handles carry it,
+    /// so a handle to a deleted volume never reaches a later volume that
+    /// reuses the id. In memory only.
+    generation: u64,
     virtual_blocks: u64,
     mappings: ExtentMap,
     /// Mapping changes since the last commit, in application order.
@@ -62,8 +66,8 @@ struct VolumeState {
 }
 
 impl VolumeState {
-    fn new(virtual_blocks: u64, mappings: ExtentMap) -> Self {
-        VolumeState { virtual_blocks, mappings, dirty: Vec::new() }
+    fn new(generation: u64, virtual_blocks: u64, mappings: ExtentMap) -> Self {
+        VolumeState { generation, virtual_blocks, mappings, dirty: Vec::new() }
     }
 
     /// Maps `vblock` to `physical` and records the delta for the journal.
@@ -206,6 +210,8 @@ impl AllocState {
 /// module docs).
 struct PoolState {
     volumes: BTreeMap<VolumeId, VolumeState>,
+    /// The generation the next created volume gets.
+    next_generation: u64,
     alloc: AllocState,
     /// Optional per-read mapping-lookup cost. Real dm-thin walks a btree on
     /// the read path (the paper measures ~18 % sequential-read overhead
@@ -292,6 +298,7 @@ impl ThinPool {
         let pool = ThinPool {
             state: Arc::new(Mutex::new(PoolState {
                 volumes: BTreeMap::new(),
+                next_generation: 0,
                 alloc: AllocState::new(
                     Bitmap::new(data.num_blocks()),
                     make_allocator(strategy, seed),
@@ -360,13 +367,17 @@ impl ThinPool {
                 }
             }
         }
-        let volumes = view
+        let volumes: BTreeMap<_, _> = view
             .volumes
             .into_iter()
-            .map(|(id, v)| (id, VolumeState::new(v.virtual_blocks, v.mappings)))
+            .zip(0..)
+            .map(|((id, v), generation)| {
+                (id, VolumeState::new(generation, v.virtual_blocks, v.mappings))
+            })
             .collect();
         Ok(ThinPool {
             state: Arc::new(Mutex::new(PoolState {
+                next_generation: volumes.len() as u64,
                 volumes,
                 alloc: AllocState {
                     transaction_id: sb.transaction_id,
@@ -696,9 +707,11 @@ impl ThinPool {
         if st.volumes.contains_key(&id) {
             return Err(BlockDeviceError::Unsupported { what: format!("volume {id} exists") });
         }
-        st.volumes.insert(id, VolumeState::new(virtual_blocks, ExtentMap::new()));
+        let generation = st.next_generation;
+        st.next_generation += 1;
+        st.volumes.insert(id, VolumeState::new(generation, virtual_blocks, ExtentMap::new()));
         st.alloc.meta_ops.push(DeltaOp::CreateVolume { id, virtual_blocks });
-        Ok(self.volume_handle(id, virtual_blocks))
+        Ok(self.volume_handle(id, &st.volumes[&id]))
     }
 
     /// Opens an existing volume.
@@ -707,9 +720,8 @@ impl ThinPool {
     ///
     /// Fails if the volume does not exist.
     pub fn open_volume(&self, id: VolumeId) -> Result<ThinVolume, BlockDeviceError> {
-        let virtual_blocks =
-            self.state.lock().volumes.get(&id).ok_or_else(|| no_volume(id))?.virtual_blocks;
-        Ok(self.volume_handle(id, virtual_blocks))
+        let st = self.state.lock();
+        Ok(self.volume_handle(id, st.volumes.get(&id).ok_or_else(|| no_volume(id))?))
     }
 
     /// Deletes a volume, releasing its physical blocks.
@@ -905,8 +917,14 @@ impl ThinPool {
         Ok(())
     }
 
-    fn volume_handle(&self, id: VolumeId, virtual_blocks: u64) -> ThinVolume {
-        ThinVolume { pool: Arc::clone(&self.state), data: self.data.clone(), id, virtual_blocks }
+    fn volume_handle(&self, id: VolumeId, vol: &VolumeState) -> ThinVolume {
+        ThinVolume {
+            pool: Arc::clone(&self.state),
+            data: self.data.clone(),
+            id,
+            generation: vol.generation,
+            virtual_blocks: vol.virtual_blocks,
+        }
     }
 }
 
@@ -920,6 +938,7 @@ pub struct ThinVolume {
     pool: Arc<Mutex<PoolState>>,
     data: SharedDevice,
     id: VolumeId,
+    generation: u64,
     virtual_blocks: u64,
 }
 
@@ -943,23 +962,35 @@ impl ThinVolume {
         BlockDeviceError::Unsupported { what: format!("volume {} deleted", self.id) }
     }
 
+    /// This handle's volume in `volumes` (the pool lock held), or the
+    /// deleted error once it is gone, even if a later volume took its id.
+    fn volume<'a>(
+        &self,
+        volumes: &'a mut BTreeMap<VolumeId, VolumeState>,
+    ) -> Result<&'a mut VolumeState, BlockDeviceError> {
+        volumes
+            .get_mut(&self.id)
+            .filter(|v| v.generation == self.generation)
+            .ok_or_else(|| self.deleted())
+    }
+
     /// Physical blocks currently mapped.
     pub fn mapped_blocks(&self) -> u64 {
-        self.pool.lock().volumes.get(&self.id).map_or(0, |v| v.mappings.len() as u64)
+        self.volume(&mut self.pool.lock().volumes).map_or(0, |v| v.mappings.len() as u64)
     }
 
     /// The physical block backing `vblock`, if mapped.
     pub fn mapping(&self, vblock: u64) -> Option<u64> {
-        self.pool.lock().volumes.get(&self.id)?.mappings.get(&vblock)
+        self.volume(&mut self.pool.lock().volumes).ok()?.mappings.get(&vblock)
     }
 
     /// Vectored [`ThinVolume::mapping`]: resolves many virtual blocks under
     /// one acquisition of the pool lock. Out-of-range indices resolve to
     /// `None`.
     pub fn mappings_many(&self, vblocks: &[u64]) -> Vec<Option<u64>> {
-        match self.pool.lock().volumes.get(&self.id) {
-            Some(vol) => vblocks.iter().map(|v| vol.mappings.get(v)).collect(),
-            None => vec![None; vblocks.len()],
+        match self.volume(&mut self.pool.lock().volumes) {
+            Ok(vol) => vblocks.iter().map(|v| vol.mappings.get(v)).collect(),
+            Err(_) => vec![None; vblocks.len()],
         }
     }
 }
@@ -975,8 +1006,8 @@ impl BlockDevice for ThinVolume {
 
     fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
         self.check_index(index)?;
-        let st = self.pool.lock();
-        let mapping = st.volumes.get(&self.id).ok_or_else(|| self.deleted())?.mappings.get(&index);
+        let mut st = self.pool.lock();
+        let mapping = self.volume(&mut st.volumes)?.mappings.get(&index);
         st.charge_read_overhead(1);
         match mapping {
             Some(p) => self.data.read_block(p),
@@ -990,7 +1021,7 @@ impl BlockDevice for ThinVolume {
         self.check_buffer(data)?;
         let mut st = self.pool.lock();
         let PoolState { volumes, alloc, .. } = &mut *st;
-        let vol = volumes.get_mut(&self.id).ok_or_else(|| self.deleted())?;
+        let vol = self.volume(volumes)?;
         let (physical, fresh) = match vol.mappings.get(&index) {
             Some(p) => (p, false),
             None => {
@@ -1026,8 +1057,8 @@ impl BlockDevice for ThinVolume {
     ) -> Result<(), BlockDeviceError> {
         let bad = indices.iter().position(|&i| i >= self.virtual_blocks);
         let valid = &indices[..bad.unwrap_or(indices.len())];
-        let st = self.pool.lock();
-        let vol = st.volumes.get(&self.id).ok_or_else(|| self.deleted())?;
+        let mut st = self.pool.lock();
+        let vol = self.volume(&mut st.volumes)?;
         let mappings: Vec<Option<u64>> =
             valid.iter().map(|index| vol.mappings.get(index)).collect();
         st.charge_read_overhead(valid.len());
@@ -1060,7 +1091,7 @@ impl BlockDevice for ThinVolume {
         let mut first_error = None;
         let mut st = self.pool.lock();
         let PoolState { volumes, alloc, .. } = &mut *st;
-        let vol = volumes.get_mut(&self.id).ok_or_else(|| self.deleted())?;
+        let vol = self.volume(volumes)?;
         for &(index, data) in writes {
             if let Err(e) = self.check_index(index).and_then(|()| self.check_buffer(data)) {
                 first_error = Some(e);
@@ -1574,6 +1605,48 @@ mod tests {
         p.commit().unwrap();
         assert_eq!(p.allocated_blocks(), 0);
         assert_eq!(p.metadata_view().bitmap.allocated(), 0);
+    }
+
+    #[test]
+    fn stale_handles_error_after_their_id_is_reused() {
+        // A handle kept across delete_volume(1) + create_volume(1, 10)
+        // still names the deleted volume, not the new one that took its
+        // id: it must not write past the new volume's end or into its
+        // blocks, and the committed pool must reopen.
+        let (data, meta) = devices(256, 128);
+        let p = ThinPool::create(
+            data.clone(),
+            meta.clone(),
+            PoolConfig::new(8),
+            AllocStrategy::Sequential,
+        )
+        .unwrap();
+        let stale = p.create_volume(1, 100).unwrap();
+        let buf = vec![1u8; 512];
+        stale.write_block(0, &buf).unwrap();
+        p.delete_volume(1).unwrap();
+        let reused = p.create_volume(1, 10).unwrap();
+        reused.write_block(0, &[2u8; 512]).unwrap();
+        let deleted = |r: Result<(), BlockDeviceError>| {
+            assert_eq!(r, Err(BlockDeviceError::Unsupported { what: "volume 1 deleted".into() }));
+        };
+        deleted(stale.write_block(50, &buf));
+        deleted(stale.write_block(0, &buf));
+        deleted(stale.write_blocks(&[(1, buf.as_slice()), (50, buf.as_slice())]));
+        deleted(stale.read_block(0).map(drop));
+        deleted(stale.read_blocks(&[0, 1]).map(drop));
+        assert_eq!(stale.mapped_blocks(), 0);
+        assert_eq!(stale.mapping(0), None);
+        assert_eq!(stale.mappings_many(&[0, 1]), vec![None, None]);
+        assert_eq!(reused.read_block(0).unwrap(), vec![2u8; 512]);
+        assert_eq!(p.mapped_vblocks(1), Some(vec![0]));
+        p.commit().unwrap();
+        drop((p, stale, reused));
+
+        let p2 =
+            ThinPool::open(data, meta, PoolConfig::new(8), AllocStrategy::Sequential, 0).unwrap();
+        assert_eq!(p2.mapped_vblocks(1), Some(vec![0]));
+        assert_eq!(p2.open_volume(1).unwrap().read_block(0).unwrap(), vec![2u8; 512]);
     }
 
     #[test]

@@ -440,16 +440,15 @@ fn sharded_queue_depth_charging_is_world_independent() {
     // CQE queue-depth charging must open no timing channel: identical
     // batch shapes driven at an identical queue depth charge identical
     // time and op mix whether the trace targets the public world or a
-    // hidden world. The depth floor
-    // pins the queue deterministically (the in-flight counter depends on
-    // scheduling, the charge rule does not); the trigger is quiesced with
+    // hidden world. `depth - 1` host-queue registrations held for the whole
+    // run put every command at that depth; the trigger is quiesced with
     // x = 1 exactly as in batch_amortization_opens_no_timing_channel.
     use mobiceal::{MobiCeal, MobiCealConfig};
-    use mobiceal_blockdev::{DeviceStats, MemDisk, SharedDevice};
+    use mobiceal_blockdev::{BlockDevice, DeviceStats, MemDisk, SharedDevice};
     use mobiceal_sim::{EmmcCostModel, SimClock};
     use std::sync::Arc;
 
-    let run_world = |hidden_world: bool, depth_floor: usize, seed: u64| -> (u64, DeviceStats) {
+    let run_world = |hidden_world: bool, depth: usize, seed: u64| -> (u64, DeviceStats) {
         let clock = SimClock::new();
         let disk = Arc::new(MemDisk::with_cost_model(
             8192,
@@ -457,7 +456,9 @@ fn sharded_queue_depth_charging_is_world_independent() {
             clock.clone(),
             Arc::new(EmmcCostModel::emmc51_cqe()),
         ));
-        disk.set_queue_depth_floor(depth_floor);
+        for _ in 1..depth {
+            disk.host_queue_enter();
+        }
         let mc = MobiCeal::initialize(
             disk.clone() as SharedDevice,
             clock.clone(),
@@ -480,20 +481,23 @@ fn sharded_queue_depth_charging_is_world_independent() {
         };
         disk.reset_stats();
         let elapsed = run_write_trace(vol.as_ref(), &clock);
+        for _ in 1..depth {
+            disk.host_queue_leave();
+        }
         (elapsed.as_nanos(), disk.stats())
     };
 
-    for depth_floor in [1usize, 4, 32] {
+    for depth in [1usize, 4, 32] {
         for seed in [5u64, 41] {
-            let (public_time, public_stats) = run_world(false, depth_floor, seed);
-            let (hidden_time, hidden_stats) = run_world(true, depth_floor, seed);
+            let (public_time, public_stats) = run_world(false, depth, seed);
+            let (hidden_time, hidden_stats) = run_world(true, depth, seed);
             assert_eq!(
                 public_time, hidden_time,
-                "identical shapes at depth {depth_floor} must charge identical time (seed {seed})"
+                "identical shapes at depth {depth} must charge identical time (seed {seed})"
             );
             assert_eq!(
                 public_stats, hidden_stats,
-                "identical shapes at depth {depth_floor} must leave identical op mixes"
+                "identical shapes at depth {depth} must leave identical op mixes"
             );
         }
     }
