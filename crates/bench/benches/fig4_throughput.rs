@@ -8,12 +8,12 @@
 //!
 //! Run with: `cargo bench -p mobiceal-bench --bench fig4_throughput`
 
-use mobiceal_bench::repeat_stat;
+use mobiceal_sim::RunningStat;
 use mobiceal_workloads::{
     build_stack, render_table, BonnieWorkload, Cell, DdWorkload, StackConfig, Table,
 };
 
-const REPEATS: u32 = 10;
+const REPEATS: u64 = 10;
 const DISK_BLOCKS: u64 = 16384; // 64 MiB at 4 KiB
 
 fn main() {
@@ -27,26 +27,21 @@ fn main() {
     let mut dd_write_means = std::collections::HashMap::new();
     let mut dd_read_means = std::collections::HashMap::new();
     for config in StackConfig::all() {
-        let dd_write = repeat_stat(REPEATS, |i| {
-            let stack = build_stack(config, DISK_BLOCKS, 1000 + i as u64).expect("stack");
-            dd.run(stack.device.clone(), &stack.clock).expect("dd run").write_kbps
-        });
-        let dd_read = repeat_stat(REPEATS, |i| {
-            let stack = build_stack(config, DISK_BLOCKS, 1000 + i as u64).expect("stack");
-            dd.run(stack.device.clone(), &stack.clock).expect("dd run").read_kbps
-        });
-        let bon = repeat_stat(REPEATS, |i| {
-            let stack = build_stack(config, DISK_BLOCKS, 2000 + i as u64).expect("stack");
-            bonnie.run(stack.device.clone(), &stack.clock).expect("bonnie run").block_write_kbps
-        });
-        let bon_read = repeat_stat(REPEATS, |i| {
-            let stack = build_stack(config, DISK_BLOCKS, 2000 + i as u64).expect("stack");
-            bonnie.run(stack.device.clone(), &stack.clock).expect("bonnie run").block_read_kbps
-        });
-        let bon_rw = repeat_stat(REPEATS, |i| {
-            let stack = build_stack(config, DISK_BLOCKS, 2000 + i as u64).expect("stack");
-            bonnie.run(stack.device.clone(), &stack.clock).expect("bonnie run").rewrite_kbps
-        });
+        // One dd run and one Bonnie++ run per seed; every column reads its
+        // field from that run.
+        let [mut dd_write, mut dd_read, mut bon, mut bon_read, mut bon_rw] =
+            std::array::from_fn(|_| RunningStat::new());
+        for i in 0..REPEATS {
+            let stack = build_stack(config, DISK_BLOCKS, 1000 + i).expect("stack");
+            let run = dd.run(stack.device.clone(), &stack.clock).expect("dd run");
+            dd_write.push(run.write_kbps);
+            dd_read.push(run.read_kbps);
+            let stack = build_stack(config, DISK_BLOCKS, 2000 + i).expect("stack");
+            let run = bonnie.run(stack.device.clone(), &stack.clock).expect("bonnie run");
+            bon.push(run.block_write_kbps);
+            bon_read.push(run.block_read_kbps);
+            bon_rw.push(run.rewrite_kbps);
+        }
         dd_write_means.insert(config.label(), dd_write.mean());
         dd_read_means.insert(config.label(), dd_read.mean());
         table.push_row(vec![

@@ -37,7 +37,9 @@ pub struct DummyStats {
     pub bursts: u64,
     /// Total dummy blocks written.
     pub blocks_written: u64,
-    /// Dummy blocks that could not be placed (pool or volume full).
+    /// Bursts cut short or refused because the pool or the target volume
+    /// was full (or the append failed). It counts bursts, not blocks: a
+    /// burst that lost any of its blocks counts 1, however many it lost.
     pub blocks_dropped: u64,
     /// Times `stored_rand` was refreshed.
     pub refreshes: u64,
@@ -150,7 +152,8 @@ impl DummyWriter {
         buf
     }
 
-    /// Records that `written` noise blocks landed and `dropped` could not.
+    /// Records that `written` noise blocks landed and `dropped` bursts were
+    /// cut short or refused (see [`DummyStats::blocks_dropped`]).
     pub fn record_outcome(&mut self, written: u64, dropped: u64) {
         self.stats.blocks_written += written;
         self.stats.blocks_dropped += dropped;

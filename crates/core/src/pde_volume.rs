@@ -7,7 +7,7 @@
 //! writer is consulted, and any resulting burst of noise blocks is appended
 //! to the chosen dummy/hidden-indexed volume through the shared pool.
 
-use crate::dummy::DummyWriter;
+use crate::dummy::{DummyBurst, DummyWriter};
 use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
 use mobiceal_sim::{CpuCostModel, SimClock};
 use mobiceal_thinp::{ThinPool, ThinVolume};
@@ -41,17 +41,24 @@ impl PdeVolume {
         PdeVolume { inner, pool, dummy, cpu, clock }
     }
 
-    fn run_dummy_burst(&self) {
-        let burst = self.dummy.lock().on_public_allocation();
-        let Some(burst) = burst else { return };
-        self.land_bursts(&[burst]);
+    /// Consults the trigger once per block the thin volume freshly
+    /// allocated and kept, then lands the bursts that fired.
+    fn on_fresh_allocations(&self, fresh: u64) {
+        if fresh == 0 {
+            return;
+        }
+        let bursts: Vec<DummyBurst> = {
+            let mut dummy = self.dummy.lock();
+            (0..fresh).filter_map(|_| dummy.on_public_allocation()).collect()
+        };
+        self.land_bursts(&bursts);
     }
 
     /// Lands one or more dummy bursts. Each burst's noise is generated in
     /// one writer-lock acquisition and lands via **one** vectored
     /// [`ThinPool::append_blocks`] call — the whole `m ~ Exp(λ)` burst
     /// crosses the blockdev → dm → thinp stack once instead of `m` times.
-    fn land_bursts(&self, bursts: &[crate::dummy::DummyBurst]) {
+    fn land_bursts(&self, bursts: &[DummyBurst]) {
         let block_size = self.pool.block_size();
         for burst in bursts {
             if burst.blocks == 0 {
@@ -94,15 +101,6 @@ impl BlockDevice for PdeVolume {
         self.inner.read_block(index)
     }
 
-    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        let fresh = self.inner.mapping(index).is_none();
-        self.inner.write_block(index, data)?;
-        if fresh {
-            self.run_dummy_burst();
-        }
-        Ok(())
-    }
-
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         self.inner.read_blocks(indices)
     }
@@ -115,51 +113,19 @@ impl BlockDevice for PdeVolume {
         self.inner.read_blocks_to(indices, dest)
     }
 
-    /// Batched write with the dummy-write hook: the public data lands via
-    /// one vectored write through the thin volume, then the trigger is
-    /// consulted once per fresh allocation *that landed* — the same number
-    /// of checks, in batch order, as the sequential path (which triggers
-    /// after each successful write and stops at the first failure) — and
-    /// all resulting bursts land as batched appends. Dummy noise therefore
-    /// follows the public batch instead of interleaving it block-by-block;
-    /// trigger statistics are distributed identically to the sequential
-    /// path.
+    /// Write with the dummy-write hook: the public data lands via one
+    /// write through the thin volume, which counts the blocks it freshly
+    /// allocated and kept under its pool lock. The trigger is then
+    /// consulted once per such block: a duplicate index counts once, a
+    /// batch cut short by a full pool counts its landed prefix, a batch
+    /// the data device fails counts nothing, and two writers racing for
+    /// one unmapped block count it once between them. All resulting
+    /// bursts land as batched appends, after the public batch. The
+    /// provided `write_block` is a one-element batch, which the thin
+    /// volume writes on its single-block path.
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        let indices: Vec<BlockIndex> = writes.iter().map(|&(index, _)| index).collect();
-        // One locked pass classifies freshness for the whole batch; `check`
-        // stays aligned with the batch.
-        let mut check: Vec<bool> =
-            self.inner.mappings_many(&indices).iter().map(Option::is_none).collect();
-        let result = self.inner.write_blocks(writes);
-        // On a mid-batch failure the thin volume persists the allocated
-        // prefix; consult the trigger for exactly the fresh blocks that
-        // landed (now mapped), as the sequential loop would have.
-        if result.is_err() {
-            for (c, mapping) in check.iter_mut().zip(self.inner.mappings_many(&indices)) {
-                *c &= mapping.is_some();
-            }
-        }
-        // Duplicates within one batch allocate once and check once: keep
-        // only the first occurrence of each index.
-        let mut order: Vec<usize> = (0..indices.len()).filter(|&i| check[i]).collect();
-        order.sort_unstable_by_key(|&i| (indices[i], i));
-        for pair in order.windows(2) {
-            if indices[pair[0]] == indices[pair[1]] {
-                check[pair[1]] = false;
-            }
-        }
-        // One trigger consultation per landed fresh allocation, in batch
-        // order.
-        let mut bursts = Vec::new();
-        {
-            let mut dummy = self.dummy.lock();
-            for _ in check.iter().filter(|&&c| c) {
-                if let Some(burst) = dummy.on_public_allocation() {
-                    bursts.push(burst);
-                }
-            }
-        }
-        self.land_bursts(&bursts);
+        let (fresh, result) = self.inner.write_blocks_fresh(writes);
+        self.on_fresh_allocations(fresh);
         result
     }
 
@@ -179,19 +145,31 @@ impl BlockDevice for PdeVolume {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobiceal_blockdev::MemDisk;
+    use mobiceal_blockdev::{FaultInjection, MemDisk};
     use mobiceal_crypto::ChaCha20Rng;
     use mobiceal_sim::SimDuration;
     use mobiceal_thinp::{AllocStrategy, PoolConfig};
 
     fn setup(seed: u64) -> (Arc<ThinPool>, PdeVolume, SimClock) {
+        let (_, pool, pde, clock) = build(2048, 50, seed);
+        (pool, pde, clock)
+    }
+
+    /// A six-volume pool on a `data_blocks`-block medium, with the public
+    /// volume under the hook and the trigger at `x`.
+    fn build(data_blocks: u64, x: u32, seed: u64) -> (MemDisk, Arc<ThinPool>, PdeVolume, SimClock) {
         let clock = SimClock::new();
-        let data: mobiceal_blockdev::SharedDevice =
-            Arc::new(MemDisk::new(2048, 512, clock.clone()));
+        let disk = MemDisk::new(data_blocks, 512, clock.clone());
         let meta: mobiceal_blockdev::SharedDevice = Arc::new(MemDisk::new(128, 512, clock.clone()));
         let pool = Arc::new(
-            ThinPool::create_seeded(data, meta, PoolConfig::new(6), AllocStrategy::Random, seed)
-                .unwrap(),
+            ThinPool::create_seeded(
+                Arc::new(disk.clone()),
+                meta,
+                PoolConfig::new(6),
+                AllocStrategy::Random,
+                seed,
+            )
+            .unwrap(),
         );
         let public = pool.create_volume(1, 2048).unwrap();
         for v in 2..=6 {
@@ -200,14 +178,14 @@ mod tests {
         let dummy = Arc::new(Mutex::new(DummyWriter::new(
             ChaCha20Rng::from_u64_seed(seed),
             clock.clone(),
-            50,
+            x,
             1.0,
             6,
             SimDuration::from_secs(3600),
         )));
         let pde =
             PdeVolume::new(public, pool.clone(), dummy, CpuCostModel::nexus4(), clock.clone());
-        (pool, pde, clock)
+        (disk, pool, pde, clock)
     }
 
     #[test]
@@ -313,6 +291,65 @@ mod tests {
         let sa = pde_a.dummy.lock().stats();
         let sb = pde_b.dummy.lock().stats();
         assert_eq!(sa.trigger_checks, sb.trigger_checks);
+    }
+
+    #[test]
+    fn racing_writers_consult_the_trigger_once_per_allocation() {
+        // Two threads write the same 512 fresh public blocks, in 8-block
+        // batches and then one by one. Each block is allocated once, so the
+        // trigger must be consulted exactly once per block, whichever
+        // thread's write allocated it.
+        for trial in 0..20 {
+            let (pool, pde, _clock) = setup(trial);
+            let data = vec![7u8; 512];
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        barrier.wait();
+                        for base in (0..256u64).step_by(8) {
+                            let batch: Vec<(u64, &[u8])> =
+                                (base..base + 8).map(|i| (i, data.as_slice())).collect();
+                            pde.write_blocks(&batch).unwrap();
+                        }
+                        for i in 256..512 {
+                            pde.write_block(i, &data).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(pool.volume_mapped_blocks(1), 512);
+            assert_eq!(pde.dummy.lock().stats().trigger_checks, 512, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn failed_batches_consult_the_trigger_only_for_blocks_that_stay_mapped() {
+        // A 16-block pool, with the trigger quiet (x = 1) so no burst takes
+        // space.
+        let (disk, pool, pde, _clock) = build(16, 1, 9);
+        let data = vec![3u8; 512];
+        let batch = |blocks: std::ops::Range<u64>| -> Vec<(u64, &[u8])> {
+            blocks.map(|i| (i, data.as_slice())).collect()
+        };
+        let checks = || pde.dummy.lock().stats().trigger_checks;
+        pde.write_blocks(&batch(0..4)).unwrap();
+        assert_eq!(checks(), 4);
+
+        // The data device fails: the fresh allocations roll back and the
+        // trigger is not consulted, batched or single.
+        disk.set_faults(FaultInjection { failing_writes: (0..16).collect(), ..Default::default() });
+        assert!(pde.write_blocks(&batch(4..8)).is_err());
+        assert!(pde.write_block(8, &data).is_err());
+        assert_eq!(pool.volume_mapped_blocks(1), 4);
+        assert_eq!(checks(), 4);
+
+        // The pool runs out mid-batch: the 12 blocks that fit land and
+        // count, the rest do not, and the overwrites in front count nothing.
+        disk.set_faults(FaultInjection::default());
+        assert_eq!(pde.write_blocks(&batch(0..20)), Err(BlockDeviceError::NoSpace));
+        assert_eq!(pool.volume_mapped_blocks(1), 16);
+        assert_eq!(checks(), 16);
     }
 
     #[test]

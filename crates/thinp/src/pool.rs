@@ -984,14 +984,101 @@ impl ThinVolume {
         self.volume(&mut self.pool.lock().volumes).ok()?.mappings.get(&vblock)
     }
 
-    /// Vectored [`ThinVolume::mapping`]: resolves many virtual blocks under
-    /// one acquisition of the pool lock. Out-of-range indices resolve to
-    /// `None`.
-    pub fn mappings_many(&self, vblocks: &[u64]) -> Vec<Option<u64>> {
-        match self.volume(&mut self.pool.lock().volumes) {
-            Ok(vol) => vblocks.iter().map(|v| vol.mappings.get(v)).collect(),
-            Err(_) => vec![None; vblocks.len()],
+    /// [`BlockDevice::write_blocks`] that also reports how many blocks the
+    /// call freshly allocated and kept mapped: every distinct unmapped
+    /// index of a batch that lands, the landed prefix's when the pool runs
+    /// out (or an index or buffer is refused) mid-batch, and 0 when the
+    /// data device fails and the allocations roll back. The count is taken
+    /// under the pool lock the allocations are made under, so two writers
+    /// racing for one unmapped block never both count it: it is the
+    /// fresh-block decision the dummy-write hook consults the trigger by.
+    ///
+    /// A one-element batch takes the single-block path down to the data
+    /// device, with no per-call allocation.
+    pub fn write_blocks_fresh(
+        &self,
+        writes: &[(BlockIndex, &[u8])],
+    ) -> (u64, Result<(), BlockDeviceError>) {
+        match *writes {
+            [(index, data)] => match self.write_one(index, data) {
+                Ok(fresh) => (u64::from(fresh), Ok(())),
+                Err(e) => (0, Err(e)),
+            },
+            _ => self.write_batch(writes),
         }
+    }
+
+    /// Writes one block and reports whether it allocated it. A failed write
+    /// keeps no allocation.
+    fn write_one(&self, index: BlockIndex, data: &[u8]) -> Result<bool, BlockDeviceError> {
+        self.check_index(index)?;
+        self.check_buffer(data)?;
+        let mut st = self.pool.lock();
+        let PoolState { volumes, alloc, .. } = &mut *st;
+        let vol = self.volume(volumes)?;
+        let (physical, fresh) = match vol.mappings.get(&index) {
+            Some(p) => (p, false),
+            None => {
+                let p = alloc.allocate_one()?;
+                vol.map(index, p);
+                (p, true)
+            }
+        };
+        if let Err(e) = self.data.write_block(physical, data) {
+            // Never leave a fresh mapping pointing at storage whose data
+            // did not land (reads would expose stale bytes).
+            if fresh {
+                ThinPool::rollback_fresh(vol, alloc, &[(index, physical)]);
+            }
+            return Err(e);
+        }
+        Ok(fresh)
+    }
+
+    /// Resolves or allocates every mapping under **one** acquisition of the
+    /// pool lock (consuming the allocator stream in batch order, exactly as
+    /// the sequential loop would), then issues one vectored write on the
+    /// data device before releasing it. On pool exhaustion mid-batch the
+    /// already-mapped prefix is written before the error surfaces,
+    /// preserving sequential fail-fast semantics; on a *device* error the
+    /// mappings freshly allocated by this call are rolled back so no
+    /// virtual block points at a physical block whose data never landed.
+    fn write_batch(&self, writes: &[(BlockIndex, &[u8])]) -> (u64, Result<(), BlockDeviceError>) {
+        let mut staged: Vec<(BlockIndex, &[u8])> = Vec::with_capacity(writes.len());
+        let mut fresh: Vec<(u64, u64)> = Vec::new(); // (vblock, p) allocated here
+        let mut first_error = None;
+        let mut st = self.pool.lock();
+        let PoolState { volumes, alloc, .. } = &mut *st;
+        let vol = match self.volume(volumes) {
+            Ok(vol) => vol,
+            Err(e) => return (0, Err(e)),
+        };
+        for &(index, data) in writes {
+            if let Err(e) = self.check_index(index).and_then(|()| self.check_buffer(data)) {
+                first_error = Some(e);
+                break;
+            }
+            let physical = match vol.mappings.get(&index) {
+                Some(p) => p,
+                None => match alloc.allocate_one() {
+                    Ok(p) => {
+                        vol.map(index, p);
+                        fresh.push((index, p));
+                        p
+                    }
+                    Err(e) => {
+                        first_error = Some(e);
+                        break;
+                    }
+                },
+            };
+            staged.push((physical, data));
+        }
+        if let Err(e) = self.data.write_blocks(&staged) {
+            ThinPool::rollback_fresh(vol, alloc, &fresh);
+            return (0, Err(e));
+        }
+        (fresh.len() as u64, first_error.map_or(Ok(()), Err))
     }
 }
 
@@ -1017,28 +1104,7 @@ impl BlockDevice for ThinVolume {
     }
 
     fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
-        self.check_index(index)?;
-        self.check_buffer(data)?;
-        let mut st = self.pool.lock();
-        let PoolState { volumes, alloc, .. } = &mut *st;
-        let vol = self.volume(volumes)?;
-        let (physical, fresh) = match vol.mappings.get(&index) {
-            Some(p) => (p, false),
-            None => {
-                let p = alloc.allocate_one()?;
-                vol.map(index, p);
-                (p, true)
-            }
-        };
-        if let Err(e) = self.data.write_block(physical, data) {
-            // Never leave a fresh mapping pointing at storage whose data
-            // did not land (reads would expose stale bytes).
-            if fresh {
-                ThinPool::rollback_fresh(vol, alloc, &[(index, physical)]);
-            }
-            return Err(e);
-        }
-        Ok(())
+        self.write_blocks_fresh(&[(index, data)]).1
     }
 
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
@@ -1076,51 +1142,9 @@ impl BlockDevice for ThinVolume {
         dest.fill_holes(mark, self.data.block_size(), mappings.iter().map(Option::is_some))
     }
 
-    /// Batched write: resolves or allocates every mapping under **one**
-    /// acquisition of the pool lock (consuming the allocator stream in
-    /// batch order, exactly as the sequential loop would), then issues one
-    /// vectored write on the data device before releasing it. On pool
-    /// exhaustion mid-batch the already-mapped prefix is written before
-    /// the error surfaces, preserving sequential fail-fast semantics; on a
-    /// *device* error the mappings freshly allocated by this call are
-    /// rolled back so no virtual block points at a physical block whose
-    /// data never landed.
+    /// Batched write: see [`ThinVolume::write_blocks_fresh`].
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
-        let mut staged: Vec<(BlockIndex, &[u8])> = Vec::with_capacity(writes.len());
-        let mut fresh: Vec<(u64, u64)> = Vec::new(); // (vblock, p) allocated here
-        let mut first_error = None;
-        let mut st = self.pool.lock();
-        let PoolState { volumes, alloc, .. } = &mut *st;
-        let vol = self.volume(volumes)?;
-        for &(index, data) in writes {
-            if let Err(e) = self.check_index(index).and_then(|()| self.check_buffer(data)) {
-                first_error = Some(e);
-                break;
-            }
-            let physical = match vol.mappings.get(&index) {
-                Some(p) => p,
-                None => match alloc.allocate_one() {
-                    Ok(p) => {
-                        vol.map(index, p);
-                        fresh.push((index, p));
-                        p
-                    }
-                    Err(e) => {
-                        first_error = Some(e);
-                        break;
-                    }
-                },
-            };
-            staged.push((physical, data));
-        }
-        if let Err(e) = self.data.write_blocks(&staged) {
-            ThinPool::rollback_fresh(vol, alloc, &fresh);
-            return Err(e);
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.write_blocks_fresh(writes).1
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {
@@ -1637,7 +1661,6 @@ mod tests {
         deleted(stale.read_blocks(&[0, 1]).map(drop));
         assert_eq!(stale.mapped_blocks(), 0);
         assert_eq!(stale.mapping(0), None);
-        assert_eq!(stale.mappings_many(&[0, 1]), vec![None, None]);
         assert_eq!(reused.read_block(0).unwrap(), vec![2u8; 512]);
         assert_eq!(p.mapped_vblocks(1), Some(vec![0]));
         p.commit().unwrap();
@@ -1682,19 +1705,6 @@ mod tests {
             p.commit().unwrap();
             assert_eq!(p.metadata_view().bitmap.allocated(), 0, "round {round}: leak committed");
         }
-    }
-
-    #[test]
-    fn mappings_many_matches_single_lookups() {
-        let p = pool(AllocStrategy::Random);
-        let v = p.create_volume(1, 100).unwrap();
-        v.write_block(3, &vec![1u8; 512]).unwrap();
-        v.write_block(7, &vec![2u8; 512]).unwrap();
-        let batch = v.mappings_many(&[3, 4, 7, 200]);
-        assert_eq!(batch[0], v.mapping(3));
-        assert_eq!(batch[1], None);
-        assert_eq!(batch[2], v.mapping(7));
-        assert_eq!(batch[3], None, "out of range resolves to None");
     }
 
     #[test]
