@@ -20,7 +20,7 @@
 //! past what is actually on the medium (the stash retains every enqueued
 //! write, so no data is lost and the whole batch can be retried).
 
-use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice};
+use mobiceal_blockdev::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
 use mobiceal_crypto::{Aes256, ChaCha20Rng, SectorCipher, Xts};
 use mobiceal_sim::{CpuCostModel, SimClock, SimDuration};
 use parking_lot::Mutex;
@@ -179,7 +179,7 @@ impl HiveWoOram {
                 if logical as u64 >= n_logical {
                     break;
                 }
-                let value = u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().unwrap());
+                let value = crate::le_u64_at(buf, i * 8)?;
                 if value == 0 {
                     continue;
                 }
@@ -584,16 +584,6 @@ impl BlockDevice for HiveWoOram {
             }),
             None => Ok(resolved),
         }
-    }
-
-    /// Off the public read path: one batch of its own, moved or copied
-    /// into `dest`.
-    fn read_blocks_to(
-        &self,
-        indices: &[BlockIndex],
-        dest: ReadDest<'_>,
-    ) -> Result<(), BlockDeviceError> {
-        mobiceal_blockdev::read_blocks_via_batch(self, indices, dest)
     }
 
     fn flush(&self) -> Result<(), BlockDeviceError> {

@@ -58,3 +58,15 @@ fn read_exact(
     }
     Ok(bufs)
 }
+
+/// The little-endian `u64` at bytes `at..at + 8` of an on-disk record. A
+/// record too short to hold it is `CorruptMetadata`, never a panic.
+fn le_u64_at(record: &[u8], at: usize) -> Result<u64, BlockDeviceError> {
+    record
+        .get(at..at + 8)
+        .and_then(|field| field.try_into().ok())
+        .map(u64::from_le_bytes)
+        .ok_or_else(|| BlockDeviceError::CorruptMetadata {
+            detail: format!("record too short for a u64 at byte {at}"),
+        })
+}

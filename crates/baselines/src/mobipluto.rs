@@ -371,7 +371,7 @@ impl MobiPluto {
                 && &buf[..8] == CURSOR_MAGIC
                 && mobiceal_crypto::sha256(&buf[..16])[..] == buf[16..48]
             {
-                *mp.hidden_cursor.lock() = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+                *mp.hidden_cursor.lock() = crate::le_u64_at(&buf, 8)?;
             }
         }
 

@@ -71,13 +71,12 @@ impl StateJournal {
         if &block[..8] != HEADER_MAGIC {
             return Err(corrupt("bad state-journal magic"));
         }
-        let digest: [u8; 32] = block[HEADER_LEN - 32..HEADER_LEN].try_into().unwrap();
-        if Self::header_digest(&block) != digest {
+        if Self::header_digest(&block)[..] != block[HEADER_LEN - 32..HEADER_LEN] {
             return Err(corrupt("state-journal header digest mismatch"));
         }
-        let txid = u64::from_le_bytes(block[8..16].try_into().unwrap());
+        let txid = crate::le_u64_at(&block, 8)?;
         let active = block[16] as usize;
-        let used = u64::from_le_bytes(block[17..25].try_into().unwrap());
+        let used = crate::le_u64_at(&block, 17)?;
         if active > 1 || txid == 0 {
             return Err(corrupt("state-journal header out of range"));
         }

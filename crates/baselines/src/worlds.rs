@@ -11,6 +11,11 @@
 //! measured with the same vectored discipline MobiCeal gets, not
 //! handicapped to single-block commands.
 
+#![allow(
+    clippy::expect_used,
+    reason = "game adapters, not storage code: a world whose fixed geometry fails to set up aborts the round"
+)]
+
 use mobiceal::{MobiCeal, MobiCealConfig, UnlockedVolume};
 use mobiceal_adversary::{GameWorld, Observation};
 use mobiceal_blockdev::{BlockDevice, MemDisk};

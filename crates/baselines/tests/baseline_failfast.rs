@@ -7,8 +7,7 @@
 
 use mobiceal_baselines::{DefyLite, HiveWoOram, MobiPluto};
 use mobiceal_blockdev::{
-    read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, FaultInjection, MemDisk,
-    ReadDest, SharedDevice,
+    BlockDevice, BlockDeviceError, BlockIndex, FaultInjection, MemDisk, SharedDevice,
 };
 use mobiceal_sim::SimClock;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -168,14 +167,6 @@ impl BlockDevice for ShortReads {
             bufs.pop();
         }
         Ok(bufs)
-    }
-
-    fn read_blocks_to(
-        &self,
-        indices: &[BlockIndex],
-        dest: ReadDest<'_>,
-    ) -> Result<(), BlockDeviceError> {
-        read_blocks_via_batch(self, indices, dest)
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {

@@ -138,11 +138,16 @@ pub trait BlockDevice: Send + Sync {
     /// ([`read_blocks_owned`]).
     ///
     /// The default issues one `self.read_blocks` batch and moves or copies
-    /// its buffers into `dest` ([`read_blocks_via_batch`]), so a wrapper
-    /// that overrides only `read_blocks` charges exactly what it charges
-    /// there. A layer whose `read_blocks` is [`read_blocks_owned`] must
-    /// override this method, or the two call each other forever; analyzer
-    /// rule A1 checks that every production layer does.
+    /// its buffers into `dest`. So a wrapper that overrides only
+    /// `read_blocks`, such as the benchmark's span recorder, charges exactly
+    /// what it charges there, and a layer whose completions own their
+    /// buffers (HIVE, DEFY, `EngineDevice`) reads through it. A layer whose
+    /// `read_blocks` is [`read_blocks_owned`] must override this method, or
+    /// the two call each other forever. A pass-through layer on the public
+    /// read path must override it too, or an `Append` read through it
+    /// reaches the layers below as a `read_blocks` batch into fresh
+    /// buffers; `tests/read_into.rs` pins that a public read reaches the
+    /// medium only as an `Append` read.
     ///
     /// # Errors
     ///
@@ -153,7 +158,12 @@ pub trait BlockDevice: Send + Sync {
         indices: &[BlockIndex],
         dest: ReadDest<'_>,
     ) -> Result<(), BlockDeviceError> {
-        read_blocks_via_batch(self, indices, dest)
+        let mut blocks = self.read_blocks(indices)?;
+        match dest {
+            ReadDest::Append(buf) => blocks.iter().for_each(|b| buf.extend_from_slice(b)),
+            ReadDest::Owned(bufs) => bufs.append(&mut blocks),
+        }
+        Ok(())
     }
 
     /// Writes each `(index, data)` pair, in order.
@@ -375,27 +385,6 @@ pub fn read_blocks_owned<D: BlockDevice + ?Sized>(
     let mut out = Vec::with_capacity(indices.len());
     dev.read_blocks_to(indices, ReadDest::Owned(&mut out))?;
     Ok(out)
-}
-
-/// [`BlockDevice::read_blocks_to`] as one `dev.read_blocks` batch whose
-/// buffers are then moved (`Owned`) or copied (`Append`) into `dest`: the
-/// trait default, and the explicit forward of wrappers off the public read
-/// path that read through a batch of their own.
-///
-/// # Errors
-///
-/// `dev.read_blocks`'s error; `dest` is then untouched.
-pub fn read_blocks_via_batch<D: BlockDevice + ?Sized>(
-    dev: &D,
-    indices: &[BlockIndex],
-    dest: ReadDest<'_>,
-) -> Result<(), BlockDeviceError> {
-    let mut blocks = dev.read_blocks(indices)?;
-    match dest {
-        ReadDest::Append(buf) => blocks.iter().for_each(|b| buf.extend_from_slice(b)),
-        ReadDest::Owned(bufs) => bufs.append(&mut blocks),
-    }
-    Ok(())
 }
 
 /// A reference-counted device handle, the currency of device stacking.

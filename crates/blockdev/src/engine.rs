@@ -53,7 +53,7 @@
 //! # Ok::<(), mobiceal_blockdev::BlockDeviceError>(())
 //! ```
 
-use crate::device::{read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, ReadDest};
+use crate::device::{BlockDevice, BlockDeviceError, BlockIndex};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -294,16 +294,6 @@ impl<D: BlockDevice> BlockDevice for EngineDevice<D> {
                 Err(BlockDeviceError::Io { reason: "read ticket completed as a write".to_string() })
             }
         }
-    }
-
-    /// The ring's completions own their buffers, so these are moved or
-    /// copied out of one ring read.
-    fn read_blocks_to(
-        &self,
-        indices: &[BlockIndex],
-        dest: ReadDest<'_>,
-    ) -> Result<(), BlockDeviceError> {
-        read_blocks_via_batch(self, indices, dest)
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {

@@ -42,8 +42,7 @@ mod stats;
 
 pub use crash::CrashDisk;
 pub use device::{
-    read_blocks_owned, read_blocks_via_batch, BlockDevice, BlockDeviceError, BlockIndex, ReadDest,
-    SharedDevice,
+    read_blocks_owned, BlockDevice, BlockDeviceError, BlockIndex, ReadDest, SharedDevice,
 };
 pub use engine::{Completion, EngineDevice, IoEngine, IoOutput, Ticket};
 pub use memdisk::{FaultInjection, MemDisk};

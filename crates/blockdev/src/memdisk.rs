@@ -155,10 +155,13 @@ impl MemDisk {
     ) -> Self {
         assert!(num_blocks > 0, "device must have at least one block");
         assert!(block_size > 0, "block size must be positive");
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor-time geometry guard beside the asserts above; fails at set-up, never on the I/O path"
+        )]
         let count = usize::try_from(num_blocks)
             .ok()
             .filter(|n| n.checked_mul(block_size).is_some())
-            // analyzer: allow(panic_freedom, reason = "constructor-time geometry guard beside the existing asserts; fails at setup, never on the I/O path")
             .expect("device too large for memory simulation");
         let chunk_blocks = (CHUNK_BYTES / block_size).max(1);
         let chunks = (0..count)

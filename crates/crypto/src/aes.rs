@@ -906,6 +906,10 @@ fn load_round_keys(src: &[[u8; 16]; MAX_RK_BLOCKS]) -> [std::arch::x86_64::__m12
 /// [`load_round_keys`]' keys broadcast to all four 128-bit lanes of a zmm
 /// register: `VAESENC` / `VAESDEC` apply lane `j` of the key to lane `j`
 /// of the state, so every lane gets the same round.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn broadcast_round_keys(
@@ -922,6 +926,10 @@ fn broadcast_round_keys(
 /// `v` with 128-bit lane `lane` (0..=3) replaced by `x`. The lane is a
 /// constant once the callers' loops unroll, so the match folds to one
 /// `VINSERTI32X4`.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -940,6 +948,10 @@ fn insert_lane(
 }
 
 /// 128-bit lane `lane` (0..=3) of `v`; the inverse of [`insert_lane`].
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]

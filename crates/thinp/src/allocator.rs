@@ -122,8 +122,7 @@ impl Allocator for RandomAllocator {
         // to free space in practice, so this terminates fast. Fall back to
         // linear enumeration if free space is nearly exhausted.
         for _ in 0..64 {
-            let n = self.rng.next_below(free);
-            let block = bitmap.nth_free(n).expect("nth_free within free count");
+            let block = bitmap.nth_free(self.rng.next_below(free))?;
             if !reserved.get(block) {
                 return Some(block);
             }

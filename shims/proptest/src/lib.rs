@@ -10,7 +10,8 @@
 //! Differences from real proptest, by design:
 //!
 //! * **No shrinking.** A failing case reports the generated inputs (via the
-//!   panic message) but does not minimize them.
+//!   panic message, so every generated value must be `Debug`) but does not
+//!   minimize them.
 //! * **Deterministic generation.** Each test function derives its RNG seed
 //!   from its own name, so runs are reproducible without a persistence
 //!   file. Set `PROPTEST_SEED=<u64>` to perturb the whole suite.
@@ -556,21 +557,20 @@ pub mod prelude {
 /// Runs `cases` instances of a property, panicking on the first failure.
 ///
 /// This is the engine behind [`proptest!`]; `run_one` generates inputs from
-/// its `TestRng` and returns the case result plus a rendering of the inputs
-/// for diagnostics.
+/// its `TestRng` and runs the case. `render` generates the same inputs from
+/// a fresh `TestRng` and formats them, and runs only for the failing case,
+/// so passing cases never pay for the formatting.
 pub fn run_property(
     test_id: &str,
     config: &ProptestConfig,
-    mut run_one: impl FnMut(&mut TestRng) -> (String, TestCaseResult),
+    mut run_one: impl FnMut(&mut TestRng) -> TestCaseResult,
+    render: impl Fn(&mut TestRng) -> String,
 ) {
     let mut passed = 0u32;
     let mut rejected = 0u32;
     let mut case = 0u64;
     while passed < config.cases {
-        let mut rng = TestRng::for_case(test_id, case);
-        case += 1;
-        let (inputs, outcome) = run_one(&mut rng);
-        match outcome {
+        match run_one(&mut TestRng::for_case(test_id, case)) {
             Ok(()) => passed += 1,
             Err(TestCaseError::Reject(_)) => {
                 rejected += 1;
@@ -582,13 +582,15 @@ pub fn run_property(
                 }
             }
             Err(TestCaseError::Fail(msg)) => {
+                let inputs = render(&mut TestRng::for_case(test_id, case));
                 panic!(
                     "{test_id}: property failed at case {case}: {msg}\n\
-                     inputs: {inputs}\n\
+                     inputs:{inputs}\n\
                      (re-run deterministically; set PROPTEST_SEED to vary)"
                 );
             }
         }
+        case += 1;
     }
 }
 
@@ -621,12 +623,23 @@ macro_rules! __proptest_fns {
         fn $name() {
             let config: $crate::ProptestConfig = $config;
             let test_id = concat!(module_path!(), "::", stringify!($name));
-            $crate::run_property(test_id, &config, |rng| {
-                $(let $pat = $crate::Strategy::generate(&($strat), rng);)+
-                let inputs = String::new(); // inputs echoed via assert messages
-                let outcome: $crate::TestCaseResult = (|| { $body Ok(()) })();
-                (inputs, outcome)
-            });
+            $crate::run_property(
+                test_id,
+                &config,
+                |rng| {
+                    $(let $pat = $crate::Strategy::generate(&($strat), rng);)+
+                    (|| { $body Ok(()) })()
+                },
+                |rng| {
+                    let mut inputs = String::new();
+                    $(inputs += &format!(
+                        "\n  {} = {:?}",
+                        stringify!($pat),
+                        $crate::Strategy::generate(&($strat), rng),
+                    );)+
+                    inputs
+                },
+            );
         }
         $crate::__proptest_fns!(($config) $($rest)*);
     };
@@ -815,6 +828,41 @@ mod tests {
         fn run_one_failing(x in 0u8..10) {
             prop_assert!(x > 200, "x is only {x}");
         }
+    }
+
+    // No #[test] attribute: only invoked via
+    // failing_property_reports_its_inputs.
+    proptest! {
+        fn run_failing_late(x in 0u8..10, (a, v) in (any::<bool>(), prop::collection::vec(0u8..3, 2))) {
+            prop_assert!(x != 3, "x is {x} beside {a} and {v:?}");
+        }
+    }
+
+    #[test]
+    fn failing_property_reports_its_inputs() {
+        // The first case whose `x` breaks the property, drawn as the macro
+        // draws it.
+        let id = concat!(module_path!(), "::run_failing_late");
+        let (case, x, rest) = (0u64..)
+            .map(|case| {
+                let mut rng = TestRng::for_case(id, case);
+                let x = Strategy::generate(&(0u8..10), &mut rng);
+                let rest = Strategy::generate(
+                    &(any::<bool>(), prop::collection::vec(0u8..3, 2)),
+                    &mut rng,
+                );
+                (case, x, rest)
+            })
+            .find(|&(_, x, _)| x == 3)
+            .unwrap();
+        let panic = std::panic::catch_unwind(run_failing_late).unwrap_err();
+        let msg = panic.downcast_ref::<String>().unwrap();
+        let (a, v) = &rest;
+        let expected = format!(
+            "failed at case {case}: x is {x} beside {a} and {v:?}\n\
+             inputs:\n  x = {x}\n  (a, v) = {rest:?}\n"
+        );
+        assert!(msg.contains(&expected), "{msg}\ndoes not contain\n{expected}");
     }
 
     #[test]

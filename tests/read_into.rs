@@ -10,6 +10,12 @@
 //! [`ReadBlocksOnly`], a wrapper shaped like the benchmark's span recorder
 //! that leaves `read_blocks_to` to the trait default; twin `b` takes the
 //! native `read_blocks_to` everywhere.
+//!
+//! The default is one `read_blocks` batch copied into the destination, so a
+//! pass-through layer that loses its own `read_blocks_to` still reads the
+//! same bytes at the same charge, only through fresh buffers. What shows it
+//! is the medium's side of the call: [`RecordingMedium`] pins that a public
+//! read reaches the medium only as `read_blocks_to` into `Append`.
 
 // Test binary: aborting on an unexpected error is the point.
 #![allow(clippy::unwrap_used)]
@@ -473,4 +479,121 @@ fn a_wrapper_that_only_overrides_read_blocks_charges_what_the_native_read_charge
     assert_eq!(shaped_total, native_total, "and so does the whole run");
     assert_eq!(shaped_stats, native_stats);
     assert_eq!(shaped_bytes, native_bytes);
+}
+
+/// One read call the medium received.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MediumRead {
+    Block,
+    Blocks,
+    ToAppend,
+    ToOwned,
+}
+
+/// A medium that logs every read call it receives and serves it from its
+/// `MemDisk` through the same entry point.
+struct RecordingMedium {
+    disk: MemDisk,
+    log: Mutex<Vec<MediumRead>>,
+}
+
+impl RecordingMedium {
+    /// The calls logged since the last `take`.
+    fn take(&self) -> Vec<MediumRead> {
+        std::mem::take(&mut self.log.lock())
+    }
+}
+
+impl BlockDevice for RecordingMedium {
+    fn num_blocks(&self) -> u64 {
+        self.disk.num_blocks()
+    }
+
+    fn block_size(&self) -> usize {
+        self.disk.block_size()
+    }
+
+    fn read_block(&self, index: BlockIndex) -> Result<Vec<u8>, BlockDeviceError> {
+        self.log.lock().push(MediumRead::Block);
+        self.disk.read_block(index)
+    }
+
+    fn write_block(&self, index: BlockIndex, data: &[u8]) -> Result<(), BlockDeviceError> {
+        self.disk.write_block(index, data)
+    }
+
+    fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
+        self.log.lock().push(MediumRead::Blocks);
+        self.disk.read_blocks(indices)
+    }
+
+    fn read_blocks_to(
+        &self,
+        indices: &[BlockIndex],
+        dest: ReadDest<'_>,
+    ) -> Result<(), BlockDeviceError> {
+        let kind = match dest {
+            ReadDest::Append(_) => MediumRead::ToAppend,
+            ReadDest::Owned(_) => MediumRead::ToOwned,
+        };
+        self.log.lock().push(kind);
+        self.disk.read_blocks_to(indices, dest)
+    }
+
+    fn write_blocks(&self, writes: &[(BlockIndex, &[u8])]) -> Result<(), BlockDeviceError> {
+        self.disk.write_blocks(writes)
+    }
+
+    fn flush(&self) -> Result<(), BlockDeviceError> {
+        self.disk.flush()
+    }
+
+    fn host_queue_enter(&self) {
+        self.disk.host_queue_enter();
+    }
+
+    fn host_queue_leave(&self) {
+        self.disk.host_queue_leave();
+    }
+}
+
+#[test]
+fn public_reads_reach_the_medium_only_as_append_reads() {
+    // Every layer between the unlocked volume and the medium overrides
+    // `read_blocks_to`. One that inherited the default would turn an
+    // `Append` read into a `read_blocks` batch below it, which every layer
+    // under it serves as an `Owned` read, and the medium would see that.
+    let clock = SimClock::new();
+    let medium = Arc::new(RecordingMedium {
+        disk: MemDisk::new(DISK, BS, clock.clone()),
+        log: Mutex::new(Vec::new()),
+    });
+    let mc =
+        MobiCeal::initialize(medium.clone(), clock, config(), "decoy", &["hidden"], 5).unwrap();
+    let public = Arc::new(mc.unlock_public("decoy").unwrap());
+    let data: Vec<Vec<u8>> = (0..8).map(block).collect();
+    let writes: Vec<(u64, &[u8])> =
+        (RAW_BASE..).zip(&data).map(|(v, d)| (v, d.as_slice())).collect();
+    public.write_blocks(&writes).unwrap();
+    let mut fs = SimFs::format(public.clone()).unwrap();
+    fs.create(FILE).unwrap();
+    fs.write(FILE, 100, &[0xA1; 3 * BS]).unwrap();
+    fs.sync().unwrap();
+    medium.take();
+
+    // Mapped blocks around a thin hole, through the unlocked volume.
+    let mut buf = Vec::new();
+    let batch = [RAW_BASE + 6, RAW_BASE + 40, RAW_BASE + 1];
+    public.read_blocks_to(&batch, ReadDest::Append(&mut buf)).unwrap();
+    // The hole reads as whatever dm-crypt makes of the zeros below it.
+    assert_eq!(buf.len(), 3 * BS);
+    assert_eq!((&buf[..BS], &buf[2 * BS..]), (&data[6][..], &data[1][..]));
+    let volume_reads = medium.take();
+    assert!(!volume_reads.is_empty(), "the volume read reached the medium");
+    assert!(volume_reads.iter().all(|&r| r == MediumRead::ToAppend), "{volume_reads:?}");
+
+    assert_eq!(fs.read(FILE, 100, 3 * BS).unwrap(), [0xA1; 3 * BS]);
+    let fs_reads = medium.take();
+    assert!(!fs_reads.is_empty(), "the file read reached the medium");
+    assert!(fs_reads.iter().all(|&r| r == MediumRead::ToAppend), "{fs_reads:?}");
 }
